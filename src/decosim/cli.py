@@ -32,7 +32,6 @@ import time
 
 from . import __version__
 from .config import (
-    SCENARIO_SUMMARY,
     SCENARIOS,
     ScenarioConfig,
     config_hash,
@@ -174,8 +173,8 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_list_scenarios() -> int:
-    for name in SCENARIOS:
-        print(f"{name}: {SCENARIO_SUMMARY[name]}")
+    for name, entry in SCENARIOS.items():
+        print(f"{name}: {entry.summary}")
     return 0
 
 

@@ -3,18 +3,21 @@
 A configuration document is a JSON object with the fields
 
     scenario   one of the names in SCENARIOS
-    params     scenario-specific parameter table (see SCENARIO_SUMMARY)
+    params     scenario-specific parameter table (see SCENARIOS)
     grid       {"t_start": 0.0, "t_end": ..., "n_steps": ..., "sample_every": 1}
     estimator  {"kind": "closed-form" | "master-equation" |
                 "trajectories", "n_traj": ..., "seed": ...}
     output     {"path": ..., "format": "csv"}
 
 Complex values are written as two-element arrays [re, im]; plain numbers
-are accepted as purely real.  Every validation error names the offending
-field path.  Defaults are resolved at parse time, so emitting a parsed
-config reproduces every choice explicitly and parse(emit(config)) returns
-an equal config.  Seeds are never defaulted: any stochastic estimator must
-state one.
+are accepted as purely real.  Every number must be finite.  Every
+validation error names the offending field path.  Defaults are resolved at
+parse time, so emitting a parsed config reproduces every choice explicitly
+and parse(emit(config)) returns an equal config.  Seeds are never
+defaulted: any stochastic estimator must state one, in [0, 2**64).
+
+SCENARIOS is the scenario registry: parsing, emission, ``decosim
+list-scenarios`` and ``run_scenario`` all read it.
 """
 
 from __future__ import annotations
@@ -23,86 +26,25 @@ import json
 import math
 from dataclasses import dataclass
 from hashlib import sha256
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .evolution import TimeGrid
+from .evolution import TimeGrid, two_level_decay_model
+from .hilbert import QuantumState
 from .models.central_spin import CentralSpinParams
 from .models.disorder import Distribution, DisorderSpec
 from .models.oscillator import DampedOscillatorParams
-from .models.three_level import (
-    MIN_EXPECTED_BRIGHT_COUNT,
-    ThreeLevelParams,
-    bright_excited_population,
-)
-
-SCENARIOS = (
-    "central-spin",
-    "spin-echo",
-    "disorder",
-    "three-level-telegraph",
-    "damped-oscillator",
-    "unraveling-check",
-)
-
-CLOSED_FORM = "closed-form"
-MASTER_EQUATION = "master-equation"
-TRAJECTORIES = "trajectories"
-ESTIMATOR_KINDS = (CLOSED_FORM, MASTER_EQUATION, TRAJECTORIES)
-
-# Which estimators make sense per scenario, first entry is the default.
-SCENARIO_ESTIMATORS = {
-    "central-spin": (CLOSED_FORM,),
-    "spin-echo": (CLOSED_FORM,),
-    "disorder": (CLOSED_FORM, TRAJECTORIES),
-    "three-level-telegraph": (TRAJECTORIES,),
-    "damped-oscillator": (MASTER_EQUATION,),
-    "unraveling-check": (TRAJECTORIES,),
-}
-
-# One-line parameter summaries for the list-scenarios subcommand.
-SCENARIO_SUMMARY = {
-    "central-spin": ("closed-form dephasing of a central spin: params "
-                     "couplings (required), omega0=0, c1=c2=sqrt(1/2)"),
-    "spin-echo": ("central-spin run with a refocusing pulse: central-spin "
-                  "params plus t_e (required, > 0)"),
-    "disorder": ("static-disorder ensemble average: params distribution "
-                 "(required), epsilon, slopes, r; trajectories estimator "
-                 "draws explicit samples"),
-    "three-level-telegraph": ("fluorescence telegraph of a shelved "
-                              "three-level emitter: params rabi, "
-                              "gamma_strong, gamma_shelve, gamma_deshelve, "
-                              "bin_width (required), detuning=0, "
-                              "dark_threshold=0; needs trajectories"),
-    "damped-oscillator": ("two-packet interference in a damped oscillator: "
-                          "params omega, n_fock, alpha1, alpha2 (required), "
-                          "gamma=0, n_thermal=0; master-equation estimator"),
-    "unraveling-check": ("trajectory average vs master equation: params "
-                         "model (required), threshold=5/sqrt(n_traj); "
-                         "needs trajectories"),
-}
+from .models.three_level import (MIN_EXPECTED_BRIGHT_COUNT, ThreeLevelParams,
+                                 bright_excited_population, ground_state,
+                                 three_level_model)
+from .scenarios import (CLOSED_FORM, MASTER_EQUATION, TRAJECTORIES,
+                        EstimatorSpec, ScenarioConfig, run_central_spin,
+                        run_damped_oscillator, run_disorder, run_spin_echo,
+                        run_telegraph, run_unraveling)
 
 DEFAULT_AMPLITUDE = math.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """How a scenario's expectation values are estimated."""
-
-    kind: str
-    n_traj: int | None = None
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str
-    params: dict
-    grid: TimeGrid
-    estimator: EstimatorSpec
-    output_path: str
-    output_format: str
 
 
 def _fail(path: str, message: str):
@@ -121,16 +63,16 @@ def _reject_unknown(table: dict, allowed, path: str):
         _fail(f"{path}.{unknown[0]}", "unknown field")
 
 
-def _get_required(table: dict, key: str, path: str):
-    if key not in table:
-        _fail(f"{path}.{key}", "missing parameter")
-    return table[key]
-
-
 def _as_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:       # an integer beyond the float range
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        _fail(path, f"expected a finite number, got {x}")
+    return x
 
 
 def _as_int(value, path: str) -> int:
@@ -149,11 +91,11 @@ def _as_complex(value, path: str) -> complex:
     if isinstance(value, bool):
         _fail(path, "expected a number or [re, im] pair, got bool")
     if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
+        return complex(_as_float(value, path), 0.0)
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in value)):
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_float(value[0], path), _as_float(value[1], path))
     _fail(path, "expected a number or a [re, im] pair")
 
 
@@ -175,282 +117,238 @@ def _as_complex_matrix(value, path: str) -> tuple:
     return tuple(rows)
 
 
-def _complex_out(z: complex) -> list:
-    return [z.real, z.imag]
+def _checked(convert, ok, message: str):
+    """Converter that also requires ok(value); ``{}`` in *message* shows
+    the value."""
+    def checked(value, path: str):
+        x = convert(value, path)
+        if not ok(x):
+            _fail(path, message.format(x))
+        return x
+    return checked
 
 
 # ---------------------------------------------------------------------------
-# section parsers
+# field tables
+#
+# A field table lists (name, converter) rows for required fields and
+# (name, converter, default) rows for optional ones, in key order.  A
+# default of None leaves an absent field out for the scenario check to fill.
 
-def _parse_grid(table, path: str) -> TimeGrid:
+def _parse_fields(table, fields, path: str) -> dict:
     table = _require_table(table, path)
-    _reject_unknown(table, ("t_start", "t_end", "n_steps", "sample_every"),
-                    path)
-    t_start = _as_float(table.get("t_start", 0.0), f"{path}.t_start")
-    t_end = _as_float(_get_required(table, "t_end", path), f"{path}.t_end")
-    n_steps = _as_int(_get_required(table, "n_steps", path),
-                      f"{path}.n_steps")
-    sample_every = _as_int(table.get("sample_every", 1),
-                           f"{path}.sample_every")
+    _reject_unknown(table, [name for name, *_ in fields], path)
+    out = {}
+    for name, convert, *default in fields:
+        if name in table:
+            out[name] = convert(table[name], f"{path}.{name}")
+        elif not default:
+            _fail(f"{path}.{name}", "missing parameter")
+        elif default[0] is not None:
+            out[name] = convert(default[0], f"{path}.{name}")
+    return out
+
+
+def _union(noun: str, variants: dict):
+    """Converter for a tagged union whose ``kind`` picks its field table."""
+    def convert(table, path: str) -> dict:
+        table = _require_table(table, path)
+        if "kind" not in table:
+            _fail(f"{path}.kind", "missing parameter")
+        kind = _as_str(table["kind"], f"{path}.kind")
+        if kind not in variants:
+            _fail(f"{path}.kind", f"unknown {noun} '{kind}' (choose from "
+                                  f"{', '.join(variants)})")
+        return _parse_fields(table, (("kind", _as_str),) + variants[kind],
+                             path)
+    return convert
+
+
+def _construct(path: str, make, *args, **kwargs):
+    """Call *make*; a ValueError, or an ArithmeticError such as a float
+    overflow in its arithmetic, becomes a ConfigurationError at *path*."""
     try:
-        return TimeGrid(t_start, t_end, n_steps, sample_every)
+        return make(*args, **kwargs)
     except ValueError as e:
         _fail(path, str(e))
+    except ArithmeticError as e:
+        _fail(path, f"{type(e).__name__}: {e}")
 
 
-def _parse_estimator(table, scenario: str, path: str) -> EstimatorSpec:
-    allowed = SCENARIO_ESTIMATORS[scenario]
+_POSITIVE = _checked(_as_float, lambda x: x > 0.0, "must be positive")
+
+_GRID_FIELDS = (("t_start", _as_float, 0.0), ("t_end", _as_float),
+                ("n_steps", _as_int), ("sample_every", _as_int, 1))
+
+_OUTPUT_FIELDS = (
+    ("path", _checked(_as_str, bool, "must be a nonempty path")),
+    ("format", _checked(_as_str, lambda f: f == "csv",
+                        "unknown format '{}' (only csv)"), "csv"))
+
+# estimator kind -> fields besides the kind; a Philox key word is 64 bits
+_ESTIMATORS = {CLOSED_FORM: (), MASTER_EQUATION: (), TRAJECTORIES: (
+    ("n_traj", _checked(_as_int, lambda n: n >= 1,
+                        "trajectories requires n_traj ≥ 1")),
+    ("seed", _checked(
+        _checked(_as_int, lambda s: s >= 0, "seed must be ≥ 0"),
+        lambda s: s < 2**64, "seed must be < 2**64")))}
+ESTIMATOR_KINDS = tuple(_ESTIMATORS)
+
+_CENTRAL_SPIN_FIELDS = (("couplings", _as_float_tuple),
+                        ("omega0", _as_float, 0.0),
+                        ("c1", _as_complex, DEFAULT_AMPLITUDE),
+                        ("c2", _as_complex, DEFAULT_AMPLITUDE))
+
+# shared by the telegraph scenario and the three-level unraveling model
+_THREE_LEVEL_FIELDS = (("rabi", _as_float), ("detuning", _as_float, 0.0),
+                       ("gamma_strong", _as_float),
+                       ("gamma_shelve", _as_float),
+                       ("gamma_deshelve", _as_float))
+
+# Distribution(kind, a, b) takes the parameters in field order
+_DISTRIBUTIONS = {
+    "gaussian": (("mean", _as_float, 0.0), ("sigma", _as_float)),
+    "lorentzian": (("center", _as_float, 0.0), ("width", _as_float)),
+    "uniform": (("low", _as_float), ("high", _as_float)),
+}
+
+_MODELS = {
+    "two-level-decay": (
+        ("gamma", _checked(_as_float, lambda g: g >= 0.0, "must be ≥ 0")),),
+    "three-level": _THREE_LEVEL_FIELDS,
+}
+
+# unraveling model kind -> constructor of (LindbladModel, initial state)
+_MODEL_BUILDERS = {
+    "two-level-decay": lambda kind, gamma: (
+        two_level_decay_model(gamma),
+        QuantumState.pure(np.array([0.0, 1.0], dtype=np.complex128))),
+    "three-level": lambda kind, **rates: (
+        three_level_model(ThreeLevelParams(**rates)), ground_state()),
+}
+
+
+def _central_spin(params: dict) -> CentralSpinParams:
+    return CentralSpinParams(params["omega0"], params["couplings"],
+                             params["c1"], params["c2"])
+
+
+def disorder_spec_from_params(params: dict) -> DisorderSpec:
+    return DisorderSpec(Distribution(*params["distribution"].values()),
+                        params["epsilon"], params["slopes"],
+                        np.array(params["r"], dtype=np.complex128))
+
+
+def _check_disorder(params, spec, grid, estimator):
+    if estimator.kind == TRAJECTORIES and estimator.n_traj < 2:
+        return ("estimator.n_traj",
+                "disorder monte carlo requires n_traj ≥ 2 for error bars")
+
+
+def _check_telegraph(params, model, grid, estimator):
+    bin_width = params["bin_width"]
+    expected = (model.gamma_strong * bright_excited_population(model)
+                * bin_width)
+    if expected < MIN_EXPECTED_BRIGHT_COUNT:
+        return ("params.bin_width",
+                f"expected bright-bin count {expected:.3g} is below "
+                f"{MIN_EXPECTED_BRIGHT_COUNT}; widen the bins")
+    if (grid.t_end - grid.t_start) / bin_width < 2.0:
+        return "params.bin_width", "grid spans fewer than two bins"
+
+
+def _default_threshold(params, model, grid, estimator):
+    # the sampling bound 5/sqrt(n_traj) depends on the estimator section
+    params.setdefault("threshold", 5.0 / math.sqrt(estimator.n_traj))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Registry entry: everything that differs between scenarios."""
+
+    summary: str        # one line for ``decosim list-scenarios``
+    estimators: tuple   # allowed estimator kinds, the default first
+    fields: tuple       # params field table
+    build: Callable     # params -> the model object handed to the runner
+    run: Callable       # (ScenarioConfig, workers) -> ScenarioResult
+    # (params, model, grid, estimator) -> (path, message) of the first
+    # cross-field problem, or None
+    check: Callable = lambda params, model, grid, estimator: None
+
+
+SCENARIOS = {
+    "central-spin": Scenario(
+        summary=("closed-form dephasing of a central spin: params "
+                 "couplings (required), omega0=0, c1=c2=sqrt(1/2)"),
+        estimators=(CLOSED_FORM,), fields=_CENTRAL_SPIN_FIELDS,
+        build=_central_spin, run=run_central_spin),
+    "spin-echo": Scenario(
+        summary=("central-spin run with a refocusing pulse: central-spin "
+                 "params plus t_e (required, > 0)"),
+        estimators=(CLOSED_FORM,),
+        fields=_CENTRAL_SPIN_FIELDS + (
+            ("t_e", _checked(_as_float, lambda t: t > 0.0,
+                             "echo time must be positive, got {}")),),
+        build=_central_spin, run=run_spin_echo),
+    "disorder": Scenario(
+        summary=("static-disorder ensemble average: params distribution "
+                 "(required), epsilon, slopes, r; trajectories estimator "
+                 "draws explicit samples"),
+        estimators=(CLOSED_FORM, TRAJECTORIES),
+        fields=(("distribution", _union("distribution", _DISTRIBUTIONS)),
+                ("epsilon", _as_float_tuple), ("slopes", _as_float_tuple),
+                ("r", _as_complex_matrix)),
+        build=disorder_spec_from_params, run=run_disorder,
+        check=_check_disorder),
+    "three-level-telegraph": Scenario(
+        summary=("fluorescence telegraph of a shelved three-level emitter: "
+                 "params rabi, gamma_strong, gamma_shelve, gamma_deshelve, "
+                 "bin_width (required), detuning=0, dark_threshold=0; "
+                 "needs trajectories"),
+        estimators=(TRAJECTORIES,),
+        fields=_THREE_LEVEL_FIELDS + (
+            ("bin_width", _POSITIVE),
+            ("dark_threshold",
+             _checked(_as_int, lambda n: n >= 0, "must be ≥ 0"), 0)),
+        build=lambda params: ThreeLevelParams(
+            *(params[name] for name, *_ in _THREE_LEVEL_FIELDS)),
+        run=run_telegraph, check=_check_telegraph),
+    "damped-oscillator": Scenario(
+        summary=("two-packet interference in a damped oscillator: params "
+                 "omega, n_fock, alpha1, alpha2 (required), gamma=0, "
+                 "n_thermal=0; master-equation estimator"),
+        estimators=(MASTER_EQUATION,),
+        fields=(("omega", _as_float), ("gamma", _as_float, 0.0),
+                ("n_thermal", _as_float, 0.0), ("n_fock", _as_int),
+                ("alpha1", _as_complex), ("alpha2", _as_complex)),
+        build=lambda p: DampedOscillatorParams(
+            p["omega"], p["gamma"], p["n_thermal"], p["n_fock"],
+            (p["alpha1"], p["alpha2"])),
+        run=run_damped_oscillator),
+    "unraveling-check": Scenario(
+        summary=("trajectory average vs master equation: params model "
+                 "(required), threshold=5/sqrt(n_traj); needs trajectories"),
+        estimators=(TRAJECTORIES,),
+        fields=(("model", _union("model", _MODELS)),
+                ("threshold", _POSITIVE, None)),
+        build=lambda p: _MODEL_BUILDERS[p["model"]["kind"]](**p["model"]),
+        run=run_unraveling, check=_default_threshold),
+}
+
+
+def _parse_estimator(table, scenario: str, allowed: tuple,
+                     path: str) -> EstimatorSpec:
     if table is None:
         if allowed[0] == TRAJECTORIES:
             _fail(path, f"scenario '{scenario}' needs a trajectories "
                         "estimator with explicit n_traj and seed")
         return EstimatorSpec(kind=allowed[0])
-    table = _require_table(table, path)
-    kind = _as_str(_get_required(table, "kind", path), f"{path}.kind")
-    if kind not in ESTIMATOR_KINDS:
-        _fail(f"{path}.kind",
-              f"unknown estimator '{kind}' (choose from "
-              f"{', '.join(ESTIMATOR_KINDS)})")
-    if kind not in allowed:
+    kind = _require_table(table, path).get("kind")
+    if kind in ESTIMATOR_KINDS and kind not in allowed:
         _fail(f"{path}.kind",
               f"scenario '{scenario}' does not support estimator '{kind}' "
               f"(allowed: {', '.join(allowed)})")
-    if kind != TRAJECTORIES:
-        _reject_unknown(table, ("kind",), path)
-        return EstimatorSpec(kind=kind)
-    _reject_unknown(table, ("kind", "n_traj", "seed"), path)
-    n_traj = _as_int(_get_required(table, "n_traj", path), f"{path}.n_traj")
-    if n_traj < 1:
-        _fail(f"{path}.n_traj", "trajectories requires n_traj ≥ 1")
-    if scenario == "disorder" and n_traj < 2:
-        _fail(f"{path}.n_traj",
-              "disorder monte carlo requires n_traj ≥ 2 for error bars")
-    seed = _as_int(_get_required(table, "seed", path), f"{path}.seed")
-    if seed < 0:
-        _fail(f"{path}.seed", "seed must be ≥ 0")
-    return EstimatorSpec(kind=TRAJECTORIES, n_traj=n_traj, seed=seed)
-
-
-def _parse_central_spin(table, path: str, echo: bool) -> dict:
-    keys = ("couplings", "omega0", "c1", "c2") + (("t_e",) if echo else ())
-    _reject_unknown(table, keys, path)
-    params = {
-        "couplings": _as_float_tuple(
-            _get_required(table, "couplings", path), f"{path}.couplings"),
-        "omega0": _as_float(table.get("omega0", 0.0), f"{path}.omega0"),
-        "c1": _as_complex(table.get("c1", DEFAULT_AMPLITUDE), f"{path}.c1"),
-        "c2": _as_complex(table.get("c2", DEFAULT_AMPLITUDE), f"{path}.c2"),
-    }
-    try:
-        CentralSpinParams(params["omega0"], params["couplings"],
-                          params["c1"], params["c2"])
-    except ValueError as e:
-        _fail(path, str(e))
-    return params
-
-
-def _parse_spin_echo(table, path: str) -> dict:
-    params = _parse_central_spin(table, path, echo=True)
-    t_e = _as_float(_get_required(table, "t_e", path), f"{path}.t_e")
-    if not t_e > 0.0:
-        _fail(f"{path}.t_e", f"echo time must be positive, got {t_e}")
-    params["t_e"] = t_e
-    return params
-
-
-_DISTRIBUTION_FIELDS = {
-    "gaussian": (("mean", 0.0), ("sigma", None)),
-    "lorentzian": (("center", 0.0), ("width", None)),
-    "uniform": (("low", None), ("high", None)),
-}
-
-
-def _parse_distribution(table, path: str) -> dict:
-    table = _require_table(table, path)
-    kind = _as_str(_get_required(table, "kind", path), f"{path}.kind")
-    if kind not in _DISTRIBUTION_FIELDS:
-        _fail(f"{path}.kind",
-              f"unknown distribution '{kind}' (choose from "
-              f"{', '.join(sorted(_DISTRIBUTION_FIELDS))})")
-    fields = _DISTRIBUTION_FIELDS[kind]
-    _reject_unknown(table, ("kind",) + tuple(name for name, _ in fields),
-                    path)
-    out = {"kind": kind}
-    for name, default in fields:
-        raw = (_get_required(table, name, path) if default is None
-               else table.get(name, default))
-        out[name] = _as_float(raw, f"{path}.{name}")
-    return out
-
-
-def _distribution_from_params(d: dict) -> Distribution:
-    if d["kind"] == "gaussian":
-        return Distribution.gaussian(d["mean"], d["sigma"])
-    if d["kind"] == "lorentzian":
-        return Distribution.lorentzian(d["center"], d["width"])
-    return Distribution.uniform(d["low"], d["high"])
-
-
-def _parse_disorder(table, path: str) -> dict:
-    _reject_unknown(table, ("distribution", "epsilon", "slopes", "r"), path)
-    params = {
-        "distribution": _parse_distribution(
-            _get_required(table, "distribution", path),
-            f"{path}.distribution"),
-        "epsilon": _as_float_tuple(
-            _get_required(table, "epsilon", path), f"{path}.epsilon"),
-        "slopes": _as_float_tuple(
-            _get_required(table, "slopes", path), f"{path}.slopes"),
-        "r": _as_complex_matrix(_get_required(table, "r", path), f"{path}.r"),
-    }
-    try:
-        disorder_spec_from_params(params)
-    except ValueError as e:
-        _fail(path, str(e))
-    return params
-
-
-def disorder_spec_from_params(params: dict) -> DisorderSpec:
-    return DisorderSpec(_distribution_from_params(params["distribution"]),
-                        params["epsilon"], params["slopes"],
-                        np.array(params["r"], dtype=np.complex128))
-
-
-def _parse_three_level(table, path: str, grid: TimeGrid) -> dict:
-    _reject_unknown(table, ("rabi", "detuning", "gamma_strong",
-                            "gamma_shelve", "gamma_deshelve", "bin_width",
-                            "dark_threshold"), path)
-    params = {
-        "rabi": _as_float(_get_required(table, "rabi", path),
-                          f"{path}.rabi"),
-        "detuning": _as_float(table.get("detuning", 0.0),
-                              f"{path}.detuning"),
-        "gamma_strong": _as_float(
-            _get_required(table, "gamma_strong", path),
-            f"{path}.gamma_strong"),
-        "gamma_shelve": _as_float(
-            _get_required(table, "gamma_shelve", path),
-            f"{path}.gamma_shelve"),
-        "gamma_deshelve": _as_float(
-            _get_required(table, "gamma_deshelve", path),
-            f"{path}.gamma_deshelve"),
-        "bin_width": _as_float(_get_required(table, "bin_width", path),
-                               f"{path}.bin_width"),
-        "dark_threshold": _as_int(table.get("dark_threshold", 0),
-                                  f"{path}.dark_threshold"),
-    }
-    try:
-        model = ThreeLevelParams(params["rabi"], params["detuning"],
-                                 params["gamma_strong"],
-                                 params["gamma_shelve"],
-                                 params["gamma_deshelve"])
-    except ValueError as e:
-        _fail(path, str(e))
-    if params["dark_threshold"] < 0:
-        _fail(f"{path}.dark_threshold", "must be ≥ 0")
-    bin_width = params["bin_width"]
-    if not bin_width > 0.0:
-        _fail(f"{path}.bin_width", "must be positive")
-    expected = (model.gamma_strong * bright_excited_population(model)
-                * bin_width)
-    if expected < MIN_EXPECTED_BRIGHT_COUNT:
-        _fail(f"{path}.bin_width",
-              f"expected bright-bin count {expected:.3g} is below "
-              f"{MIN_EXPECTED_BRIGHT_COUNT}; widen the bins")
-    if (grid.t_end - grid.t_start) / bin_width < 2.0:
-        _fail(f"{path}.bin_width", "grid spans fewer than two bins")
-    return params
-
-
-def _parse_damped_oscillator(table, path: str) -> dict:
-    _reject_unknown(table, ("omega", "gamma", "n_thermal", "n_fock",
-                            "alpha1", "alpha2"), path)
-    params = {
-        "omega": _as_float(_get_required(table, "omega", path),
-                           f"{path}.omega"),
-        "gamma": _as_float(table.get("gamma", 0.0), f"{path}.gamma"),
-        "n_thermal": _as_float(table.get("n_thermal", 0.0),
-                               f"{path}.n_thermal"),
-        "n_fock": _as_int(_get_required(table, "n_fock", path),
-                          f"{path}.n_fock"),
-        "alpha1": _as_complex(_get_required(table, "alpha1", path),
-                              f"{path}.alpha1"),
-        "alpha2": _as_complex(_get_required(table, "alpha2", path),
-                              f"{path}.alpha2"),
-    }
-    try:
-        DampedOscillatorParams(params["omega"], params["gamma"],
-                               params["n_thermal"], params["n_fock"],
-                               (params["alpha1"], params["alpha2"]))
-    except ValueError as e:
-        _fail(path, str(e))
-    return params
-
-
-def _parse_unraveling(table, path: str, estimator: EstimatorSpec) -> dict:
-    _reject_unknown(table, ("model", "threshold"), path)
-    model = _require_table(_get_required(table, "model", path),
-                           f"{path}.model")
-    kind = _as_str(_get_required(model, "kind", f"{path}.model"),
-                   f"{path}.model.kind")
-    if kind == "two-level-decay":
-        _reject_unknown(model, ("kind", "gamma"), f"{path}.model")
-        gamma = _as_float(_get_required(model, "gamma", f"{path}.model"),
-                          f"{path}.model.gamma")
-        if gamma < 0.0:
-            _fail(f"{path}.model.gamma", "must be ≥ 0")
-        model_params = {"kind": kind, "gamma": gamma}
-    elif kind == "three-level":
-        _reject_unknown(model, ("kind", "rabi", "detuning", "gamma_strong",
-                                "gamma_shelve", "gamma_deshelve"),
-                        f"{path}.model")
-        mp = f"{path}.model"
-        model_params = {
-            "kind": kind,
-            "rabi": _as_float(_get_required(model, "rabi", mp),
-                              f"{mp}.rabi"),
-            "detuning": _as_float(model.get("detuning", 0.0),
-                                  f"{mp}.detuning"),
-            "gamma_strong": _as_float(
-                _get_required(model, "gamma_strong", mp),
-                f"{mp}.gamma_strong"),
-            "gamma_shelve": _as_float(
-                _get_required(model, "gamma_shelve", mp),
-                f"{mp}.gamma_shelve"),
-            "gamma_deshelve": _as_float(
-                _get_required(model, "gamma_deshelve", mp),
-                f"{mp}.gamma_deshelve"),
-        }
-        try:
-            ThreeLevelParams(model_params["rabi"], model_params["detuning"],
-                             model_params["gamma_strong"],
-                             model_params["gamma_shelve"],
-                             model_params["gamma_deshelve"])
-        except ValueError as e:
-            _fail(mp, str(e))
-    else:
-        _fail(f"{path}.model.kind",
-              f"unknown model '{kind}' (choose from two-level-decay, "
-              "three-level)")
-    if "threshold" in table:
-        threshold = _as_float(table["threshold"], f"{path}.threshold")
-        if not threshold > 0.0:
-            _fail(f"{path}.threshold", "must be positive")
-    else:
-        threshold = 5.0 / math.sqrt(estimator.n_traj)
-    return {"model": model_params, "threshold": threshold}
-
-
-def _parse_output(table, path: str) -> tuple:
-    table = _require_table(table, path)
-    _reject_unknown(table, ("path", "format"), path)
-    out_path = _as_str(_get_required(table, "path", path), f"{path}.path")
-    if not out_path:
-        _fail(f"{path}.path", "must be a nonempty path")
-    fmt = _as_str(table.get("format", "csv"), f"{path}.format")
-    if fmt != "csv":
-        _fail(f"{path}.format", f"unknown format '{fmt}' (only csv)")
-    return out_path, fmt
+    return EstimatorSpec(**_union("estimator", _ESTIMATORS)(table, path))
 
 
 # ---------------------------------------------------------------------------
@@ -470,69 +368,47 @@ def parse_config_table(table) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         _fail("scenario", f"unknown scenario '{scenario}' (choose from "
                           f"{', '.join(SCENARIOS)})")
-    grid = _parse_grid(table["grid"], "grid")
+    entry = SCENARIOS[scenario]
+    grid = _construct("grid", TimeGrid,
+                      **_parse_fields(table["grid"], _GRID_FIELDS, "grid"))
     estimator = _parse_estimator(table.get("estimator"), scenario,
-                                 "estimator")
-    raw_params = _require_table(table["params"], "params")
-    if scenario == "central-spin":
-        params = _parse_central_spin(raw_params, "params", echo=False)
-    elif scenario == "spin-echo":
-        params = _parse_spin_echo(raw_params, "params")
-    elif scenario == "disorder":
-        params = _parse_disorder(raw_params, "params")
-    elif scenario == "three-level-telegraph":
-        params = _parse_three_level(raw_params, "params", grid)
-    elif scenario == "damped-oscillator":
-        params = _parse_damped_oscillator(raw_params, "params")
-    else:
-        params = _parse_unraveling(raw_params, "params", estimator)
-    output_path, output_format = _parse_output(table["output"], "output")
+                                 entry.estimators, "estimator")
+    params = _parse_fields(table["params"], entry.fields, "params")
+    model = _construct("params", entry.build, params)
+    problem = _construct("params", entry.check, params, model, grid,
+                         estimator)
+    if problem:
+        _fail(*problem)
+    output = _parse_fields(table["output"], _OUTPUT_FIELDS, "output")
     return ScenarioConfig(scenario=scenario, params=params, grid=grid,
-                          estimator=estimator, output_path=output_path,
-                          output_format=output_format)
+                          estimator=estimator, output_path=output["path"],
+                          output_format=output["format"], model=model,
+                          runner=entry.run)
 
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a JSON configuration document."""
     try:
         table = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:     # also integers past the digit limit
         raise ConfigurationError(
             f"configuration is not valid JSON: {e}") from e
     return parse_config_table(table)
 
 
-def _params_out(params: dict):
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, complex):
-            out[key] = _complex_out(value)
-        elif isinstance(value, dict):
-            out[key] = _params_out(value)
-        elif isinstance(value, tuple):
-            if value and isinstance(value[0], tuple):
-                out[key] = [[_complex_out(z) for z in row] for row in value]
-            else:
-                out[key] = list(value)
-        else:
-            out[key] = value
-    return out
-
-
 def config_table(config: ScenarioConfig) -> dict:
     """Plain-JSON representation with every default resolved."""
-    grid = {"t_start": config.grid.t_start, "t_end": config.grid.t_end,
-            "n_steps": config.grid.n_steps,
-            "sample_every": config.grid.sample_every}
-    estimator = {"kind": config.estimator.kind}
-    if config.estimator.kind == TRAJECTORIES:
-        estimator["n_traj"] = config.estimator.n_traj
-        estimator["seed"] = config.estimator.seed
+    estimator = config.estimator
     return {
         "scenario": config.scenario,
-        "params": _params_out(config.params),
-        "grid": grid,
-        "estimator": estimator,
+        # complex values become [re, im] pairs, tuples become arrays
+        "params": json.loads(json.dumps(
+            config.params, default=lambda z: [z.real, z.imag])),
+        "grid": {name: getattr(config.grid, name)
+                 for name, *_ in _GRID_FIELDS},
+        "estimator": {"kind": estimator.kind} | {
+            name: getattr(estimator, name)
+            for name, *_ in _ESTIMATORS[estimator.kind]},
         "output": {"path": config.output_path,
                    "format": config.output_format},
     }

@@ -179,6 +179,8 @@ class TimeGrid:
         if not self.t_end > self.t_start:
             raise DimensionError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
+        if not np.isfinite(self.t_end - self.t_start):
+            raise DimensionError("grid span t_end - t_start must be finite")
         if self.n_steps < 1:
             raise DimensionError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.sample_every < 1:

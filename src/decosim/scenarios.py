@@ -1,6 +1,9 @@
 """Scenario runners: turn a validated configuration into a result table,
 a list of executed consistency checks, and a summary info block.
 
+``decosim.config`` builds a ScenarioConfig from its scenario registry,
+which names the runners below; ``run_scenario`` calls the one it carries.
+
 Each runner returns a ScenarioResult whose ``rows`` align with ``columns``
 (one CSV row per entry).  Checks carry a name, a pass flag, and a one-line
 detail; the CLI copies them into the run manifest and derives its exit
@@ -11,14 +14,13 @@ manifest lists exactly the checks that ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .coherence import purity
-from .config import TRAJECTORIES, ScenarioConfig, disorder_spec_from_params
-from .hilbert import QuantumState
-from .evolution import integrate_master, two_level_decay_model
+from .evolution import TimeGrid, integrate_master
 from .models.central_spin import (
     CentralSpinParams,
     central_spin_coherence,
@@ -28,7 +30,6 @@ from .models.central_spin import (
 )
 from .models.disorder import disorder_averaged_state
 from .models.oscillator import (
-    DampedOscillatorParams,
     check_truncation,
     fringe_visibility,
     mean_occupation,
@@ -39,17 +40,42 @@ from .models.oscillator import (
     superposition_state,
 )
 from .models.three_level import (
-    ThreeLevelParams,
     bright_excited_population,
     fluorescence_telegraph,
-    ground_state,
     poisson_dispersion,
-    three_level_model,
 )
 from .trajectories import unraveling_equivalence_report
 
 DISPERSION_ALPHA = 0.01
 MIN_DARK_PERIODS = 10
+
+CLOSED_FORM = "closed-form"
+MASTER_EQUATION = "master-equation"
+TRAJECTORIES = "trajectories"
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """How a scenario's expectation values are estimated."""
+
+    kind: str
+    n_traj: int | None = None
+    seed: int | None = None
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """A validated configuration.  ``model`` (the object built from
+    ``params``) and ``runner`` are derived, so they skip equality."""
+
+    scenario: str
+    params: dict
+    grid: TimeGrid
+    estimator: EstimatorSpec
+    output_path: str
+    output_format: str
+    model: object = field(default=None, compare=False, repr=False)
+    runner: Callable = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -75,11 +101,6 @@ class ScenarioResult:
         return all(c.passed for c in self.checks)
 
 
-def _central_spin_params(params: dict) -> CentralSpinParams:
-    return CentralSpinParams(params["omega0"], params["couplings"],
-                             params["c1"], params["c2"])
-
-
 def _coherence_checks(p: CentralSpinParams, coherence_fn) -> list[Check]:
     initial = complex(coherence_fn(np.array([0.0]))[0])
     target = p.c1 * np.conj(p.c2)
@@ -88,8 +109,8 @@ def _coherence_checks(p: CentralSpinParams, coherence_fn) -> list[Check]:
                   f"|coherence(0) - c1 c2*| = {dev0:.3g} (tol 1e-12)")]
 
 
-def _run_central_spin(config: ScenarioConfig) -> ScenarioResult:
-    p = _central_spin_params(config.params)
+def run_central_spin(config: ScenarioConfig, workers: int) -> ScenarioResult:
+    p = config.model
     times = config.grid.sample_times()
     coh = central_spin_coherence(p, times)
     env = gaussian_envelope(p, times)
@@ -111,8 +132,8 @@ def _run_central_spin(config: ScenarioConfig) -> ScenarioResult:
         info={"t_D": t_d, "n_bath": p.n_bath})
 
 
-def _run_spin_echo(config: ScenarioConfig) -> ScenarioResult:
-    p = _central_spin_params(config.params)
+def run_spin_echo(config: ScenarioConfig, workers: int) -> ScenarioResult:
+    p = config.model
     t_e = config.params["t_e"]
     times = config.grid.sample_times()
     coh = spin_echo_coherence(p, t_e, times)
@@ -147,8 +168,8 @@ def _disorder_columns(dim: int) -> tuple[str, ...]:
     return tuple(cols)
 
 
-def _run_disorder(config: ScenarioConfig) -> ScenarioResult:
-    spec = disorder_spec_from_params(config.params)
+def run_disorder(config: ScenarioConfig, workers: int) -> ScenarioResult:
+    spec = config.model
     times = config.grid.sample_times()
     est = config.estimator
     monte_carlo = est.kind == TRAJECTORIES
@@ -200,10 +221,9 @@ def _run_disorder(config: ScenarioConfig) -> ScenarioResult:
                           info=info)
 
 
-def _run_telegraph(config: ScenarioConfig, workers: int) -> ScenarioResult:
+def run_telegraph(config: ScenarioConfig, workers: int) -> ScenarioResult:
     pr = config.params
-    p = ThreeLevelParams(pr["rabi"], pr["detuning"], pr["gamma_strong"],
-                         pr["gamma_shelve"], pr["gamma_deshelve"])
+    p = config.model
     est = config.estimator
     stats = fluorescence_telegraph(p, config.grid, est.n_traj, est.seed,
                                    pr["bin_width"],
@@ -266,12 +286,10 @@ def _run_telegraph(config: ScenarioConfig, workers: int) -> ScenarioResult:
                           rows=rows, checks=tuple(checks), info=info)
 
 
-def _run_damped_oscillator(config: ScenarioConfig) -> ScenarioResult:
-    pr = config.params
-    p = DampedOscillatorParams(pr["omega"], pr["gamma"], pr["n_thermal"],
-                               pr["n_fock"], (pr["alpha1"], pr["alpha2"]))
-    psi0 = superposition_state([1.0, 1.0], [pr["alpha1"], pr["alpha2"]],
-                               p.n_fock)
+def run_damped_oscillator(config: ScenarioConfig,
+                          workers: int) -> ScenarioResult:
+    p = config.model
+    psi0 = superposition_state([1.0, 1.0], p.alphas, p.n_fock)
     states = integrate_master(psi0, oscillator_model(p), config.grid)
     times = config.grid.sample_times()
     xs = position_grid(p)
@@ -344,18 +362,8 @@ def _run_damped_oscillator(config: ScenarioConfig) -> ScenarioResult:
                           checks=tuple(checks), info=info)
 
 
-def _run_unraveling(config: ScenarioConfig, workers: int) -> ScenarioResult:
-    model_p = config.params["model"]
-    if model_p["kind"] == "two-level-decay":
-        model = two_level_decay_model(model_p["gamma"])
-        state = QuantumState.pure(np.array([0.0, 1.0], dtype=np.complex128))
-    else:
-        p = ThreeLevelParams(model_p["rabi"], model_p["detuning"],
-                             model_p["gamma_strong"],
-                             model_p["gamma_shelve"],
-                             model_p["gamma_deshelve"])
-        model = three_level_model(p)
-        state = ground_state()
+def run_unraveling(config: ScenarioConfig, workers: int) -> ScenarioResult:
+    model, state = config.model
     est = config.estimator
     threshold = config.params["threshold"]
     report = unraveling_equivalence_report(state, model, config.grid,
@@ -369,7 +377,7 @@ def _run_unraveling(config: ScenarioConfig, workers: int) -> ScenarioResult:
         f"max trace distance {report.max_trace_distance:.6g} vs threshold "
         f"{threshold:.6g} over {report.times.size} samples")]
     info = {
-        "model": model_p["kind"],
+        "model": config.params["model"]["kind"],
         "n_traj": est.n_traj,
         "threshold": threshold,
         "max_trace_distance": report.max_trace_distance,
@@ -381,14 +389,4 @@ def _run_unraveling(config: ScenarioConfig, workers: int) -> ScenarioResult:
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
     """Execute a validated configuration and collect its outputs."""
-    if config.scenario == "central-spin":
-        return _run_central_spin(config)
-    if config.scenario == "spin-echo":
-        return _run_spin_echo(config)
-    if config.scenario == "disorder":
-        return _run_disorder(config)
-    if config.scenario == "three-level-telegraph":
-        return _run_telegraph(config, workers)
-    if config.scenario == "damped-oscillator":
-        return _run_damped_oscillator(config)
-    return _run_unraveling(config, workers)
+    return config.runner(config, workers)

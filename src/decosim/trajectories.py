@@ -51,6 +51,7 @@ Floats are written with 17 significant digits, so the round trip through
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,9 +97,12 @@ class TrajectoryRecord:
         sn = np.asarray(self.snapshots, dtype=np.complex128)
         if jt.shape != jc.shape or jt.ndim != 1:
             raise DimensionError("jump times/channels must be matching 1-D arrays")
+        # t_start + n_steps * dt may round a few ulps past t_end
+        slack = 8.0 * np.spacing(max(abs(self.grid.t_start),
+                                     abs(self.grid.t_end)))
         if jt.size and (np.any(np.diff(jt) <= 0.0)
                         or jt[0] <= self.grid.t_start
-                        or jt[-1] > self.grid.t_end + 1e-12):
+                        or jt[-1] > self.grid.t_end + slack):
             raise DomainError("jump times must be strictly increasing within "
                               "(t_start, t_end]")
         if sn.shape != (self.grid.n_samples, self.dim):
@@ -112,9 +116,6 @@ class TrajectoryRecord:
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "jump_channels", jc)
         object.__setattr__(self, "snapshots", sn)
-
-    def snapshot_state(self, index: int) -> QuantumState:
-        return QuantumState.pure(self.snapshots[index])
 
 
 def _effective_propagator(model: LindbladModel, dt: float) -> np.ndarray:
@@ -275,9 +276,9 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                  ) -> list[TrajectoryRecord]:
     """Run trajectories for streams 0 .. n_traj-1 under one base seed.
 
-    ``workers > 1`` distributes contiguous stream ranges over processes;
-    records are returned in stream order either way, so the result is
-    independent of scheduling.
+    ``workers > 1`` distributes contiguous stream ranges over processes,
+    at most one per CPU; records are returned in stream order either way,
+    so the result is independent of scheduling.
     """
     psi0 = _check_trajectory_inputs(state, model, seed)
     n_traj = int(n_traj)
@@ -286,6 +287,7 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     workers = int(workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     streams = list(range(n_traj))
     if workers == 1 or n_traj < 2 * workers:
         return _run_streams(psi0, model, grid, int(seed), streams)
@@ -449,8 +451,8 @@ def record_from_text(text: str) -> TrajectoryRecord:
             if len(vals) != 2 * dim:
                 raise ValueError(f"snapshot line {i} has {len(vals)} fields, "
                                  f"expected {2 * dim}")
-            arr = np.array(vals).reshape(dim, 2)
-            snaps[i] = arr[:, 0] + 1j * arr[:, 1]
+            # reinterpreting (re, im) pairs keeps the sign of zero parts
+            snaps[i] = np.array(vals).view(np.complex128)
         if lines[pos + n_samples] != "end":
             raise ValueError("missing end marker")
     except (IndexError, ValueError) as exc:

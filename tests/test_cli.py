@@ -210,3 +210,27 @@ def test_argparse_rejects_bad_invocations(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_numbers_the_numerics_cannot_take_exit_two(tmp_path, capsys):
+    oscillator = {
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "n_fock": 40, "alpha1": 2.0,
+                   "alpha2": 7.9e264},
+        "grid": {"t_end": 1.0, "n_steps": 10},
+        "output": {"path": str(tmp_path / "osc.csv")},
+    }
+    infinite_grid = central_spin_table(tmp_path)
+    infinite_grid["grid"]["t_end"] = float("inf")
+    infinite_rate = unraveling_table(tmp_path)
+    infinite_rate["params"]["model"]["gamma"] = float("inf")
+    for table, message in ((oscillator, "params: OverflowError"),
+                           (infinite_grid, "grid.t_end: expected a finite"),
+                           (infinite_rate,
+                            "params.model.gamma: expected a finite")):
+        path = write_config(tmp_path, table)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"configuration error: {message}" in err
+    assert not list(tmp_path.glob("*.csv*"))

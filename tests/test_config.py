@@ -289,3 +289,58 @@ def test_parse_config_rejects_bad_json():
         parse_config("{not json")
     with pytest.raises(ConfigurationError):
         parse_config("[1, 2, 3]")       # not an object
+
+
+def test_non_finite_numbers_rejected():
+    doc = minimal_config("central-spin")
+    doc["grid"]["t_end"] = float("inf")
+    with pytest.raises(ConfigurationError,
+                       match=r"grid\.t_end: expected a finite number"):
+        parse_config(json.dumps(doc))       # written as Infinity
+    doc["grid"]["t_end"] = 10**400          # beyond the float range
+    with pytest.raises(ConfigurationError,
+                       match=r"grid\.t_end: expected a finite number"):
+        parse_config_table(doc)
+    doc = minimal_config("damped-oscillator")
+    doc["params"]["alpha1"] = [1.0, float("nan")]
+    with pytest.raises(ConfigurationError,
+                       match=r"params\.alpha1: expected a finite number"):
+        parse_config_table(doc)
+
+
+def test_overflow_in_model_constructors_is_a_configuration_error():
+    doc = minimal_config("damped-oscillator")
+    doc["params"]["alpha2"] = 7.9e264
+    with pytest.raises(ConfigurationError, match="params: OverflowError"):
+        parse_config_table(doc)
+    for key in ("rabi", "gamma_strong"):
+        doc = minimal_config("three-level-telegraph")
+        doc["params"][key] = 1e211
+        with pytest.raises(ConfigurationError, match="params: OverflowError"):
+            parse_config_table(doc)
+
+
+@pytest.mark.parametrize("scenario", ["three-level-telegraph",
+                                      "unraveling-check", "disorder"])
+def test_seed_must_fit_in_64_bits(scenario):
+    doc = minimal_config(scenario)
+    doc["estimator"] = {"kind": "trajectories", "n_traj": 2, "seed": 2**70}
+    with pytest.raises(ConfigurationError,
+                       match=r"estimator\.seed: seed must be < 2\*\*64"):
+        parse_config_table(doc)
+    doc["estimator"]["seed"] = 2**64 - 1
+    assert parse_config_table(doc).estimator.seed == 2**64 - 1
+
+
+def test_integer_past_the_json_digit_limit_is_a_configuration_error():
+    text = json.dumps(minimal_config("central-spin")).replace(
+        '"n_steps": 100', '"n_steps": 1' + "0" * 5000)
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        parse_config(text)
+
+
+def test_grid_span_must_be_finite():
+    doc = minimal_config("central-spin")
+    doc["grid"].update({"t_start": -1e308, "t_end": 1e308})
+    with pytest.raises(ConfigurationError, match="grid: .*must be finite"):
+        parse_config_table(doc)

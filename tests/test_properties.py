@@ -271,10 +271,12 @@ def records(draw):
     jump_times = [grid.t_start + k * grid.dt for k in sorted(steps)]
     snapshots = []
     for _ in range(grid.n_samples):
-        re = [1.0 + draw(st.floats(0.0, 1.0))] + draw(
-            st.lists(finite, min_size=dim - 1, max_size=dim - 1))
-        im = draw(st.lists(finite, min_size=dim, max_size=dim))
-        v = np.array(re) + 1j * np.array(im)
+        # signed zeros are drawn often: their sign must survive the text
+        part = st.sampled_from([0.0, -0.0]) | finite
+        v = np.empty(dim, dtype=np.complex128)
+        v.real = [1.0 + draw(st.floats(0.0, 1.0))] + draw(
+            st.lists(part, min_size=dim - 1, max_size=dim - 1))
+        v.imag = draw(st.lists(part, min_size=dim, max_size=dim))
         snapshots.append(v / np.linalg.norm(v))
     return TrajectoryRecord(
         seed=draw(st.integers(0, 2**64 - 1)),

@@ -287,3 +287,58 @@ def test_input_validation():
         run_ensemble(good, model, grid, n_traj=0, seed=0)
     with pytest.raises(ConfigurationError):
         run_ensemble(good, model, grid, n_traj=4, seed=0, workers=0)
+
+
+def test_jump_on_last_step_may_round_past_t_end():
+    # t_start + n_steps * dt lands 3.6e-12 past t_end = 31000, more than
+    # an absolute 1e-12 but within a few ulps of the grid's magnitude
+    grid = TimeGrid(0.0, 31000.0, 30000, sample_every=30000)
+    last = 30000 * grid.dt
+    assert last > grid.t_end
+    snaps = np.tile([1.0 + 0j, 0.0], (grid.n_samples, 1))
+
+    def record(jump_time):
+        return TrajectoryRecord(seed=1, stream=0, dim=2, grid=grid,
+                                jump_times=[jump_time], jump_channels=[0],
+                                snapshots=snaps)
+
+    assert record(last).jump_times[0] == last     # kept as stamped
+    with pytest.raises(DomainError):
+        record(grid.t_end * (1.0 + 1e-12))
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.seen.append(len(tasks))
+        return map(fn, tasks)
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    model = _driven_decay_model()
+    grid = TimeGrid(0.0, 1.0, 100, sample_every=50)
+    serial = run_ensemble(_plus_state(), model, grid, 12, seed=5)
+    monkeypatch.setattr(tj.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(tj, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.seen = []
+    pooled = run_ensemble(_plus_state(), model, grid, 12, seed=5,
+                          workers=1000)
+    assert _SerialPool.seen == [3, 3]      # max_workers, stream ranges
+    assert [r.stream for r in pooled] == list(range(12))
+    for a, b in zip(pooled, serial):
+        assert np.array_equal(a.jump_times, b.jump_times)
+        assert np.array_equal(a.jump_channels, b.jump_channels)
+        assert np.array_equal(a.snapshots, b.snapshots)
