@@ -74,8 +74,8 @@ class ScenarioConfig:
     estimator: EstimatorSpec
     output_path: str
     output_format: str
-    model: object = field(default=None, compare=False, repr=False)
-    runner: Callable = field(default=None, compare=False, repr=False)
+    model: object = field(compare=False, repr=False)
+    runner: Callable = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
