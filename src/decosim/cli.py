@@ -7,7 +7,7 @@ Subcommands:
     decosim list-scenarios          name and summarize every scenario
 
 Exit codes: 0 when the run completed with every check passing, 1 when the
-run completed with failing checks or aborted on a model/numerics error
+run completed with failing checks or aborted on any error once it started
 (the manifest records the failure), 2 for usage and configuration errors.
 
 The CSV output is comma-separated UTF-8 with LF line endings: two leading
@@ -39,21 +39,8 @@ from .config import (
     emit_config,
     parse_config,
 )
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    IntegrationError,
-    ModelError,
-    QuadratureError,
-    StateError,
-    TruncationError,
-)
+from .errors import ConfigurationError
 from .scenarios import run_scenario
-
-_RUN_FAILURES = (ConfigurationError, DimensionError, DomainError,
-                 IntegrationError, ModelError, QuadratureError, StateError,
-                 TruncationError)
 
 WORKERS_ENV = "DECOSIM_WORKERS"
 
@@ -131,7 +118,7 @@ def _cmd_run(path: str) -> int:
     start = time.perf_counter()
     try:
         result = run_scenario(config, workers=workers)
-    except _RUN_FAILURES as e:
+    except Exception as e:     # any failure of the run leaves a manifest
         wall = time.perf_counter() - start
         _write_manifest(config, {
             "wall_time_s": wall,

@@ -36,9 +36,8 @@ from .hilbert import QuantumState
 from .models.central_spin import CentralSpinParams
 from .models.disorder import Distribution, DisorderSpec
 from .models.oscillator import DampedOscillatorParams
-from .models.three_level import (MIN_EXPECTED_BRIGHT_COUNT, ThreeLevelParams,
-                                 bright_excited_population, ground_state,
-                                 three_level_model)
+from .models.three_level import (ThreeLevelParams, _telegraph_bins,
+                                 ground_state, three_level_model)
 from .scenarios import (CLOSED_FORM, MASTER_EQUATION, TRAJECTORIES,
                         EstimatorSpec, ScenarioConfig, run_central_spin,
                         run_damped_oscillator, run_disorder, run_spin_echo,
@@ -246,15 +245,12 @@ def _check_disorder(params, spec, grid, estimator):
 
 
 def _check_telegraph(params, model, grid, estimator):
-    bin_width = params["bin_width"]
-    expected = (model.gamma_strong * bright_excited_population(model)
-                * bin_width)
-    if expected < MIN_EXPECTED_BRIGHT_COUNT:
-        return ("params.bin_width",
-                f"expected bright-bin count {expected:.3g} is below "
-                f"{MIN_EXPECTED_BRIGHT_COUNT}; widen the bins")
-    if (grid.t_end - grid.t_start) / bin_width < 2.0:
-        return "params.bin_width", "grid spans fewer than two bins"
+    # an overflow in the rate arithmetic propagates and is reported at params
+    try:
+        _telegraph_bins(model, grid, params["bin_width"],
+                        params["dark_threshold"])
+    except ConfigurationError as e:
+        return "params.bin_width", str(e)
 
 
 def _default_threshold(params, model, grid, estimator):

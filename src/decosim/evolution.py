@@ -103,8 +103,13 @@ class LindbladModel:
     ``h`` must be hermitian within 1e-10.  ``channels`` is a sequence of
     (operator, rate) pairs with rates >= 0; operators are square and share
     the Hamiltonian's dimension.  Rates are kept separate from operators in
-    the public data; internal routines may fold sqrt(rate) into the operator
-    but never expose the folded form.
+    the public data.
+
+    The constructor also folds the model once into the private form that
+    both engines read: the effective Hamiltonian
+    H_eff = H - (i/2) sum_j rate_j L_j^dag L_j and the live jump operators
+    sqrt(rate_j) L_j, each paired with its channel index j.  Zero-rate
+    channels are dropped from the folded form.
     """
 
     h: np.ndarray
@@ -126,8 +131,13 @@ class LindbladModel:
             if not np.isfinite(rate) or rate < 0.0:
                 raise ModelError(f"channel rate must be >= 0, got {rate}")
             chans.append((op, rate))
+        jumps = tuple((j, np.sqrt(rate) * op)
+                      for j, (op, rate) in enumerate(chans) if rate > 0.0)
+        h_eff = h - 0.5j * sum(l.conj().T @ l for _, l in jumps)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "channels", tuple(chans))
+        object.__setattr__(self, "_h_eff", h_eff)
+        object.__setattr__(self, "_jumps", jumps)
 
     @property
     def dim(self) -> int:
@@ -144,16 +154,12 @@ def two_level_decay_model(gamma: float) -> LindbladModel:
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation at state rho."""
-    h = model.h
-    out = -1j * (h @ rho - rho @ h)
-    for op, rate in model.channels:
-        if rate == 0.0:
-            continue
-        od = op.conj().T
-        op_rho = op @ rho
-        g = od @ op
-        out += rate * (op_rho @ od - 0.5 * (g @ rho + rho @ g))
+    """Right-hand side of the master equation at state rho, in the folded
+    form -i (H_eff rho - rho H_eff^dag) + sum_j L~_j rho L~_j^dag."""
+    h_eff = model._h_eff
+    out = -1j * (h_eff @ rho - rho @ h_eff.conj().T)
+    for _, l in model._jumps:
+        out += l @ rho @ l.conj().T
     return out
 
 

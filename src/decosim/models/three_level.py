@@ -59,7 +59,7 @@ class ThreeLevelParams:
             warnings.warn(
                 "gamma_shelve is not small against gamma_strong; the "
                 "bright/dark separation of the fluorescence record degrades",
-                UserWarning, stacklevel=2)
+                UserWarning, stacklevel=3)
 
 
 def three_level_model(params: ThreeLevelParams) -> LindbladModel:
@@ -175,6 +175,30 @@ def _period_table(dark: np.ndarray, bin_width: float, t_start: float,
             np.array(durations, dtype=np.float64))
 
 
+def _telegraph_bins(params: ThreeLevelParams, grid: TimeGrid,
+                    bin_width: float, dark_threshold: int) -> int:
+    """Check the binning rules of ``fluorescence_telegraph`` and return the
+    number of full bins; a violation raises ConfigurationError."""
+    if dark_threshold < 0:
+        raise ConfigurationError(
+            f"dark_threshold must be >= 0, got {dark_threshold}")
+    if not bin_width > 0.0:
+        raise ConfigurationError(f"bin_width must be positive, got {bin_width}")
+    expected = (params.gamma_strong * bright_excited_population(params)
+                * bin_width)
+    if expected < MIN_EXPECTED_BRIGHT_COUNT:
+        raise ConfigurationError(
+            f"bin_width {bin_width} is too small: expected bright-bin count "
+            f"{expected:.3g} is below {MIN_EXPECTED_BRIGHT_COUNT}; widen the "
+            "bins")
+    n_bins = int(np.floor((grid.t_end - grid.t_start) / bin_width + 1e-9))
+    if n_bins < 2:
+        raise ConfigurationError(
+            f"the grid spans fewer than two bins of width {bin_width}; it "
+            "must span at least two full bins")
+    return n_bins
+
+
 def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,
                            n_traj: int, seed: int, bin_width: float,
                            dark_threshold: int = 0,
@@ -188,23 +212,8 @@ def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,
     bin_width]; a partial trailing bin is discarded.
     """
     dark_threshold = int(dark_threshold)
-    if dark_threshold < 0:
-        raise ConfigurationError(
-            f"dark_threshold must be >= 0, got {dark_threshold}")
     bin_width = float(bin_width)
-    if not bin_width > 0.0:
-        raise ConfigurationError(f"bin_width must be positive, got {bin_width}")
-    expected = (params.gamma_strong * bright_excited_population(params)
-                * bin_width)
-    if expected < MIN_EXPECTED_BRIGHT_COUNT:
-        raise ConfigurationError(
-            f"bin_width {bin_width} is too small: expected bright-bin count "
-            f"{expected:.3g} is below {MIN_EXPECTED_BRIGHT_COUNT}")
-    span = grid.t_end - grid.t_start
-    n_bins = int(np.floor(span / bin_width + 1e-9))
-    if n_bins < 2:
-        raise ConfigurationError(
-            "the grid must span at least two full bins")
+    n_bins = _telegraph_bins(params, grid, bin_width, dark_threshold)
 
     records = run_ensemble(ground_state(), three_level_model(params), grid,
                            n_traj, seed, workers=workers)

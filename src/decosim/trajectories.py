@@ -8,7 +8,8 @@ Hamiltonian
 
     H_eff = H - (i/2) sum_j gamma_j L_j^dag L_j,
 
-applied per step through the exact exponential E = exp(-i H_eff dt).  Each
+applied per step through the exact exponential E = exp(-i H_eff dt), taken
+from the folded form that the master-equation engine also reads.  Each
 step performs the norm-decay jump test: with p = 1 - ||E psi||^2 (psi the
 normalized pre-step state), a jump fires when the step's uniform draw is
 below p.  On a jump, channel j is selected with probability proportional to
@@ -29,6 +30,15 @@ degenerate case treated as no-jump).  Reruns with the same (seed, stream)
 produce bit-for-bit identical records.  Trajectories are independent given
 distinct (seed, stream) pairs and may run in parallel; aggregation sorts
 records by (seed, stream) so results never depend on completion order.
+
+Batch independence
+------------------
+Trajectories advance in batches, but every product with E or a jump
+operator is row-local (``einsum`` over one row's own amplitudes, with the
+same summation order at any batch size).  A BLAS matrix product would not
+be: it sends a one-row batch and a many-row batch to different kernels.
+So a trajectory's record is bit-identical whether it runs alone, inside a
+chunk of any size, or on any worker.
 
 Record text format (version 1)
 ------------------------------
@@ -118,14 +128,6 @@ class TrajectoryRecord:
         object.__setattr__(self, "snapshots", sn)
 
 
-def _effective_propagator(model: LindbladModel, dt: float) -> np.ndarray:
-    h_eff = model.h.astype(np.complex128, copy=True)
-    for op, rate in model.channels:
-        if rate != 0.0:
-            h_eff -= 0.5j * rate * (op.conj().T @ op)
-    return expm(-1j * dt * h_eff)
-
-
 def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                  seed: int, streams: Sequence[int]) -> list[TrajectoryRecord]:
     """Advance all requested streams over the grid (vectorized across
@@ -134,10 +136,9 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     n_steps = grid.n_steps
     dt = grid.dt
     sample_every = grid.sample_every
-    e_t = np.ascontiguousarray(_effective_propagator(model, dt).T)
-    channels = [(np.ascontiguousarray(op.T), float(rate))
-                for op, rate in model.channels]
-    n_ch = len(channels)
+    e = expm(-1j * dt * model._h_eff)
+    jumps = model._jumps
+    n_ch = len(jumps)
 
     streams = [int(s) for s in streams]
     records: list[TrajectoryRecord] = []
@@ -148,13 +149,6 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
 
     for lo in range(0, len(streams), chunk_size):
         chunk = streams[lo:lo + chunk_size]
-        # A 1-row batch would hit a different BLAS kernel than the same row
-        # inside a larger batch, breaking bit-level reproducibility across
-        # batchings; duplicating the stream keeps every matmul on the
-        # multi-row path (the twin consumes identical draws and is dropped).
-        solo = len(chunk) == 1
-        if solo:
-            chunk = [chunk[0], chunk[0]]
         b = len(chunk)
         gens = [np.random.Generator(
             np.random.Philox(key=np.array([seed, s], dtype=np.uint64)))
@@ -180,7 +174,7 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                 block[i, window - off:] = gens[i].random(off)
                 offset[i] = 0
 
-            phi = psi @ e_t
+            phi = np.einsum("ij,bj->bi", e, psi)
             nrm2 = (np.einsum("ij,ij->i", phi.real, phi.real)
                     + np.einsum("ij,ij->i", phi.imag, phi.imag))
             p_jump = 1.0 - nrm2
@@ -197,14 +191,13 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
 
             if fired.any():
                 idx = np.nonzero(fired)[0]
-                m = idx.size
-                weights = np.empty((m, n_ch), dtype=np.float64)
+                psi_fired = psi[idx]
+                weights = np.empty((idx.size, n_ch), dtype=np.float64)
                 collapsed = []
-                for c, (l_t, rate) in enumerate(channels):
-                    v = psi[idx] @ l_t
-                    weights[:, c] = rate * (
-                        np.einsum("ij,ij->i", v.real, v.real)
-                        + np.einsum("ij,ij->i", v.imag, v.imag))
+                for c, (_, l) in enumerate(jumps):
+                    v = np.einsum("ij,bj->bi", l, psi_fired)
+                    weights[:, c] = (np.einsum("ij,ij->i", v.real, v.real)
+                                     + np.einsum("ij,ij->i", v.imag, v.imag))
                     collapsed.append(v)
                 total = weights.sum(axis=1)
                 live = total > 0.0
@@ -227,15 +220,13 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                         psi_next[li[sel]] = v / norms[:, None]
                     for row, c in zip(li, choice):
                         jump_times[row].append(t_next)
-                        jump_channels[row].append(int(c))
+                        jump_channels[row].append(jumps[c][0])
 
             psi = psi_next
             if (k + 1) % sample_every == 0:
                 snaps[:, (k + 1) // sample_every, :] = psi
 
         for i, s in enumerate(chunk):
-            if solo and i:
-                break
             records.append(TrajectoryRecord(
                 seed=seed, stream=s, dim=dim, grid=grid,
                 jump_times=np.array(jump_times[i], dtype=np.float64),
@@ -378,6 +369,8 @@ def unraveling_equivalence_report(
     """Run an ensemble and the master equation on identical inputs and
     compare them sample by sample in trace distance.  ``threshold``
     defaults to the sampling bound 5 / sqrt(n_traj)."""
+    if threshold is not None and not threshold > 0.0:
+        raise DomainError(f"threshold must be positive, got {threshold}")
     records = run_ensemble(state, model, grid, n_traj, seed, workers=workers)
     estimate = aggregate(records)
     reference = integrate_master(QuantumState.mixed(state.density_matrix()),
@@ -387,8 +380,6 @@ def unraveling_equivalence_report(
         for est, ref in zip(estimate.mean_states, reference)])
     if threshold is None:
         threshold = 5.0 / np.sqrt(n_traj)
-    elif not threshold > 0.0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
     return EquivalenceReport(
         n_traj=int(n_traj), times=grid.sample_times(), trace_distances=dists,
         threshold=float(threshold), flagged=dists > threshold)

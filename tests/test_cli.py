@@ -173,6 +173,22 @@ def test_midrun_failure_writes_failure_manifest(tmp_path, capsys):
     assert manifest["checks"] == []
 
 
+def test_unexpected_run_error_writes_failure_manifest(tmp_path, capsys,
+                                                      monkeypatch):
+    def singular(config, workers):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("decosim.cli.run_scenario", singular)
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 1
+    assert "LinAlgError: Singular matrix" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["failure"]["type"] == "LinAlgError"
+    assert manifest["all_passed"] is False
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     # missing config file
     assert main(["validate", str(tmp_path / "nope.json")]) == 2

@@ -24,6 +24,12 @@ def test_params_validation():
         ThreeLevelParams(1.0, 0.0, 1.0, 0.5, 0.1)      # shelving not weak
 
 
+def test_shelving_warning_points_at_the_caller():
+    with pytest.warns(UserWarning) as caught:
+        ThreeLevelParams(1.0, 0.0, 1.0, 0.5, 0.1)
+    assert caught[0].filename == __file__
+
+
 def test_model_matrices():
     p = ThreeLevelParams(2.0, 0.7, 1.5, 0.05, 0.02)
     model = three_level_model(p)

@@ -9,12 +9,17 @@ import decosim.trajectories as tj
 from decosim.errors import (ConfigurationError, DimensionError, DomainError,
                             StateError)
 from decosim.evolution import LindbladModel, TimeGrid, two_level_decay_model
+from decosim.evolution import lindblad_rhs
 from decosim.hilbert import QuantumState
+from decosim.models.oscillator import (DampedOscillatorParams,
+                                       oscillator_model, superposition_state)
+from decosim.models.three_level import (ThreeLevelParams, ground_state,
+                                        three_level_model)
 from decosim.trajectories import (TrajectoryRecord, aggregate, record_from_text,
                                   record_to_text, run_ensemble, run_trajectory,
                                   unraveling_equivalence_report)
 
-from oracles import mcwf_scalar
+from oracles import lindblad_rhs_loops, mcwf_scalar
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SZ = np.diag([0.5, -0.5]).astype(complex)
@@ -105,6 +110,27 @@ def test_batching_never_changes_results(monkeypatch):
         assert np.array_equal(ra.jump_times, rb.jump_times)
 
 
+@pytest.mark.parametrize("case", ["three-level", "oscillator-fock40"])
+def test_single_trajectory_equals_its_ensemble_row(case):
+    # a row computed alone and the same row inside a batch share every bit
+    if case == "three-level":
+        model = three_level_model(ThreeLevelParams(2.0, 0.3, 1.0, 0.05, 0.05))
+        state = ground_state()
+        grid = TimeGrid(0.0, 5.0, 250, sample_every=50)
+    else:
+        params = DampedOscillatorParams(1.0, 0.2, 0.3, 40, (1.5,))
+        model = oscillator_model(params)
+        state = superposition_state([1.0], params.alphas, params.n_fock)
+        grid = TimeGrid(0.0, 2.0, 100, sample_every=25)
+    batch = run_ensemble(state, model, grid, n_traj=9, seed=21)
+    assert sum(r.jump_times.size for r in batch) >= 3
+    for s in (0, 4, 8):
+        solo = run_trajectory(state, model, grid, seed=21, stream=s)
+        assert np.array_equal(solo.snapshots, batch[s].snapshots)
+        assert np.array_equal(solo.jump_times, batch[s].jump_times)
+        assert np.array_equal(solo.jump_channels, batch[s].jump_channels)
+
+
 def test_record_text_round_trip_is_exact():
     model = _driven_decay_model()
     grid = TimeGrid(0.0, 2.0, 200, sample_every=20)
@@ -162,6 +188,20 @@ def test_zero_rate_channel_runs_unitary():
     for t, snap in zip(grid.sample_times(), rec.snapshots):
         want = expm(-1j * h * t) @ np.array([1.0, 0.0])
         assert np.max(np.abs(snap - want)) < 1e-10
+
+
+def test_zero_rate_channel_keeps_the_other_channel_index():
+    channels = [(SZ, 0.0), (LOWER, 0.8)]
+    model = LindbladModel(0.9 * SX, channels)
+    rho = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.7]])
+    assert np.allclose(lindblad_rhs(model, rho),
+                       lindblad_rhs_loops(0.9 * SX, channels, rho),
+                       atol=1e-12)
+    grid = TimeGrid(0.0, 4.0, 400, sample_every=400)
+    records = run_ensemble(_plus_state(), model, grid, n_traj=8, seed=13)
+    channels_seen = np.concatenate([r.jump_channels for r in records])
+    assert channels_seen.size > 0
+    assert np.all(channels_seen == 1)
 
 
 def test_jump_probability_cap_rejects_coarse_grid():
@@ -268,6 +308,19 @@ def test_equivalence_report():
     with pytest.raises(DomainError):
         unraveling_equivalence_report(_plus_state(), model, grid, n_traj=50,
                                       seed=12, threshold=0.0)
+
+
+def test_equivalence_threshold_checked_before_the_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the threshold check")
+
+    monkeypatch.setattr(tj, "run_ensemble", no_run)
+    grid = TimeGrid(0.0, 1.0, 100)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="threshold"):
+            unraveling_equivalence_report(_plus_state(), _driven_decay_model(),
+                                          grid, n_traj=50, seed=1,
+                                          threshold=bad)
 
 
 def test_input_validation():
