@@ -15,8 +15,11 @@ The CSV output is comma-separated UTF-8 with LF line endings: two leading
 header row, then one row per sample with every float printed to 17
 significant digits.  The manifest is written next to the CSV as
 `<output>.manifest.json` and echoes the fully resolved configuration, the
-toolkit version, wall time, the executed checks with pass/fail, and the
-scenario info block.
+toolkit version, wall time, the executed checks with pass/fail, the
+scenario info block, and the warnings raised while parsing and running
+(category and message; each is still shown on stderr).  Both files are
+written to a temporary file in the output directory and then moved into
+place, so a write that fails leaves the previous file intact.
 
 The environment variable DECOSIM_WORKERS overrides the trajectory worker
 count (default 1).
@@ -25,10 +28,12 @@ count (default 1).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+import warnings
 
 from . import __version__
 from .config import (
@@ -82,14 +87,31 @@ def _workers() -> int:
     return workers
 
 
+def _write_atomic(path: str, write) -> None:
+    """Write ``path`` through a temporary file in its directory, then move
+    it into place: a failed write leaves the old file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_csv(config: ScenarioConfig, columns, rows) -> None:
     digest = config_hash(config)
-    with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def write(fh):
         fh.write(f"# decosim {__version__} scenario {config.scenario}\n")
         fh.write(f"# config-sha256: {digest}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+    _write_atomic(config.output_path, write)
 
 
 def _manifest_path(config: ScenarioConfig) -> str:
@@ -105,34 +127,60 @@ def _write_manifest(config: ScenarioConfig, payload: dict) -> None:
         "config_sha256": config_hash(config),
     }
     body.update(payload)
-    with open(_manifest_path(config), "w", encoding="utf-8",
-              newline="\n") as fh:
+
+    def write(fh):
         json.dump(body, fh, indent=2)
         fh.write("\n")
 
+    _write_atomic(_manifest_path(config), write)
+
+
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Record the warnings raised in the block, for the manifest, and still
+    show each one on stderr once the block is left."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield caught
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
 
 def _cmd_run(path: str) -> int:
-    config = _read_config(path)
-    _check_output_writable(config)
-    workers = _workers()
-    start = time.perf_counter()
-    try:
-        result = run_scenario(config, workers=workers)
-    except Exception as e:     # any failure of the run leaves a manifest
+    failure = None
+    with _recorded_warnings() as caught:
+        config = _read_config(path)
+        _check_output_writable(config)
+        workers = _workers()
+        start = time.perf_counter()
+        try:
+            result = run_scenario(config, workers=workers)
+        except Exception as e:     # any failure of the run leaves a manifest
+            failure = e
         wall = time.perf_counter() - start
+    warned = [{"category": w.category.__name__, "message": str(w.message)}
+              for w in caught]
+    if failure is None:
+        try:
+            _write_csv(config, result.columns, result.rows)
+        except Exception as e:
+            failure = e
+    if failure is not None:
         _write_manifest(config, {
             "wall_time_s": wall,
             "workers": workers,
-            "failure": {"type": type(e).__name__, "message": str(e)},
+            "failure": {"type": type(failure).__name__,
+                        "message": str(failure)},
             "checks": [],
             "all_passed": False,
+            "warnings": warned,
         })
         print(f"scenario {config.scenario} failed: "
-              f"{type(e).__name__}: {e}", file=sys.stderr)
+              f"{type(failure).__name__}: {failure}", file=sys.stderr)
         print(f"manifest: {_manifest_path(config)}", file=sys.stderr)
         return 1
-    wall = time.perf_counter() - start
-    _write_csv(config, result.columns, result.rows)
     _write_manifest(config, {
         "wall_time_s": wall,
         "workers": workers,
@@ -141,6 +189,7 @@ def _cmd_run(path: str) -> int:
         "all_passed": result.all_passed,
         "info": result.info,
         "output": {"csv": config.output_path, "rows": int(len(result.rows))},
+        "warnings": warned,
     })
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"

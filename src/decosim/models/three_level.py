@@ -215,8 +215,12 @@ def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,
     bin_width = float(bin_width)
     n_bins = _telegraph_bins(params, grid, bin_width, dark_threshold)
 
-    records = run_ensemble(ground_state(), three_level_model(params), grid,
-                           n_traj, seed, workers=workers)
+    # only jump times are read: sample the end points alone, which leaves
+    # the state sequence and the draws (hence the records' jumps) unchanged
+    jump_grid = TimeGrid(grid.t_start, grid.t_end, grid.n_steps,
+                         grid.n_steps)
+    records = run_ensemble(ground_state(), three_level_model(params),
+                           jump_grid, n_traj, seed, workers=workers)
     edges = grid.t_start + bin_width * np.arange(n_bins + 1)
     counts = np.zeros((len(records), n_bins), dtype=np.int64)
     for i, rec in enumerate(records):

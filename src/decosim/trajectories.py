@@ -16,8 +16,25 @@ below p.  On a jump, channel j is selected with probability proportional to
 gamma_j ||L_j psi||^2 and the state collapses to L_j psi renormalized; the
 jump is recorded at the end time of the step.  Otherwise the state becomes
 E psi renormalized.  The splitting is first order in dt; the per-step jump
-probability must stay at or below 0.1 or the run aborts with
-ConfigurationError (choose a finer grid).
+probability must stay at or below 0.1 on every step a trajectory takes, or
+the run aborts with ConfigurationError naming the earliest such step
+(choose a finer grid).
+
+The steps are not taken one at a time but in the waiting-time form of the
+method.  The powers E^0 .. E^K (K = 64) are computed once per run.  From
+its current state psi, each trajectory computes the no-jump continuation
+E^k psi for the next min(K, steps left) steps in one product; since the
+continuation is unnormalized, the per-step probabilities are ratios of
+consecutive norms, p_k = 1 - ||E^k psi||^2 / ||E^(k-1) psi||^2.  The first
+step whose uniform draw falls below its p_k is the next jump: the
+trajectory takes the steps up to it, collapses from its pre-jump state and
+starts again from there; without a jump it takes all the computed steps.
+Each trajectory thus advances on its own clock from event to event.  The
+continuation past a trajectory's next jump is never taken, so its
+probabilities are not held against the 0.1 cap.  Mathematically this is
+the step-by-step recursion above; E^k psi and repeated renormalization
+differ at rounding level only, so a jump decision can differ only where a
+draw ties its probability to within rounding.
 
 Randomness contract
 -------------------
@@ -33,12 +50,14 @@ records by (seed, stream) so results never depend on completion order.
 
 Batch independence
 ------------------
-Trajectories advance in batches, but every product with E or a jump
-operator is row-local (``einsum`` over one row's own amplitudes, with the
-same summation order at any batch size).  A BLAS matrix product would not
+Trajectories advance in batches, one event per trajectory per pass, but
+every product with a power of E or a jump operator is row-local
+(``einsum`` over one row's own amplitudes, with the same summation order
+at any batch size), and so is every norm.  A BLAS matrix product would not
 be: it sends a one-row batch and a many-row batch to different kernels.
-So a trajectory's record is bit-identical whether it runs alone, inside a
-chunk of any size, or on any worker.
+The other rows of a batch decide neither which steps a row takes nor
+which draws it reads.  So a trajectory's record is bit-identical whether
+it runs alone, inside a chunk of any size, or on any worker.
 
 Record text format (version 1)
 ------------------------------
@@ -67,6 +86,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm
 
 from .coherence import trace_distance
@@ -79,6 +99,8 @@ from .hilbert import QuantumState
 JUMP_PROBABILITY_CAP = 0.1
 # Uniform-variate window per trajectory stream (refilled as consumed).
 _RNG_WINDOW = 8192
+# Steps a row looks ahead per pass: the engine precomputes E^1 .. E^64.
+_LOOKAHEAD = 64
 _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
 
@@ -128,23 +150,41 @@ class TrajectoryRecord:
         object.__setattr__(self, "snapshots", sn)
 
 
+def _sq_norms(z: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis of a C-contiguous complex array,
+    each reduced over its own amplitudes alone."""
+    x = z.view(np.float64)
+    return np.einsum("...x,...x->...", x, x)
+
+
 def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                  seed: int, streams: Sequence[int]) -> list[TrajectoryRecord]:
-    """Advance all requested streams over the grid (vectorized across
-    trajectories; consumes each stream's uniforms in the documented order)."""
+    """Advance all requested streams over the grid, each row to its own
+    next event per pass (consumes each stream's uniforms in the documented
+    order)."""
     dim = psi0.shape[0]
     n_steps = grid.n_steps
-    dt = grid.dt
     sample_every = grid.sample_every
-    e = expm(-1j * dt * model._h_eff)
-    jumps = model._jumps
-    n_ch = len(jumps)
+    horizon = min(_LOOKAHEAD, n_steps)
+    e = expm(-1j * grid.dt * model._h_eff)
+    powers = np.empty((horizon + 1, dim, dim), dtype=np.complex128)
+    powers[0] = np.eye(dim)
+    for k in range(horizon):
+        powers[k + 1] = np.einsum("ij,jk->ik", e, powers[k])
+    ahead = np.arange(horizon)  # column j: the (j+1)-th step ahead
+    channel_index = np.array([c for c, _ in model._jumps], dtype=np.int64)
+    ops = np.array([l for _, l in model._jumps], dtype=np.complex128)
+    ops = ops.reshape(len(channel_index), dim, dim)
+    n_ch = channel_index.size
 
     streams = [int(s) for s in streams]
     records: list[TrajectoryRecord] = []
-    window = max(2, min(_RNG_WINDOW, 2 * n_steps + 64))
-    # Chunk so uniform buffers and snapshots stay within a modest footprint.
-    per_traj = window * 8 + grid.n_samples * dim * 16 + 64
+    # at least 66 columns: a full look-ahead of jump tests plus a channel draw
+    window = min(_RNG_WINDOW, 2 * n_steps + 64)
+    # Chunk so uniform buffers, snapshots and the per-pass look-ahead
+    # temporaries stay within a modest footprint.
+    per_traj = (window * 8 + grid.n_samples * dim * 16
+                + (horizon + 1) * (dim * 16 + 64))
     chunk_size = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_traj))
 
     for lo in range(0, len(streams), chunk_size):
@@ -156,75 +196,85 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         block = np.empty((b, window), dtype=np.float64)
         for i in range(b):
             block[i] = gens[i].random(window)
+        lookahead = sliding_window_view(block, horizon, axis=1)
         offset = np.zeros(b, dtype=np.int64)  # next unconsumed column per row
 
         psi = np.tile(psi0, (b, 1))
         snaps = np.empty((b, grid.n_samples, dim), dtype=np.complex128)
         snaps[:, 0, :] = psi
+        done = np.zeros(b, dtype=np.int64)  # steps taken per row
         jump_times = [[] for _ in range(b)]
         jump_channels = [[] for _ in range(b)]
-        rows = np.arange(b)
+        active = np.arange(b)
 
-        for k in range(n_steps):
-            # Guarantee two variates are available for every row.
-            short = np.nonzero(offset > window - 2)[0]
-            for i in short:
+        while active.size:
+            # Guarantee a full look-ahead plus a channel draw for every row.
+            for i in active[offset[active] > window - horizon - 1]:
                 off = int(offset[i])
                 block[i, :window - off] = block[i, off:]
                 block[i, window - off:] = gens[i].random(off)
                 offset[i] = 0
 
-            phi = np.einsum("ij,bj->bi", e, psi)
-            nrm2 = (np.einsum("ij,ij->i", phi.real, phi.real)
-                    + np.einsum("ij,ij->i", phi.imag, phi.imag))
-            p_jump = 1.0 - nrm2
-            t_next = grid.t_start + (k + 1) * dt
-            if np.max(p_jump) > JUMP_PROBABILITY_CAP:
+            start = done[active]
+            # no-jump continuation E^j psi for j = 0 .. horizon
+            phi = np.einsum("kij,bj->bki", powers, psi[active])
+            nrm2 = _sq_norms(phi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p_jump = 1.0 - nrm2[:, 1:] / nrm2[:, :-1]
+            inside = ahead < (n_steps - start)[:, None]
+            fired = (lookahead[active, offset[active]] < p_jump) & inside
+            hit = fired.any(axis=1)
+            taken = np.where(hit, fired.argmax(axis=1) + 1, inside.sum(axis=1))
+            took = ahead < taken[:, None]
+            at = start[:, None] + ahead + 1  # grid step each column ends on
+
+            over = took & (p_jump > JUMP_PROBABILITY_CAP)
+            if over.any():
+                r, j = np.nonzero(over)
+                first = np.argmin(at[r, j])
+                r, j = r[first], j[first]
+                t_over = grid.t_start + int(at[r, j]) * grid.dt
                 raise ConfigurationError(
-                    f"per-step jump probability {np.max(p_jump):.3e} exceeds "
-                    f"{JUMP_PROBABILITY_CAP} at t = {t_next:.17g}; "
+                    f"per-step jump probability {p_jump[r, j]:.3e} exceeds "
+                    f"{JUMP_PROBABILITY_CAP} at t = {t_over:.17g}; "
                     "the grid step is too coarse")
-            u = block[rows, offset]
-            offset += 1
-            fired = u < p_jump
-            psi_next = phi / np.sqrt(nrm2)[:, None]
 
-            if fired.any():
-                idx = np.nonzero(fired)[0]
-                psi_fired = psi[idx]
-                weights = np.empty((idx.size, n_ch), dtype=np.float64)
-                collapsed = []
-                for c, (_, l) in enumerate(jumps):
-                    v = np.einsum("ij,bj->bi", l, psi_fired)
-                    weights[:, c] = (np.einsum("ij,ij->i", v.real, v.real)
-                                     + np.einsum("ij,ij->i", v.imag, v.imag))
-                    collapsed.append(v)
-                total = weights.sum(axis=1)
-                live = total > 0.0
-                if live.any():
-                    li = idx[live]
-                    u2 = block[li, offset[li]]
-                    offset[li] += 1
-                    cum = np.cumsum(weights[live], axis=1)
-                    r = u2 * total[live]
-                    choice = np.sum(cum < r[:, None], axis=1)
-                    choice = np.minimum(choice, n_ch - 1)
-                    for c in range(n_ch):
-                        sel = choice == c
-                        if not sel.any():
-                            continue
-                        v = collapsed[c][live][sel]
-                        norms = np.sqrt(
-                            np.einsum("ij,ij->i", v.real, v.real)
-                            + np.einsum("ij,ij->i", v.imag, v.imag))
-                        psi_next[li[sel]] = v / norms[:, None]
-                    for row, c in zip(li, choice):
-                        jump_times[row].append(t_next)
-                        jump_channels[row].append(jumps[c][0])
+            offset[active] += taken
+            done[active] += taken
+            r, j = np.nonzero(took & (at % sample_every == 0))
+            snaps[active[r], at[r, j] // sample_every] = (
+                phi[r, j + 1] / np.sqrt(nrm2[r, j + 1])[:, None])
+            rows = np.arange(active.size)
+            psi[active] = phi[rows, taken] / np.sqrt(nrm2[rows, taken])[:, None]
 
-            psi = psi_next
-            if (k + 1) % sample_every == 0:
-                snaps[:, (k + 1) // sample_every, :] = psi
+            # Fired rows collapse from their normalized pre-step state; one
+            # with zero total weight keeps its no-jump state.
+            hr = np.nonzero(hit)[0]
+            pre = (phi[hr, taken[hr] - 1]
+                   / np.sqrt(nrm2[hr, taken[hr] - 1])[:, None])
+            v = np.einsum("cij,bj->bci", ops, pre)
+            weights = _sq_norms(v)
+            total = weights.sum(axis=1)
+            live = total > 0.0
+            if live.any():
+                li = active[hr[live]]
+                target = block[li, offset[li]] * total[live]
+                offset[li] += 1
+                cum = np.cumsum(weights[live], axis=1)
+                choice = np.minimum(np.sum(cum < target[:, None], axis=1),
+                                    n_ch - 1)
+                pick = np.nonzero(live)[0], choice
+                psi[li] = v[pick] / np.sqrt(weights[pick])[:, None]
+                step = done[li]
+                sampled = step % sample_every == 0
+                snaps[li[sampled], step[sampled] // sample_every] = (
+                    psi[li[sampled]])
+                for row, k, c in zip(li.tolist(), step.tolist(),
+                                     channel_index[choice].tolist()):
+                    jump_times[row].append(grid.t_start + k * grid.dt)
+                    jump_channels[row].append(c)
+
+            active = active[done[active] < n_steps]
 
         for i, s in enumerate(chunk):
             records.append(TrajectoryRecord(

@@ -250,3 +250,69 @@ def test_numbers_the_numerics_cannot_take_exit_two(tmp_path, capsys):
             err = capsys.readouterr().err
             assert f"configuration error: {message}" in err
     assert not list(tmp_path.glob("*.csv*"))
+
+
+def test_failed_csv_write_keeps_the_old_files(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 0
+    csv_path = tmp_path / "out.csv"
+    manifest_path = tmp_path / "out.csv.manifest.json"
+    old_csv = csv_path.read_bytes()
+    calls = []
+
+    def failing_fmt(x):
+        calls.append(x)
+        if len(calls) > 5:      # header and a row are already written
+            raise OSError("No space left on device")
+        return "%.17g" % float(x)
+
+    monkeypatch.setattr("decosim.cli._fmt", failing_fmt)
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 1
+    assert "OSError: No space left on device" in capsys.readouterr().err
+    assert len(calls) == 6
+    assert csv_path.read_bytes() == old_csv
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "out.csv", "out.csv.manifest.json"]
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert manifest["failure"]["type"] == "OSError"
+    assert manifest["all_passed"] is False
+
+
+def test_warnings_reach_the_manifest(tmp_path, capsys):
+    table = {
+        "scenario": "unraveling-check",
+        "params": {"model": {"kind": "three-level", "rabi": 2.0,
+                             "detuning": 0.0, "gamma_strong": 1.0,
+                             "gamma_shelve": 0.3, "gamma_deshelve": 0.1}},
+        "grid": {"t_end": 1.0, "n_steps": 100, "sample_every": 50},
+        "estimator": {"kind": "trajectories", "n_traj": 50, "seed": 3},
+        "output": {"path": str(tmp_path / "warn.csv")},
+    }
+    path = write_config(tmp_path, table)
+    with pytest.warns(UserWarning, match="gamma_shelve is not small"):
+        assert main(["run", str(path)]) in (0, 1)      # shown, not only kept
+    manifest = json.loads((tmp_path / "warn.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert {"category": "UserWarning",
+            "message": "gamma_shelve is not small against gamma_strong; the "
+                       "bright/dark separation of the fluorescence record "
+                       "degrades"} in manifest["warnings"]
+
+    # the failure manifest lists them too
+    table["grid"] = {"t_end": 100.0, "n_steps": 100, "sample_every": 50}
+    path = write_config(tmp_path, table)
+    with pytest.warns(UserWarning, match="gamma_shelve is not small"):
+        assert main(["run", str(path)]) == 1
+    manifest = json.loads((tmp_path / "warn.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["failure"]["type"] == "ConfigurationError"
+    assert [w["category"] for w in manifest["warnings"]] == ["UserWarning"]
+
+
+def test_clean_run_lists_no_warnings(tmp_path, capsys):
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["warnings"] == []

@@ -167,3 +167,19 @@ def test_poisson_dispersion_validation():
         poisson_dispersion(np.zeros(10))
     with pytest.raises(DomainError):
         poisson_dispersion(np.ones((2, 2)))
+
+
+def test_telegraph_does_not_depend_on_sampling():
+    # the telegraph reads jump times only; sampling never touches the
+    # state sequence or the draws, so the grid's sample_every is moot
+    p = ThreeLevelParams(40.0, 0.0, 30.0, 0.1, 0.25)
+    dense = TimeGrid(0.0, 20.0, 8000, sample_every=1)
+    sparse = TimeGrid(0.0, 20.0, 8000, sample_every=8000)
+    a = fluorescence_telegraph(p, dense, n_traj=6, seed=4, bin_width=1.0)
+    b = fluorescence_telegraph(p, sparse, n_traj=6, seed=4, bin_width=1.0)
+    assert a.counts.sum() > 0 and a.period_duration.size > 0
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.bin_times, b.bin_times)
+    for name in ("period_trajectory", "period_is_dark", "period_start",
+                 "period_duration"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))

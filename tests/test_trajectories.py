@@ -395,3 +395,129 @@ def test_workers_capped_at_cpu_count(monkeypatch):
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.array_equal(a.jump_channels, b.jump_channels)
         assert np.array_equal(a.snapshots, b.snapshots)
+
+
+def _oracle_step(model, grid):
+    h_eff = model.h.astype(complex).copy()
+    for op, rate in model.channels:
+        h_eff -= 0.5j * rate * (op.conj().T @ op)
+    return expm(-1j * grid.dt * h_eff)
+
+
+def _oracle_case(case):
+    if case == "three-level-telegraph-rates":
+        # sample_every = 1 and 1000 steps = 15 look-aheads of 64 plus 40
+        model = three_level_model(ThreeLevelParams(40.0, 0.0, 30.0, 2.0, 5.0))
+        return model, ground_state(), TimeGrid(0.0, 2.5, 1000, sample_every=1)
+    if case == "oscillator-fock40":
+        params = DampedOscillatorParams(1.0, 0.2, 0.3, 40, (1.5,))
+        state = superposition_state([1.0], params.alphas, params.n_fock)
+        return (oscillator_model(params), state,
+                TimeGrid(0.0, 3.0, 300, sample_every=30))
+    model = LindbladModel(0.9 * SX, [(SZ, 0.0), (LOWER, 0.8)])
+    return model, _plus_state(), TimeGrid(0.0, 4.0, 400, sample_every=8)
+
+
+@pytest.mark.parametrize("case", ["three-level-telegraph-rates",
+                                  "oscillator-fock40", "zero-rate-channel"])
+def test_engine_matches_scalar_oracle_on_more_models(case):
+    model, state, grid = _oracle_case(case)
+    e_step = _oracle_step(model, grid)
+    channels_seen = set()
+    for stream in range(4):
+        rec = run_trajectory(state, model, grid, seed=2718, stream=stream)
+        snaps, jt, jc = mcwf_scalar(
+            state.data, e_step, list(model.channels), grid.t_start, grid.dt,
+            grid.n_steps, grid.sample_every, seed=2718, stream=stream)
+        assert np.array_equal(rec.jump_times, jt)
+        assert np.array_equal(rec.jump_channels, jc)
+        assert np.max(np.abs(rec.snapshots - snaps)) < 1e-10
+        channels_seen.update(jc.tolist())
+    expected = {"three-level-telegraph-rates": {0, 1, 2},
+                "oscillator-fock40": {0, 1},
+                "zero-rate-channel": {1}}[case]
+    assert channels_seen == expected
+
+
+def _cap_model():
+    # driven decay from the ground state: along the no-jump path the
+    # per-step jump probability climbs past 0.1 on the 53rd step, and a
+    # jump usually comes first and resets the climb
+    return LindbladModel(0.1 * SX, [(LOWER, 0.15)])
+
+
+def _scalar_path(model, grid, seed, stream):
+    """Per-step jump probabilities along the scalar oracle's trajectory,
+    and the step index of every jump."""
+    e_step = _oracle_step(model, grid)
+    start = QuantumState.pure([1.0, 0.0])
+    snaps, jt, _ = mcwf_scalar(start.data, e_step, list(model.channels),
+                               grid.t_start, grid.dt, grid.n_steps, 1,
+                               seed=seed, stream=stream)
+    phi = snaps[:-1] @ e_step.T
+    p_taken = 1.0 - np.einsum("ki,ki->k", phi.conj(), phi).real
+    jump_steps = np.rint((jt - grid.t_start) / grid.dt).astype(int)
+    return p_taken, jump_steps, snaps
+
+
+def test_cap_ignores_no_jump_continuation_past_a_jump():
+    model = _cap_model()
+    grid = TimeGrid(0.0, 200.0, 200, sample_every=1)
+    e_step = _oracle_step(model, grid)
+    k = tj._LOOKAHEAD
+    for stream in range(40):
+        p_taken, jump_steps, snaps = _scalar_path(model, grid, 7, stream)
+        if p_taken.max() >= tj.JUMP_PROBABILITY_CAP:
+            continue
+        # the continuation from some post-jump state, over the look-ahead
+        # the engine computes there, climbs past the cap
+        for s in jump_steps:
+            phi = [snaps[s]]
+            for _ in range(min(k, grid.n_steps - s)):
+                phi.append(e_step @ phi[-1])
+            nrm2 = np.array([np.vdot(v, v).real for v in phi])
+            if np.max(1.0 - nrm2[1:] / nrm2[:-1]) > tj.JUMP_PROBABILITY_CAP:
+                break
+        else:
+            continue
+        break
+    else:
+        pytest.fail("no stream meets the precondition")
+    rec = run_trajectory(QuantumState.pure([1.0, 0.0]), model, grid, seed=7,
+                         stream=stream)
+    assert np.array_equal(np.rint(rec.jump_times).astype(int), jump_steps)
+    assert np.max(np.abs(rec.snapshots - snaps)) < 1e-10
+
+
+def test_cap_error_names_the_earliest_violating_step():
+    model = _cap_model()
+    grid = TimeGrid(0.0, 200.0, 200, sample_every=1)
+    for stream in range(40):
+        p_taken, jump_steps, _ = _scalar_path(model, grid, 11, stream)
+        over = np.nonzero(p_taken > tj.JUMP_PROBABILITY_CAP)[0]
+        # a jump came first, so the violation sits on the row's own clock
+        if over.size and jump_steps.size and jump_steps[0] < over[0]:
+            break
+    else:
+        pytest.fail("no stream meets the precondition")
+    step = over[0] + 1
+    t_step = grid.t_start + step * grid.dt
+    with pytest.raises(ConfigurationError) as err:
+        run_trajectory(QuantumState.pure([1.0, 0.0]), model, grid, seed=11,
+                       stream=stream)
+    assert (f"probability {p_taken[over[0]]:.3e} exceeds" in str(err.value))
+    assert f"at t = {t_step:.17g};" in str(err.value)
+
+
+def test_sampling_never_changes_jumps():
+    model = three_level_model(ThreeLevelParams(40.0, 0.0, 30.0, 2.0, 5.0))
+    dense = run_ensemble(ground_state(), model,
+                         TimeGrid(0.0, 2.5, 1000, sample_every=1), 5, seed=6)
+    sparse = run_ensemble(ground_state(), model,
+                          TimeGrid(0.0, 2.5, 1000, sample_every=1000), 5,
+                          seed=6)
+    assert sum(r.jump_times.size for r in dense) > 0
+    for a, b in zip(dense, sparse):
+        assert np.array_equal(a.jump_times, b.jump_times)
+        assert np.array_equal(a.jump_channels, b.jump_channels)
+        assert np.array_equal(a.snapshots[::1000], b.snapshots)
