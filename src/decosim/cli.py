@@ -16,10 +16,12 @@ header row, then one row per sample with every float printed to 17
 significant digits.  The manifest is written next to the CSV as
 `<output>.manifest.json` and echoes the fully resolved configuration, the
 toolkit version, wall time, the executed checks with pass/fail, the
-scenario info block, and the warnings raised while parsing and running
-(category and message; each is still shown on stderr).  Both files are
-written to a temporary file in the output directory and then moved into
-place, so a write that fails leaves the previous file intact.
+scenario info block, the headroom block (how close the run came to each
+numerical limit, such as the largest certified quadrature error of a
+disorder run against 1e-8), and the warnings raised while parsing and
+running (category and message; each is still shown on stderr).  Both files
+are written to a temporary file in the output directory and then moved
+into place, so a write that fails leaves the previous file intact.
 
 The environment variable DECOSIM_WORKERS overrides the trajectory worker
 count (default 1).
@@ -188,6 +190,7 @@ def _cmd_run(path: str) -> int:
                    for c in result.checks],
         "all_passed": result.all_passed,
         "info": result.info,
+        "headroom": result.headroom,
         "output": {"csv": config.output_path, "rows": int(len(result.rows))},
         "warnings": warned,
     })

@@ -16,6 +16,17 @@ and Lorentzian disorder admit closed forms (Gaussian and exponential decay
 of |gamma|); other distributions are integrated by adaptive quadrature to
 1e-8 absolute.  gamma_mm is exactly 1 for every distribution and time, so
 populations are preserved bit for bit.
+
+The whole table gamma_mn(t_k) is built at once.  For finite support
+(uniform, and Gaussian on +-12 sigma) the quadrature is one vector-valued
+adaptive integral of f(w) [cos(s w), sin(s w)] over every distinct |s| of
+the table (scipy's quad_vec, the QUADPACK global adaptive scheme), in
+blocks of at most _BLOCK_SIZE values, certified in the max norm over the
+block.  The subdivision follows the hardest entry of its block, so a value
+can differ at rounding level with the block it was integrated in (for
+instance, between a one-time table and a full grid); reruns of the same
+grid are bit-identical.  Lorentzian quadrature, which only
+``method="quadrature"`` reaches, uses a Fourier-weight rule per |s|.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from ..errors import (ConfigurationError, DimensionError, DomainError,
                       QuadratureError)
@@ -38,6 +49,10 @@ _KINDS = (GAUSSIAN, LORENTZIAN, UNIFORM)
 # Quadrature must certify at least this absolute accuracy.
 QUAD_ABS_TOL = 1e-8
 _QUAD_TARGET = 1e-10
+# Distinct |s| values per vector integral.  With at most 500 subintervals,
+# each caching one integral of 2 * _BLOCK_SIZE floats, this bounds the
+# quadrature's memory at a few MiB whatever the grid.
+_BLOCK_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -97,46 +112,76 @@ class Distribution:
             return self.a + self.b * rng.standard_cauchy(size=n)
         return rng.uniform(self.a, self.b, size=n)
 
-    def closed_form_phase(self, s: float) -> Optional[complex]:
-        """E[exp(-i s w)] where a closed form exists, else None."""
+    def closed_form_phase(self, s):
+        """E[exp(-i s w)] where a closed form exists, else None.
+
+        A scalar ``s`` gives a complex, an array gives a complex array.
+        """
         if self.kind == GAUSSIAN:
-            return complex(np.exp(-1j * self.a * s)
-                           * np.exp(-0.5 * (self.b * s) ** 2))
-        if self.kind == LORENTZIAN:
-            return complex(np.exp(-1j * self.a * s) * np.exp(-self.b * abs(s)))
-        return None
+            value = np.exp(-1j * self.a * s) * np.exp(-0.5 * (self.b * s) ** 2)
+        elif self.kind == LORENTZIAN:
+            value = np.exp(-1j * self.a * s) * np.exp(-self.b * np.abs(s))
+        else:
+            return None
+        return complex(value) if np.ndim(value) == 0 else value
 
 
-def _quadrature_phase(dist: Distribution, s: float) -> complex:
-    """E[exp(-i s w)] by adaptive quadrature, certified to 1e-8 absolute."""
-    if s == 0.0:
-        return 1.0 + 0.0j
+def _quadrature_phases(dist: Distribution, s: np.ndarray):
+    """E[exp(-i s w)] at every entry of ``s`` by adaptive quadrature.
+
+    Returns the phases (shape of ``s``) and the largest certified absolute
+    error, or None when every entry is s == 0 (exactly 1, no quadrature).
+    The cosine part is even and the sine part odd in s, so each distinct
+    |s| is integrated once.
+    """
+    phase = np.ones(s.shape, dtype=np.complex128)
+    live = s != 0.0
+    mags, where = np.unique(np.abs(s[live]), return_inverse=True)
+    if mags.size == 0:
+        return phase, None
     if dist.kind == LORENTZIAN:
         # Heavy tails with oscillation: Fourier-weight quadrature on the
-        # symmetric half-line around the center.
-        half = quad(lambda u: dist.pdf(dist.a + u), 0.0, np.inf,
-                    weight="cos", wvar=abs(s), epsabs=_QUAD_TARGET,
-                    limit=400, full_output=1)
-        value, err = 2.0 * half[0], 2.0 * half[1]
-        if len(half) > 3 or err > QUAD_ABS_TOL:
-            raise QuadratureError(
-                "Fourier quadrature did not converge for the Lorentzian "
-                "dephasing factor", abserr=err)
-        return complex(np.exp(-1j * s * dist.a)) * value
+        # symmetric half-line around the center, one |s| at a time.
+        even = np.empty(mags.size)
+        abserr = 0.0
+        for k, x in enumerate(mags):
+            half = quad(lambda u: dist.pdf(dist.a + u), 0.0, np.inf,
+                        weight="cos", wvar=x, epsabs=_QUAD_TARGET,
+                        limit=400, full_output=1)
+            even[k], err = 2.0 * half[0], 2.0 * half[1]
+            if len(half) > 3 or err > QUAD_ABS_TOL:
+                raise QuadratureError(
+                    "Fourier quadrature did not converge for the Lorentzian "
+                    "dephasing factor", abserr=err)
+            abserr = max(abserr, err)
+        phase[live] = np.exp(-1j * s[live] * dist.a) * even[where]
+        return phase, abserr
     if dist.kind == GAUSSIAN:
         lo, hi = dist.a - 12.0 * dist.b, dist.a + 12.0 * dist.b
     else:
         lo, hi = dist.a, dist.b
-    re = quad(lambda w: dist.pdf(w) * np.cos(s * w), lo, hi,
-              epsabs=_QUAD_TARGET, limit=500, full_output=1)
-    im = quad(lambda w: dist.pdf(w) * np.sin(s * w), lo, hi,
-              epsabs=_QUAD_TARGET, limit=500, full_output=1)
-    err = re[1] + im[1]
-    if len(re) > 3 or len(im) > 3 or err > QUAD_ABS_TOL:
-        raise QuadratureError(
-            "adaptive quadrature did not converge for the dephasing factor",
-            abserr=err)
-    return complex(re[0], -im[0])
+    cos_part = np.empty(mags.size)
+    sin_part = np.empty(mags.size)
+    abserr = 0.0
+    for start in range(0, mags.size, _BLOCK_SIZE):
+        block = mags[start:start + _BLOCK_SIZE]
+
+        def integrand(w, block=block):
+            sw = block * w
+            return dist.pdf(w) * np.concatenate((np.cos(sw), np.sin(sw)))
+
+        value, err, info = quad_vec(integrand, lo, hi, epsabs=_QUAD_TARGET,
+                                    epsrel=0.0, norm="max", limit=500,
+                                    full_output=True)
+        if info.status != 0 or err > QUAD_ABS_TOL:
+            raise QuadratureError(
+                "adaptive quadrature did not converge for the dephasing "
+                f"factor ({info.message})", abserr=err)
+        cos_part[start:start + block.size] = value[:block.size]
+        sin_part[start:start + block.size] = value[block.size:]
+        abserr = max(abserr, err)
+    phase[live] = cos_part[where] - 1j * (np.sign(s[live]) * sin_part[where])
+    return phase, abserr
 
 
 @dataclass(frozen=True)
@@ -188,7 +233,7 @@ def disorder_gamma(spec: DisorderSpec, m: int, n: int, t: float,
     ``method="auto"`` takes the closed form where one exists and quadrature
     otherwise; ``method="quadrature"`` forces the integration route (the
     independent cross-check of the closed forms).  Returns exactly 1 for
-    m == n.
+    m == n.  The value is read from the gamma table of the single time t.
     """
     d = spec.dim
     if not (0 <= m < d and 0 <= n < d):
@@ -197,32 +242,36 @@ def disorder_gamma(spec: DisorderSpec, m: int, n: int, t: float,
         raise DomainError(f"unknown method {method!r}")
     if m == n:
         return 1.0 + 0.0j
-    t = float(t)
-    delta_static = spec.epsilon[m] - spec.epsilon[n]
-    delta_slope = spec.slopes[m] - spec.slopes[n]
-    s = delta_slope * t
-    if method == "auto":
-        value = spec.distribution.closed_form_phase(s)
-        if value is None:
-            value = _quadrature_phase(spec.distribution, s)
-    else:
-        value = _quadrature_phase(spec.distribution, s)
-    out = complex(np.exp(-1j * delta_static * t)) * value
-    if abs(out) > 1.0 + 1e-10:
+    return complex(_gamma_table(spec, [float(t)], method)[0][0, m, n])
+
+
+def _gamma_table(spec: DisorderSpec, times, method: str):
+    """Every gamma_mn(t) at once: the (n_t, d, d) table and the largest
+    certified quadrature error (None when no quadrature ran).
+
+    Each off-diagonal pair is computed above the diagonal and mirrored as
+    its conjugate; the diagonal is exactly 1.
+    """
+    t = np.asarray(times, dtype=np.float64).reshape(-1)
+    m, n = np.triu_indices(spec.dim, 1)
+    eps = np.asarray(spec.epsilon)
+    slo = np.asarray(spec.slopes)
+    s = np.outer(t, slo[m] - slo[n])
+    phase = spec.distribution.closed_form_phase(s) if method == "auto" else None
+    abserr = None
+    if phase is None:
+        phase, abserr = _quadrature_phases(spec.distribution, s)
+    upper = np.exp(-1j * np.outer(t, eps[m] - eps[n])) * phase
+    gamma = np.ones((t.size, spec.dim, spec.dim), dtype=np.complex128)
+    gamma[:, m, n] = upper
+    gamma[:, n, m] = upper.conj()
+    size = np.abs(upper)
+    if size.max(initial=0.0) > 1.0 + 1e-10:
+        k, p = np.unravel_index(np.argmax(size), size.shape)
         raise QuadratureError(
-            f"|gamma_{m}{n}| = {abs(out):.17g} exceeds 1", abserr=abs(out) - 1.0)
-    return out
-
-
-def _gamma_matrix(spec: DisorderSpec, t: float, method: str) -> np.ndarray:
-    d = spec.dim
-    g = np.ones((d, d), dtype=np.complex128)
-    for m in range(d):
-        for n in range(m + 1, d):
-            val = disorder_gamma(spec, m, n, t, method=method)
-            g[m, n] = val
-            g[n, m] = val.conjugate()
-    return g
+            f"|gamma_{m[p]}{n[p]}(t={t[k]:.17g})| = {size[k, p]:.17g} "
+            "exceeds 1", abserr=float(size[k, p]) - 1.0)
+    return gamma, abserr
 
 
 @dataclass(frozen=True)
@@ -232,6 +281,8 @@ class DisorderAverage:
     For the Monte Carlo route, ``stderr_real``/``stderr_imag`` hold the
     per-entry standard errors of the averaged matrix (zero on the diagonal,
     where every member is identical); they are None for the closed form.
+    ``max_quadrature_abserr`` is the largest certified quadrature error
+    behind the closed-form states, None when no quadrature ran.
     """
 
     method: str
@@ -241,6 +292,7 @@ class DisorderAverage:
     seed: Optional[int] = None
     stderr_real: Optional[np.ndarray] = None
     stderr_imag: Optional[np.ndarray] = None
+    max_quadrature_abserr: Optional[float] = None
 
 
 def disorder_averaged_state(spec: DisorderSpec, times,
@@ -256,10 +308,10 @@ def disorder_averaged_state(spec: DisorderSpec, times,
     """
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if method == "closed-form":
-        states = tuple(
-            QuantumState.mixed(spec.r * _gamma_matrix(spec, ti, "auto"))
-            for ti in t)
-        return DisorderAverage(method=method, times=t, states=states)
+        gamma, abserr = _gamma_table(spec, t, "auto")
+        states = tuple(QuantumState.mixed(spec.r * g) for g in gamma)
+        return DisorderAverage(method=method, times=t, states=states,
+                               max_quadrature_abserr=abserr)
     if method != "monte-carlo":
         raise ConfigurationError(f"unknown method {method!r}")
     if samples is None or int(samples) < 2:

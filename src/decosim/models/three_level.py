@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtr
 
 from ..errors import ConfigurationError, DomainError
 from ..evolution import LindbladModel, TimeGrid
@@ -249,6 +249,6 @@ def poisson_dispersion(counts) -> tuple[float, float]:
         raise DomainError("dispersion test needs a positive mean count")
     n = k.size
     stat = (n - 1) * k.var(ddof=1) / mean
-    cdf = chi2.cdf(stat, df=n - 1)
+    cdf = chdtr(n - 1, stat)
     p = 2.0 * min(cdf, 1.0 - cdf)
     return float(stat / (n - 1)), float(min(1.0, p))

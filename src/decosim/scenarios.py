@@ -28,7 +28,7 @@ from .models.central_spin import (
     gaussian_envelope,
     spin_echo_coherence,
 )
-from .models.disorder import disorder_averaged_state
+from .models.disorder import QUAD_ABS_TOL, disorder_averaged_state
 from .models.oscillator import (
     check_truncation,
     fringe_visibility,
@@ -95,6 +95,9 @@ class ScenarioResult:
     rows: np.ndarray
     checks: tuple[Check, ...]
     info: dict
+    # How close the run came to each numerical limit it is held to; the
+    # manifest records it, the CSV never does.
+    headroom: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -202,6 +205,7 @@ def run_disorder(config: ScenarioConfig, workers: int) -> ScenarioResult:
 
     info = {"dim": d, "method": avg.method,
             "distribution": config.params["distribution"]["kind"]}
+    closed = avg
     if monte_carlo:
         closed = disorder_averaged_state(spec, times, method="closed-form")
         ref = np.stack([s.data for s in closed.states])
@@ -216,9 +220,11 @@ def run_disorder(config: ScenarioConfig, workers: int) -> ScenarioResult:
         info["samples"] = avg.samples
         info["seed"] = avg.seed
         info["max_closed_form_deviation"] = float(np.max(dev))
+    headroom = {"max_quadrature_abserr": closed.max_quadrature_abserr,
+                "quadrature_abserr_limit": QUAD_ABS_TOL}
     return ScenarioResult(columns=_disorder_columns(d),
                           rows=np.column_stack(rows), checks=tuple(checks),
-                          info=info)
+                          info=info, headroom=headroom)
 
 
 def run_telegraph(config: ScenarioConfig, workers: int) -> ScenarioResult:

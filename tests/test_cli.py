@@ -1,6 +1,9 @@
 """Command line interface: run/validate/list-scenarios, files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -316,3 +319,57 @@ def test_clean_run_lists_no_warnings(tmp_path, capsys):
     manifest = json.loads((tmp_path / "out.csv.manifest.json")
                           .read_text(encoding="utf-8"))
     assert manifest["warnings"] == []
+
+
+def disorder_table(tmp_path, kind, t_end, n_steps):
+    dist = ({"kind": "uniform", "low": -1.0, "high": 1.0} if kind == "uniform"
+            else {"kind": "gaussian", "mean": 0.0, "sigma": 0.4})
+    return {
+        "scenario": "disorder",
+        "params": {"distribution": dist, "epsilon": [0.0, 1.0],
+                   "slopes": [0.0, 1.0], "r": [[0.5, 0.5], [0.5, 0.5]]},
+        "grid": {"t_end": t_end, "n_steps": n_steps},
+        "output": {"path": str(tmp_path / "dis.csv")},
+    }
+
+
+def test_disorder_manifest_reports_quadrature_headroom(tmp_path, capsys):
+    path = write_config(tmp_path, disorder_table(tmp_path, "uniform", 5.0, 50))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((tmp_path / "dis.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    headroom = manifest["headroom"]
+    assert headroom["quadrature_abserr_limit"] == 1e-8
+    assert 0.0 < headroom["max_quadrature_abserr"] <= 1e-8
+    assert "max_quadrature_abserr" not in manifest["info"]
+
+    path = write_config(tmp_path, disorder_table(tmp_path, "gaussian", 5.0, 50))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((tmp_path / "dis.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["headroom"] == {"max_quadrature_abserr": None,
+                                    "quadrature_abserr_limit": 1e-8}
+
+
+def test_uncertified_quadrature_writes_failure_manifest(tmp_path, capsys):
+    # one step to t = 1e5: |s| = 1e5 on [-1, 1] cannot be certified
+    path = write_config(tmp_path, disorder_table(tmp_path, "uniform", 1e5, 1))
+    assert main(["run", str(path)]) == 1
+    assert "QuadratureError" in capsys.readouterr().err
+    assert not (tmp_path / "dis.csv").exists()
+    manifest = json.loads((tmp_path / "dis.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["all_passed"] is False
+    assert manifest["failure"]["type"] == "QuadratureError"
+    assert manifest["checks"] == []
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs a third of a second on every CLI call
+    src = os.path.dirname(os.path.dirname(decosim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, decosim.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from decosim.errors import (ConfigurationError, DimensionError, DomainError,
-                            StateError)
-from decosim.models.disorder import (Distribution, DisorderSpec,
+                            QuadratureError, StateError)
+from decosim.models import disorder
+from decosim.models.disorder import (Distribution, DisorderSpec, _gamma_table,
                                      disorder_averaged_state, disorder_gamma)
 
 from oracles import gaussian_char, lorentzian_char, uniform_char
@@ -175,3 +176,92 @@ def test_average_method_validation():
     with pytest.raises(ConfigurationError):
         disorder_averaged_state(spec, [1.0], method="monte-carlo",
                                 samples=100)
+
+
+# The vectorised gamma table.  WORKLOAD_SPEC is the disorder-quadrature
+# benchmark workload: d = 4, uniform on [-1, 1], 401 times, |s| up to 25.
+WORKLOAD_SPEC = DisorderSpec(Distribution.uniform(-1.0, 1.0),
+                             (0.0, 1.0, 2.5, -0.7), (0.0, 1.0, -0.5, 2.0),
+                             np.full((4, 4), 0.25))
+WORKLOAD_TIMES = np.linspace(0.0, 10.0, 401)
+
+
+def test_gamma_table_matches_sinc_oracle_on_workload():
+    gamma, abserr = _gamma_table(WORKLOAD_SPEC, WORKLOAD_TIMES, "auto")
+    assert gamma.shape == (401, 4, 4)
+    assert 0.0 < abserr <= 1e-8
+    eps, slo = WORKLOAD_SPEC.epsilon, WORKLOAD_SPEC.slopes
+    for k, t in enumerate(WORKLOAD_TIMES):
+        for m in range(4):
+            assert gamma[k, m, m] == 1.0
+            for n in range(4):
+                if m != n:
+                    want = (np.exp(-1j * (eps[m] - eps[n]) * t)
+                            * uniform_char(-1.0, 1.0, (slo[m] - slo[n]) * t))
+                    assert abs(gamma[k, m, n] - want) < 1e-9
+
+
+def test_gamma_table_is_exactly_one_where_s_is_zero():
+    spec = DisorderSpec(Distribution.uniform(-1.0, 2.0), (0.0, 0.5, 1.0),
+                        (0.3, 0.3, 1.0), np.eye(3) / 3.0)
+    gamma, _ = _gamma_table(spec, [0.0, 1.5], "auto")
+    assert np.all(gamma[0] == 1.0)                  # t = 0
+    assert gamma[1, 0, 1] == np.exp(-1j * -0.5 * 1.5)   # equal slopes
+    assert np.all(np.diagonal(gamma, axis1=1, axis2=2) == 1.0)
+    assert _gamma_table(spec, [0.0], "auto")[1] is None  # no quadrature ran
+
+
+def test_uncertified_quadrature_raises():
+    # |s| = 1e5 on [-1, 1] needs far more than 500 subintervals
+    spec = _qubit_spec(Distribution.uniform(-1.0, 1.0))
+    with pytest.raises(QuadratureError) as info:
+        disorder_gamma(spec, 0, 1, 1e5)
+    assert info.value.abserr > 1e-8
+
+
+def test_block_size_never_changes_table_beyond_rounding(monkeypatch):
+    one_block, _ = _gamma_table(WORKLOAD_SPEC, WORKLOAD_TIMES, "auto")
+    monkeypatch.setattr(disorder, "_BLOCK_SIZE", 7)
+    blocks_of_7, abserr = _gamma_table(WORKLOAD_SPEC, WORKLOAD_TIMES, "auto")
+    assert abserr <= 1e-8
+    assert np.max(np.abs(blocks_of_7 - one_block)) < 1e-12
+
+
+def test_headroom_is_the_largest_block_error(monkeypatch):
+    errors = []
+
+    def recording_quad_vec(*args, **kwargs):
+        out = quad_vec(*args, **kwargs)
+        errors.append(out[1])
+        return out
+
+    monkeypatch.setattr(disorder, "quad_vec", recording_quad_vec)
+    monkeypatch.setattr(disorder, "_BLOCK_SIZE", 100)
+    _, abserr = _gamma_table(WORKLOAD_SPEC, WORKLOAD_TIMES, "auto")
+    assert len(errors) > 1 and len(set(errors)) > 1
+    assert abserr == max(errors)
+
+
+@pytest.mark.parametrize("dist", [Distribution.gaussian(0.3, 0.8),
+                                  Distribution.lorentzian(-0.2, 0.5),
+                                  Distribution.uniform(-1.3, 2.1)],
+                         ids=["gaussian", "lorentzian", "uniform"])
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_disorder_gamma_reads_the_table(dist, method):
+    r = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    spec = DisorderSpec(dist, (0.0, 1.0, 2.5), (0.0, 1.0, -0.5), r)
+    times = np.linspace(0.0, 4.0, 9)
+    gamma, _ = _gamma_table(spec, times, method)
+    for k, t in enumerate(times):
+        for m in range(3):
+            for n in range(3):
+                got = disorder_gamma(spec, m, n, t, method=method)
+                assert abs(got - gamma[k, m, n]) < 1e-14
+
+
+def test_closed_form_average_reports_quadrature_headroom():
+    uniform = disorder_averaged_state(WORKLOAD_SPEC, WORKLOAD_TIMES[:41])
+    assert 0.0 < uniform.max_quadrature_abserr <= 1e-8
+    gauss = disorder_averaged_state(
+        _qubit_spec(Distribution.gaussian(0.0, 1.0)), [0.0, 1.0])
+    assert gauss.max_quadrature_abserr is None

@@ -160,6 +160,21 @@ def test_poisson_dispersion_behavior():
     assert p1 < 1e-6
 
 
+def test_poisson_dispersion_matches_scipy_stats_chi2():
+    from scipy.stats import chi2
+    rng = np.random.default_rng(23)
+    records = [rng.poisson(lam, size=size)
+               for lam, size in ((0.7, 30), (4.0, 500), (25.0, 2000))]
+    records += [np.full(100, 7), np.concatenate([np.full(50, 2),
+                                                 np.full(50, 40)])]
+    for k in records:
+        n = k.size
+        stat = (n - 1) * k.var(ddof=1) / k.mean()
+        cdf = chi2.cdf(stat, df=n - 1)
+        want = min(1.0, 2.0 * min(cdf, 1.0 - cdf))
+        assert poisson_dispersion(k) == (stat / (n - 1), want)
+
+
 def test_poisson_dispersion_validation():
     with pytest.raises(DomainError):
         poisson_dispersion([5])
