@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .hilbert import (ATOL_NORM, ATOL_UNITARY, QuantumState, as_matrix,
-                      as_vector, is_unitary)
+from .hilbert import ATOL_NORM, QuantumState, as_matrix, as_vector, is_unitary
 
 
 def purity(state: QuantumState) -> float:
@@ -32,7 +31,7 @@ def validate_basis(basis, dim: int) -> np.ndarray:
     if b.shape[0] != dim:
         raise DimensionError(
             f"basis dimension {b.shape[0]} does not match state dimension {dim}")
-    if not is_unitary(b, ATOL_UNITARY):
+    if not is_unitary(b):
         raise DomainError("basis matrix is not unitary within 1e-10")
     return b
 

@@ -74,15 +74,15 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def is_hermitian(a, atol: float = ATOL_HERMITIAN) -> bool:
+def is_hermitian(a) -> bool:
     a = as_matrix(a, square=True)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= ATOL_HERMITIAN)
 
 
-def is_unitary(u, atol: float = ATOL_UNITARY) -> bool:
+def is_unitary(u) -> bool:
     u = as_matrix(u, square=True)
     eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= atol)
+    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= ATOL_UNITARY)
 
 
 @dataclass(frozen=True)

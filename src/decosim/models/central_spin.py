@@ -11,12 +11,13 @@ frozen and the coherence dephases with the exactly summable bath average
     coherence(t) = c1 conj(c2) exp(-i w0 t / 2) prod_k cos(A_k t / 2),
 
 the closed form evaluated by :func:`central_spin_coherence` in O(M) per time.
-``reference_coherence`` performs the full 2^(M+1)-dimensional evolution plus
-partial trace instead (exponential cost, used for cross-checks).
 
 A spin-echo sequence applies a pi rotation about x to the central spin at
-t_e; the accumulated bath phases then unwind and the coherence magnitude
-revives fully at 2 t_e.
+t_e.  The pulse swaps c1 and c2, so for t > t_e the coherence is the same
+closed form with c1 <-> c2 at tau = t - 2 t_e: the accumulated bath phases
+unwind and the coherence magnitude revives fully at 2 t_e.  The tests hold
+both closed forms against full evolution of the 2^(M+1)-dimensional
+register.
 """
 
 from __future__ import annotations
@@ -26,15 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, DomainError
-from ..hilbert import TensorFactorization, partial_trace
-
-# Central-spin convention: S_z eigenvalues +-1/2, hbar = 1.
-SZ = np.diag([0.5, -0.5]).astype(np.complex128)
-SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
-# pi rotation about x, exp(-i pi S_x)
-PI_PULSE = np.array([[0.0, -1j], [-1j, 0.0]], dtype=np.complex128)
-
-_REFERENCE_MAX_SPINS = 12
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,13 @@ def gaussian_envelope(params: CentralSpinParams, times) -> np.ndarray:
 def central_spin_coherence(params: CentralSpinParams, times) -> np.ndarray:
     """Closed-form off-diagonal element <up| rho_S(t) |down>."""
     t = np.asarray(times, dtype=np.float64)
-    out = params.c1 * np.conj(params.c2) * np.exp(-0.5j * params.omega0 * t)
+    return _dephased(params.c1 * np.conj(params.c2), params, t)
+
+
+def _dephased(amp: complex, params: CentralSpinParams,
+              t: np.ndarray) -> np.ndarray:
+    """amp exp(-i w0 t / 2) prod_k cos(A_k t / 2)."""
+    out = amp * np.exp(-0.5j * params.omega0 * t)
     for a in params.couplings:
         out = out * np.cos(0.5 * a * t)
     return out
@@ -113,93 +111,6 @@ def spin_echo_coherence(params: CentralSpinParams, t_e: float,
     out = np.empty(t.shape, dtype=np.complex128)
     pre = t <= t_e
     out[pre] = central_spin_coherence(params, t[pre])
-    tau = t[~pre] - 2.0 * t_e
-    post = params.c2 * np.conj(params.c1) * np.exp(-0.5j * params.omega0 * tau)
-    for a in params.couplings:
-        post = post * np.cos(0.5 * a * tau)
-    out[~pre] = post
+    out[~pre] = _dephased(params.c2 * np.conj(params.c1), params,
+                          t[~pre] - 2.0 * t_e)
     return out[0] if scalar else out
-
-
-def _diagonal_hamiltonian(params: CentralSpinParams) -> np.ndarray:
-    """Diagonal of the full system (x) bath Hamiltonian in tensor order."""
-    m = params.n_bath
-    diag = np.zeros(2 ** (m + 1), dtype=np.float64)
-    sz_half = np.array([0.5, -0.5])
-    central = np.repeat(sz_half, 2 ** m)
-    diag += 0.5 * params.omega0 * central
-    for k, a in enumerate(params.couplings):
-        # S_z of bath spin k along the full tensor diagonal
-        reps_outer = 2 ** (k + 1)
-        reps_inner = 2 ** (m - k - 1)
-        bath_k = np.tile(np.repeat(sz_half, reps_inner), reps_outer)
-        diag += a * central * bath_k
-    return diag
-
-
-def _initial_joint_state(params: CentralSpinParams) -> np.ndarray:
-    m = params.n_bath
-    psi = np.array([params.c1, params.c2], dtype=np.complex128)
-    rho_s = np.outer(psi, psi.conj())
-    rho_e = np.eye(2 ** m, dtype=np.complex128) / (2 ** m)
-    return np.kron(rho_s, rho_e)
-
-
-def _reduce_coherence(rho_joint: np.ndarray, m: int) -> complex:
-    fact = TensorFactorization((2, 2 ** m))
-    reduced = partial_trace(rho_joint, fact, keep=[0])
-    return complex(reduced[0, 1])
-
-
-def reference_coherence(params: CentralSpinParams, times) -> np.ndarray:
-    """Full tensor-product evolution of system plus bath, reduced by partial
-    trace.  Exact but exponential in the bath size (capped at 12 spins)."""
-    m = params.n_bath
-    if m > _REFERENCE_MAX_SPINS:
-        raise DomainError(
-            f"reference evolution is limited to {_REFERENCE_MAX_SPINS} bath spins")
-    t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    diag = _diagonal_hamiltonian(params)
-    rho0 = _initial_joint_state(params)
-    out = np.empty(t.shape, dtype=np.complex128)
-    for i, ti in enumerate(t):
-        u = np.exp(-1j * diag * ti)
-        rho_t = (u[:, None] * rho0) * u.conj()[None, :]
-        out[i] = _reduce_coherence(rho_t, m)
-    return out
-
-
-def reference_echo_coherence(params: CentralSpinParams, t_e: float,
-                             times) -> np.ndarray:
-    """Tensor-product evolution with the explicit pi-pulse unitary applied
-    at t_e; reference for :func:`spin_echo_coherence`."""
-    m = params.n_bath
-    if m > _REFERENCE_MAX_SPINS:
-        raise DomainError(
-            f"reference evolution is limited to {_REFERENCE_MAX_SPINS} bath spins")
-    t_e = float(t_e)
-    if not t_e > 0.0:
-        raise DomainError(f"pulse time must be positive, got {t_e}")
-    t = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    diag = _diagonal_hamiltonian(params)
-    rho0 = _initial_joint_state(params)
-    dim_bath = 2 ** m
-
-    u_e = np.exp(-1j * diag * t_e)
-    rho_e = (u_e[:, None] * rho0) * u_e.conj()[None, :]
-    # Apply the pulse on the central factor only.
-    blocks = rho_e.reshape(2, dim_bath, 2, dim_bath)
-    pulsed = np.einsum("ab,bicj,cd->aidj", PI_PULSE, blocks,
-                       PI_PULSE.conj().T)
-    rho_pulsed = pulsed.reshape(2 * dim_bath, 2 * dim_bath)
-
-    out = np.empty(t.shape, dtype=np.complex128)
-    for i, ti in enumerate(t):
-        if ti <= t_e:
-            u = np.exp(-1j * diag * ti)
-            rho_t = (u[:, None] * rho0) * u.conj()[None, :]
-        else:
-            u = np.exp(-1j * diag * (ti - t_e))
-            rho_t = (u[:, None] * rho_pulsed) * u.conj()[None, :]
-        out[i] = _reduce_coherence(rho_t, m)
-    return out

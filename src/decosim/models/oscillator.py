@@ -120,14 +120,11 @@ def oscillator_model(params: DampedOscillatorParams) -> LindbladModel:
     return LindbladModel(h, [(a, down), (a.conj().T, up)])
 
 
-def position_grid(params: DampedOscillatorParams,
-                  n_points: int = 512) -> np.ndarray:
-    """Quadrature grid wide enough for every declared component: the peaks
-    sit within sqrt(2)*max|alpha| and carry unit Gaussian width."""
-    if n_points < 16:
-        raise DomainError(f"n_points must be >= 16, got {n_points}")
+def position_grid(params: DampedOscillatorParams) -> np.ndarray:
+    """512-point quadrature grid wide enough for every declared component:
+    the peaks sit within sqrt(2)*max|alpha| and carry unit Gaussian width."""
     half = np.sqrt(2.0) * params.max_alpha + 5.0
-    return np.linspace(-half, half, n_points)
+    return np.linspace(-half, half, 512)
 
 
 def hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:
@@ -198,13 +195,14 @@ def merge_times(params: DampedOscillatorParams, t_end: float) -> np.ndarray:
     return quarter * (2.0 * np.arange(k_max + 1) + 1.0)
 
 
-def check_truncation(state: QuantumState,
-                     tol: float = TRUNCATION_TOL) -> float:
-    """Population of the top Fock level; raises TruncationError above tol."""
+def check_truncation(state: QuantumState) -> float:
+    """Population of the top Fock level; raises TruncationError above
+    TRUNCATION_TOL."""
     top = float(state.density_matrix()[-1, -1].real)
-    if top > tol:
+    if top > TRUNCATION_TOL:
         raise TruncationError(
-            f"top Fock level holds population {top:.3g} > {tol:.3g}; "
+            f"top Fock level holds population {top:.3g} > "
+            f"{TRUNCATION_TOL:.3g}; "
             "the truncation is too small for this evolution")
     return top
 

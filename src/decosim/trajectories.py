@@ -72,7 +72,7 @@ Record text format (version 1)
     <time> <channel>            (n_jumps lines, time ascending)
     snapshots <n_samples>
     <re im re im ...>           (n_samples lines, 2*dim floats each)
-    end
+    end                         (nothing but whitespace may follow)
 
 Floats are written with 17 significant digits, so the round trip through
 ``record_from_text`` is exact.
@@ -132,9 +132,10 @@ class TrajectoryRecord:
         # t_start + n_steps * dt may round a few ulps past t_end
         slack = 8.0 * np.spacing(max(abs(self.grid.t_start),
                                      abs(self.grid.t_end)))
-        if jt.size and (np.any(np.diff(jt) <= 0.0)
-                        or jt[0] <= self.grid.t_start
-                        or jt[-1] > self.grid.t_end + slack):
+        # each bound is written so that a NaN fails it
+        if jt.size and not (np.all(np.diff(jt) > 0.0)
+                            and jt[0] > self.grid.t_start
+                            and jt[-1] <= self.grid.t_end + slack):
             raise DomainError("jump times must be strictly increasing within "
                               "(t_start, t_end]")
         if sn.shape != (self.grid.n_samples, self.dim):
@@ -143,7 +144,8 @@ class TrajectoryRecord:
                 f"({self.grid.n_samples}, {self.dim})")
         norms = np.sqrt(np.einsum("sd,sd->s", sn.real, sn.real)
                         + np.einsum("sd,sd->s", sn.imag, sn.imag))
-        if np.max(np.abs(norms - 1.0)) > 1e-8:
+        # a NaN norm fails <=
+        if not np.max(np.abs(norms - 1.0)) <= 1e-8:
             raise StateError("snapshots must be normalized within 1e-8")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "jump_channels", jc)
@@ -293,8 +295,8 @@ def _check_trajectory_inputs(state: QuantumState, model: LindbladModel,
         raise DimensionError(
             f"state dimension {state.dim} does not match model dimension "
             f"{model.dim}")
-    if int(seed) < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    if not 0 <= int(seed) < 2**64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
     return state.data
 
 
@@ -302,8 +304,8 @@ def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                    seed: int, stream: int = 0) -> TrajectoryRecord:
     """Run the single trajectory keyed by (seed, stream)."""
     psi0 = _check_trajectory_inputs(state, model, seed)
-    if int(stream) < 0:
-        raise ConfigurationError(f"stream must be >= 0, got {stream}")
+    if not 0 <= int(stream) < 2**64:
+        raise ConfigurationError(f"stream must be in [0, 2**64), got {stream}")
     return _run_streams(psi0, model, grid, int(seed), [int(stream)])[0]
 
 
@@ -340,7 +342,6 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_worker, tasks):
             out.extend(part)
-    out.sort(key=lambda r: r.stream)
     return out
 
 
@@ -496,6 +497,8 @@ def record_from_text(text: str) -> TrajectoryRecord:
             snaps[i] = np.array(vals).view(np.complex128)
         if lines[pos + n_samples] != "end":
             raise ValueError("missing end marker")
+        if len(lines) > pos + n_samples + 1:
+            raise ValueError("trailing text after end marker")
     except (IndexError, ValueError) as exc:
         raise ConfigurationError(
             f"malformed trajectory record: {exc}") from exc

@@ -134,6 +134,42 @@ def uniform_char(low, high, s):
     return np.exp(-1j * 0.5 * (low + high) * s) * np.sin(half) / half
 
 
+def central_spin_brute(params, times, t_e=None):
+    """<up| rho_S(t) |down> of the central spin by full evolution of the
+    2^(M+1)-dimensional register, then a trace over the bath.
+
+    The Hamiltonian (w0/2) S_z + sum_k A_k S_z S_z^(k) is diagonal in the
+    product basis, so each time is one elementwise phase.  The bath starts
+    maximally mixed.  With ``t_e`` set, the pulse exp(-i pi S_x) acts on the
+    central spin at t_e.
+    """
+    m = len(params.couplings)
+    n_bath = 2 ** m
+    sz = np.array([0.5, -0.5])
+    central = np.repeat(sz, n_bath)
+    energy = 0.5 * params.omega0 * central
+    for k, a in enumerate(params.couplings):
+        bath_k = np.tile(np.repeat(sz, 2 ** (m - k - 1)), 2 ** (k + 1))
+        energy = energy + a * central * bath_k
+    psi = np.array([params.c1, params.c2], dtype=np.complex128)
+    rho0 = np.kron(np.outer(psi, psi.conj()), np.eye(n_bath) / n_bath)
+    pulse = np.kron(np.array([[0.0, -1j], [-1j, 0.0]]), np.eye(n_bath))
+
+    def evolve(rho, t):
+        u = np.exp(-1j * energy * t)
+        return u[:, None] * rho * u.conj()[None, :]
+
+    out = []
+    for t in np.atleast_1d(np.asarray(times, dtype=np.float64)):
+        if t_e is None or t <= t_e:
+            rho = evolve(rho0, t)
+        else:
+            rho = evolve(pulse @ evolve(rho0, t_e) @ pulse.conj().T, t - t_e)
+        blocks = rho.reshape(2, n_bath, 2, n_bath)
+        out.append(np.trace(blocks, axis1=1, axis2=3)[0, 1])
+    return np.array(out)
+
+
 def coherent_wavefunction(alpha, xs):
     """<x|alpha> in the x = (a + a^dag)/sqrt(2) quadrature convention,
     from the generating function of the Hermite functions."""

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from decosim.errors import DimensionError, DomainError
-from decosim.models.central_spin import (CentralSpinParams, PI_PULSE,
+from decosim.models.central_spin import (CentralSpinParams,
                                          central_spin_coherence,
                                          decoherence_time, gaussian_envelope,
-                                         reference_coherence,
-                                         reference_echo_coherence,
                                          spin_echo_coherence)
+
+from oracles import central_spin_brute
 
 HALF = np.sqrt(0.5)
 
@@ -34,11 +34,6 @@ def test_params_validation():
         CentralSpinParams(1.0, [np.nan], HALF, HALF)
     p = CentralSpinParams(0.0, [0.3, 0.4], HALF, HALF)
     assert p.n_bath == 2
-
-
-def test_pi_pulse_is_x_flip():
-    assert np.allclose(PI_PULSE @ PI_PULSE, -np.eye(2), atol=1e-15)
-    assert np.allclose(PI_PULSE @ np.array([1.0, 0.0]), [0.0, -1j], atol=1e-15)
 
 
 def test_frozen_coherence_value():
@@ -68,7 +63,7 @@ def test_closed_form_matches_reference():
     for m in (1, 2, 3, 4):
         p = _params(rng, m)
         closed = central_spin_coherence(p, times)
-        brute = reference_coherence(p, times)
+        brute = central_spin_brute(p, times)
         assert np.max(np.abs(closed - brute)) < 1e-12
 
 
@@ -133,7 +128,7 @@ def test_echo_closed_form_matches_reference():
     for m in (1, 2, 4):
         p = _params(rng, m)
         closed = spin_echo_coherence(p, t_e, times)
-        brute = reference_echo_coherence(p, t_e, times)
+        brute = central_spin_brute(p, times, t_e)
         assert np.max(np.abs(closed - brute)) < 1e-12
 
 
@@ -143,13 +138,3 @@ def test_echo_validation():
         spin_echo_coherence(p, 0.0, [1.0])
     with pytest.raises(DomainError):
         spin_echo_coherence(p, 1.0, [-0.5])
-    with pytest.raises(DomainError):
-        reference_echo_coherence(p, -1.0, [1.0])
-
-
-def test_reference_bath_size_cap():
-    p = CentralSpinParams(0.0, [1.0] * 13, HALF, HALF)
-    with pytest.raises(DomainError):
-        reference_coherence(p, [1.0])
-    with pytest.raises(DomainError):
-        reference_echo_coherence(p, 1.0, [1.0])

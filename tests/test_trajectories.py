@@ -179,6 +179,43 @@ def test_record_validation():
                          snapshots=2.0 * snaps)
 
 
+def test_record_rejects_nan():
+    grid = TimeGrid(0.0, 1.0, 10, sample_every=10)
+    snaps = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+    nan_snaps = snaps.copy()
+    nan_snaps[1, 0] = np.nan
+    with pytest.raises(StateError):
+        TrajectoryRecord(seed=0, stream=0, dim=2, grid=grid,
+                         jump_times=np.empty(0), jump_channels=np.empty(0),
+                         snapshots=nan_snaps)
+    for times in ([np.nan], [np.nan, 0.7], [0.2, np.nan]):
+        with pytest.raises(DomainError):
+            TrajectoryRecord(seed=0, stream=0, dim=2, grid=grid,
+                             jump_times=np.array(times),
+                             jump_channels=np.zeros(len(times), dtype=int),
+                             snapshots=snaps)
+    lines = record_to_text(TrajectoryRecord(
+        seed=0, stream=0, dim=2, grid=grid, jump_times=np.array([0.5]),
+        jump_channels=np.array([0]), snapshots=snaps)).split("\n")
+    assert lines[6].startswith("0.5 ") and lines[9].startswith("1 ")
+    with pytest.raises(DomainError):
+        record_from_text("\n".join(lines[:6] + ["nan 0"] + lines[7:]))
+    with pytest.raises(StateError):
+        record_from_text("\n".join(lines[:9] + ["nan 0 0 0"] + lines[10:]))
+
+
+def test_record_from_text_rejects_trailing_text():
+    model = _driven_decay_model()
+    grid = TimeGrid(0.0, 1.0, 100, sample_every=100)
+    text = record_to_text(run_trajectory(_plus_state(), model, grid, seed=1))
+    with pytest.raises(ConfigurationError,
+                       match="malformed trajectory record: trailing text"):
+        record_from_text(text + text)
+    with pytest.raises(ConfigurationError,
+                       match="malformed trajectory record: trailing text"):
+        record_from_text(text + "extra\n")
+    assert record_from_text(text + "\n\n").stream == 0
+
 def test_zero_rate_channel_runs_unitary():
     h = 1.3 * SX
     model = LindbladModel(h, [(LOWER, 0.0)])
@@ -341,6 +378,20 @@ def test_input_validation():
     with pytest.raises(ConfigurationError):
         run_ensemble(good, model, grid, n_traj=4, seed=0, workers=0)
 
+
+def test_seed_and_stream_at_or_above_2_64_are_rejected():
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 1.0, 100)
+    good = QuantumState.pure([0.0, 1.0])
+    bound = r"must be in \[0, 2\*\*64\)"
+    with pytest.raises(ConfigurationError, match="seed " + bound):
+        run_trajectory(good, model, grid, seed=2**64)
+    with pytest.raises(ConfigurationError, match="stream " + bound):
+        run_trajectory(good, model, grid, seed=0, stream=2**64)
+    with pytest.raises(ConfigurationError, match="seed " + bound):
+        run_ensemble(good, model, grid, n_traj=2, seed=2**64)
+    top = run_trajectory(good, model, grid, seed=2**64 - 1, stream=2**64 - 1)
+    assert top.seed == 2**64 - 1 and top.stream == 2**64 - 1
 
 def test_jump_on_last_step_may_round_past_t_end():
     # t_start + n_steps * dt lands 3.6e-12 past t_end = 31000, more than
