@@ -5,105 +5,14 @@ analysis, a fixed-step Lindblad integrator, a reproducible quantum-jump
 trajectory engine, a library of physical models, and a scenario CLI.
 """
 
-from .coherence import (
-    MixtureSpec,
-    basis_change,
-    measurement_probability,
-    mix,
-    populations_coherences,
-    purity,
-    trace_distance,
-)
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    IntegrationError,
-    ModelError,
-    QuadratureError,
-    StateError,
-    TruncationError,
-)
-from .evolution import (
-    KrausSet,
-    LindbladModel,
-    TimeGrid,
-    amplitude_damping_kraus,
-    apply_kraus,
-    evolve_unitary,
-    integrate_master,
-    lindblad_rhs,
-    phase_damping_kraus,
-    two_level_decay_model,
-)
-from .hilbert import (
-    QuantumState,
-    TensorFactorization,
-    dagger,
-    eig_hermitian,
-    expm_hermitian_prop,
-    is_hermitian,
-    is_unitary,
-    kron,
-    partial_trace,
-)
-from .trajectories import (
-    EnsembleEstimate,
-    EquivalenceReport,
-    TrajectoryRecord,
-    aggregate,
-    record_from_text,
-    record_to_text,
-    run_ensemble,
-    run_trajectory,
-    unraveling_equivalence_report,
-)
+from . import coherence, errors, evolution, hilbert, trajectories
+from .coherence import *
+from .errors import *
+from .evolution import *
+from .hilbert import *
+from .trajectories import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ConfigurationError",
-    "DimensionError",
-    "DomainError",
-    "IntegrationError",
-    "ModelError",
-    "QuadratureError",
-    "StateError",
-    "TruncationError",
-    "QuantumState",
-    "TensorFactorization",
-    "dagger",
-    "eig_hermitian",
-    "expm_hermitian_prop",
-    "is_hermitian",
-    "is_unitary",
-    "kron",
-    "partial_trace",
-    "MixtureSpec",
-    "basis_change",
-    "measurement_probability",
-    "mix",
-    "populations_coherences",
-    "purity",
-    "trace_distance",
-    "KrausSet",
-    "LindbladModel",
-    "TimeGrid",
-    "amplitude_damping_kraus",
-    "apply_kraus",
-    "evolve_unitary",
-    "integrate_master",
-    "lindblad_rhs",
-    "phase_damping_kraus",
-    "two_level_decay_model",
-    "EnsembleEstimate",
-    "EquivalenceReport",
-    "TrajectoryRecord",
-    "aggregate",
-    "record_from_text",
-    "record_to_text",
-    "run_ensemble",
-    "run_trajectory",
-    "unraveling_equivalence_report",
-]
+__all__ = ["__version__", *errors.__all__, *hilbert.__all__,
+           *coherence.__all__, *evolution.__all__, *trajectories.__all__]

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DimensionError, DomainError, StateError
 from .hilbert import ATOL_NORM, QuantumState, as_matrix, as_vector, is_unitary
 
+__all__ = ["MixtureSpec", "basis_change", "measurement_probability", "mix",
+           "populations_coherences", "purity", "trace_distance"]
+
 
 def purity(state: QuantumState) -> float:
     """tr(rho^2).  Bounded by 1/dim from below (maximally mixed) and 1 from

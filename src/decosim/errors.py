@@ -4,6 +4,10 @@ All input-validation failures are ValueError subclasses so callers can catch
 them uniformly; runtime numerical failures derive from RuntimeError.
 """
 
+__all__ = ["ConfigurationError", "DimensionError", "DomainError",
+           "IntegrationError", "ModelError", "QuadratureError", "StateError",
+           "TruncationError"]
+
 
 class DimensionError(ValueError):
     """Operand shapes or dimensions are incompatible."""

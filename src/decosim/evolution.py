@@ -29,6 +29,10 @@ from .errors import (DimensionError, IntegrationError, ModelError)
 from .hilbert import (ATOL_HERMITIAN, QuantumState, as_matrix,
                       expm_hermitian_prop)
 
+__all__ = ["KrausSet", "LindbladModel", "TimeGrid", "amplitude_damping_kraus",
+           "apply_kraus", "evolve_unitary", "integrate_master", "lindblad_rhs",
+           "phase_damping_kraus", "two_level_decay_model"]
+
 # Completeness tolerance for Kraus sets: || sum E^dag E - I ||_max
 ATOL_KRAUS = 1e-8
 

@@ -19,6 +19,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
 
+__all__ = ["QuantumState", "TensorFactorization", "dagger", "eig_hermitian",
+           "expm_hermitian_prop", "is_hermitian", "is_unitary", "kron",
+           "partial_trace"]
+
 # Construction-time tolerances for state and operator validation.
 ATOL_HERMITIAN = 1e-10
 ATOL_UNITARY = 1e-10
@@ -131,28 +135,14 @@ def partial_trace(rho, factorization, keep: Sequence[int]) -> np.ndarray:
     if len(keep) == 0:
         raise DimensionError("must keep at least one factor")
 
-    # Row and column multi-indices share a letter on traced factors.
-    reshaped = rho.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if 2 * n > len(letters):
+    # A numpy array has at most 64 axes: one row and one column per factor.
+    if n > 32:
         raise DimensionError("too many tensor factors")
-    row = []
-    col = []
-    out = []
-    next_free = 0
-    for i in range(n):
-        if i in keep:
-            row.append(letters[next_free])
-            col.append(letters[next_free + 1])
-            out.append((letters[next_free], letters[next_free + 1]))
-            next_free += 2
-        else:
-            row.append(letters[next_free])
-            col.append(letters[next_free])
-            next_free += 1
-    subscript = "".join(row) + "".join(col) + "->" + \
-        "".join(p[0] for p in out) + "".join(p[1] for p in out)
-    reduced = np.einsum(subscript, reshaped)
+    # Trace from the last factor down, so lower axis numbers stay valid.
+    reduced = rho.reshape(dims + dims)
+    for i in reversed(range(n)):
+        if i not in keep:
+            reduced = np.trace(reduced, axis1=i, axis2=i + reduced.ndim // 2)
     d_keep = int(np.prod([dims[i] for i in keep]))
     return reduced.reshape(d_keep, d_keep)
 

@@ -1,80 +1,11 @@
 """Physical model library: parameter containers, generators, and
 closed-form references for the bundled scenarios."""
 
-from .central_spin import (
-    CentralSpinParams,
-    central_spin_coherence,
-    decoherence_time,
-    gaussian_envelope,
-    spin_echo_coherence,
-)
-from .disorder import (
-    Distribution,
-    DisorderAverage,
-    DisorderSpec,
-    disorder_averaged_state,
-    disorder_gamma,
-)
-from .oscillator import (
-    DampedOscillatorParams,
-    check_truncation,
-    coherent_vector,
-    destroy,
-    fringe_visibility,
-    hermite_functions,
-    mean_occupation,
-    merge_times,
-    number_operator,
-    oscillator_model,
-    position_density,
-    position_grid,
-    superposition_state,
-)
-from .three_level import (
-    DESHELVE,
-    SHELVE,
-    STRONG,
-    TelegraphStats,
-    ThreeLevelParams,
-    bright_excited_population,
-    fluorescence_telegraph,
-    ground_state,
-    poisson_dispersion,
-    three_level_model,
-)
+from . import central_spin, disorder, oscillator, three_level
+from .central_spin import *
+from .disorder import *
+from .oscillator import *
+from .three_level import *
 
-__all__ = [
-    "CentralSpinParams",
-    "central_spin_coherence",
-    "decoherence_time",
-    "gaussian_envelope",
-    "spin_echo_coherence",
-    "Distribution",
-    "DisorderAverage",
-    "DisorderSpec",
-    "disorder_averaged_state",
-    "disorder_gamma",
-    "DampedOscillatorParams",
-    "check_truncation",
-    "coherent_vector",
-    "destroy",
-    "fringe_visibility",
-    "hermite_functions",
-    "mean_occupation",
-    "merge_times",
-    "number_operator",
-    "oscillator_model",
-    "position_density",
-    "position_grid",
-    "superposition_state",
-    "STRONG",
-    "SHELVE",
-    "DESHELVE",
-    "TelegraphStats",
-    "ThreeLevelParams",
-    "bright_excited_population",
-    "fluorescence_telegraph",
-    "ground_state",
-    "poisson_dispersion",
-    "three_level_model",
-]
+__all__ = [*central_spin.__all__, *disorder.__all__, *oscillator.__all__,
+           *three_level.__all__]

@@ -28,6 +28,9 @@ import numpy as np
 
 from ..errors import DimensionError, DomainError
 
+__all__ = ["CentralSpinParams", "central_spin_coherence", "decoherence_time",
+           "gaussian_envelope", "spin_echo_coherence"]
+
 
 @dataclass(frozen=True)
 class CentralSpinParams:

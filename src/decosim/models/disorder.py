@@ -41,6 +41,9 @@ from ..errors import (ConfigurationError, DimensionError, DomainError,
                       QuadratureError)
 from ..hilbert import QuantumState, as_matrix
 
+__all__ = ["Distribution", "DisorderAverage", "DisorderSpec",
+           "disorder_averaged_state", "disorder_gamma"]
+
 GAUSSIAN = "gaussian"
 LORENTZIAN = "lorentzian"
 UNIFORM = "uniform"

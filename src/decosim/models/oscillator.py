@@ -24,6 +24,12 @@ from ..errors import ConfigurationError, DomainError, TruncationError
 from ..evolution import LindbladModel
 from ..hilbert import QuantumState
 
+__all__ = ["DampedOscillatorParams", "check_truncation", "coherent_vector",
+           "destroy", "fringe_visibility", "hermite_functions",
+           "mean_occupation", "merge_times", "number_operator",
+           "oscillator_model", "position_density", "position_grid",
+           "superposition_state"]
+
 TRUNCATION_TOL = 1e-6
 FOCK_LEVELS_PER_UNIT = 8.0
 

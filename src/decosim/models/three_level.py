@@ -28,6 +28,11 @@ from ..evolution import LindbladModel, TimeGrid
 from ..hilbert import QuantumState
 from ..trajectories import TrajectoryRecord, run_ensemble
 
+__all__ = ["STRONG", "SHELVE", "DESHELVE", "TelegraphStats",
+           "ThreeLevelParams", "bright_excited_population",
+           "fluorescence_telegraph", "ground_state", "poisson_dispersion",
+           "three_level_model"]
+
 STRONG, SHELVE, DESHELVE = 0, 1, 2
 # Minimum expected bright-bin count for telegraph classification.
 MIN_EXPECTED_BRIGHT_COUNT = 5.0

@@ -95,6 +95,10 @@ from .errors import (ConfigurationError, DimensionError, DomainError,
 from .evolution import LindbladModel, TimeGrid, integrate_master
 from .hilbert import QuantumState
 
+__all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryRecord",
+           "aggregate", "record_from_text", "record_to_text", "run_ensemble",
+           "run_trajectory", "unraveling_equivalence_report"]
+
 # Per-step jump probability above which the grid is rejected as too coarse.
 JUMP_PROBABILITY_CAP = 0.1
 # Uniform-variate window per trajectory stream (refilled as consumed).
@@ -103,6 +107,12 @@ _RNG_WINDOW = 8192
 _LOOKAHEAD = 64
 _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
+
+
+def _check_key(name: str, value) -> None:
+    """Seeds and stream indices key Philox as unsigned 64-bit words."""
+    if not 0 <= int(value) < 2**64:
+        raise ConfigurationError(f"{name} must be in [0, 2**64), got {value}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,10 @@ class TrajectoryRecord:
         sn = np.asarray(self.snapshots, dtype=np.complex128)
         if jt.shape != jc.shape or jt.ndim != 1:
             raise DimensionError("jump times/channels must be matching 1-D arrays")
+        _check_key("seed", self.seed)
+        _check_key("stream", self.stream)
+        if jc.size and jc.min() < 0:
+            raise DomainError("jump channels must be non-negative")
         # t_start + n_steps * dt may round a few ulps past t_end
         slack = 8.0 * np.spacing(max(abs(self.grid.t_start),
                                      abs(self.grid.t_end)))
@@ -295,8 +309,7 @@ def _check_trajectory_inputs(state: QuantumState, model: LindbladModel,
         raise DimensionError(
             f"state dimension {state.dim} does not match model dimension "
             f"{model.dim}")
-    if not 0 <= int(seed) < 2**64:
-        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
+    _check_key("seed", seed)
     return state.data
 
 
@@ -304,8 +317,7 @@ def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                    seed: int, stream: int = 0) -> TrajectoryRecord:
     """Run the single trajectory keyed by (seed, stream)."""
     psi0 = _check_trajectory_inputs(state, model, seed)
-    if not 0 <= int(stream) < 2**64:
-        raise ConfigurationError(f"stream must be in [0, 2**64), got {stream}")
+    _check_key("stream", stream)
     return _run_streams(psi0, model, grid, int(seed), [int(stream)])[0]
 
 

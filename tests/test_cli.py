@@ -221,6 +221,15 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     assert "DECOSIM_WORKERS" in capsys.readouterr().err
 
 
+def test_non_integer_workers_env_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DECOSIM_WORKERS", "abc")
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 2
+    assert ("DECOSIM_WORKERS must be an integer, got 'abc'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_argparse_rejects_bad_invocations(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -265,3 +265,12 @@ def test_closed_form_average_reports_quadrature_headroom():
     gauss = disorder_averaged_state(
         _qubit_spec(Distribution.gaussian(0.0, 1.0)), [0.0, 1.0])
     assert gauss.max_quadrature_abserr is None
+
+
+def test_gamma_above_one_raises(monkeypatch):
+    monkeypatch.setattr(Distribution, "closed_form_phase",
+                        lambda self, s: np.full(np.shape(s), 1.5))
+    spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
+    with pytest.raises(QuadratureError, match="exceeds 1") as info:
+        _gamma_table(spec, [0.0, 1.0], "auto")
+    assert info.value.abserr == pytest.approx(0.5)

@@ -188,3 +188,21 @@ def test_master_dimension_check():
     with pytest.raises(DimensionError):
         integrate_master(QuantumState.pure([1.0, 0.0, 0.0]),
                          two_level_decay_model(1.0), TimeGrid(0.0, 1.0, 10))
+
+
+def test_evolve_unitary_on_a_mixed_state():
+    rng = np.random.default_rng(47)
+    a = _random_complex(rng, 3, 3)
+    h = a + a.conj().T
+    t = 0.61
+    u = expm_series(-1j * h * t)
+    rho = _random_density(rng, 3)
+    got = evolve_unitary(QuantumState.mixed(rho), h, t)
+    assert got.kind == "mixed"
+    assert np.allclose(got.data, u @ rho @ u.conj().T, atol=1e-10)
+    # a pure state taken through either route lands on the same matrix
+    v = _random_complex(rng, 3)
+    v /= np.linalg.norm(v)
+    pure = evolve_unitary(QuantumState.pure(v), h, t)
+    mixed = evolve_unitary(QuantumState.mixed(np.outer(v, v.conj())), h, t)
+    assert np.allclose(mixed.data, pure.density_matrix(), atol=1e-12)

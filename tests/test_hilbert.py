@@ -95,6 +95,19 @@ def test_partial_trace_validation():
         TensorFactorization([2, 0])
 
 
+def test_partial_trace_up_to_numpy_axis_limit():
+    # one row and one column axis per factor: 32 factors fill numpy's 64
+    rho = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+    for n_trivial in (13, 31):
+        dims = (1,) * n_trivial + (2,)
+        assert np.array_equal(partial_trace(rho, dims, [n_trivial]), rho)
+        assert np.array_equal(partial_trace(rho, dims, range(n_trivial + 1)),
+                              rho)
+        assert np.allclose(partial_trace(rho, dims, [0]), [[1.0]])
+    with pytest.raises(DimensionError, match="too many tensor factors"):
+        partial_trace(rho, (1,) * 32 + (2,), [32])
+
+
 def test_eig_hermitian_reconstructs():
     rng = np.random.default_rng(15)
     a = _random_complex(rng, 6, 6)

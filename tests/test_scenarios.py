@@ -242,3 +242,49 @@ def test_unraveling_failure_reported_not_raised():
     assert res.checks[0].name == "unraveling-within-threshold"
     assert "threshold" in res.checks[0].detail
     assert res.info["n_flagged"] > 0
+
+
+def test_disorder_monte_carlo_lorentzian_run():
+    table = {**DISORDER_BASE,
+             "estimator": {"kind": "trajectories", "n_traj": 500,
+                           "seed": 5}}
+    table["params"] = {**DISORDER_BASE["params"],
+                       "distribution": {"kind": "lorentzian",
+                                        "center": 0.2, "width": 0.3}}
+    res = run(table)
+    assert check_names(res) == ["populations-invariant",
+                                "coherences-bounded", "matches-closed-form"]
+    assert res.all_passed
+    assert res.info["distribution"] == "lorentzian"
+
+
+def test_telegraph_too_few_dark_periods_fails_the_check():
+    res = run({
+        "scenario": "three-level-telegraph",
+        "params": {"rabi": 8.0, "gamma_strong": 8.0, "gamma_shelve": 0.05,
+                   "gamma_deshelve": 0.1, "bin_width": 3.0},
+        "grid": {"t_end": 30.0, "n_steps": 3000},
+        "estimator": {"kind": "trajectories", "n_traj": 2, "seed": 3},
+        "output": {"path": "o.csv"},
+    })
+    assert check_names(res) == ["dark-mean-matches-deshelving"]
+    assert not res.all_passed
+    n_dark = res.info["dark_period_count"]
+    assert n_dark < 10
+    assert res.checks[0].detail.startswith(
+        f"only {n_dark} interior dark periods observed")
+
+
+@pytest.mark.parametrize("scenario, extra", [("central-spin", {}),
+                                             ("spin-echo", {"t_e": 0.5})])
+def test_zero_couplings_leave_t_d_undefined(scenario, extra):
+    res = run({
+        "scenario": scenario,
+        "params": {"couplings": [0.0, 0.0], **extra},
+        "grid": {"t_end": 1.0, "n_steps": 10},
+        "output": {"path": "o.csv"},
+    })
+    assert res.info["t_D"] is None
+    assert res.all_passed
+    # nothing dephases: |coherence| stays at |c1 c2*| = 1/2
+    assert np.allclose(res.rows[:, 3], 0.5, atol=1e-12)

@@ -393,6 +393,24 @@ def test_seed_and_stream_at_or_above_2_64_are_rejected():
     top = run_trajectory(good, model, grid, seed=2**64 - 1, stream=2**64 - 1)
     assert top.seed == 2**64 - 1 and top.stream == 2**64 - 1
 
+
+def test_record_from_text_rejects_out_of_range_keys():
+    grid = TimeGrid(0.0, 1.0, 10, sample_every=10)
+    snaps = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+    lines = record_to_text(TrajectoryRecord(
+        seed=0, stream=0, dim=2, grid=grid, jump_times=np.array([0.5]),
+        jump_channels=np.array([0]), snapshots=snaps)).split("\n")
+    assert lines[1:3] == ["seed 0", "stream 0"] and lines[6] == "0.5 0"
+    bound = r"must be in \[0, 2\*\*64\)"
+    with pytest.raises(ConfigurationError, match="seed " + bound):
+        record_from_text("\n".join(lines[:1] + ["seed -5"] + lines[2:]))
+    with pytest.raises(ConfigurationError, match="stream " + bound):
+        record_from_text("\n".join(lines[:2] + [f"stream {2**64}"]
+                                   + lines[3:]))
+    with pytest.raises(DomainError, match="non-negative"):
+        record_from_text("\n".join(lines[:6] + ["0.5 -3"] + lines[7:]))
+
+
 def test_jump_on_last_step_may_round_past_t_end():
     # t_start + n_steps * dt lands 3.6e-12 past t_end = 31000, more than
     # an absolute 1e-12 but within a few ulps of the grid's magnitude
