@@ -210,21 +210,53 @@ class QuantumState:
 
     @classmethod
     def mixed(cls, matrix) -> "QuantumState":
-        m = as_matrix(matrix, square=True)
-        if m.shape[0] < 2:
+        return cls._mixed_stack([matrix])[0]
+
+    @classmethod
+    def _mixed_stack(cls, matrices) -> tuple["QuantumState", ...]:
+        """Mixed states from an (n, d, d) stack, validated in one pass.
+
+        The checks of :meth:`mixed` run over the whole stack in its order:
+        finite entries, hermiticity, unit trace, then one stacked eigvalsh.
+        In a stack of more than one, a failure names the first bad matrix.
+        """
+        m = np.array(matrices, dtype=np.complex128)
+        if m.ndim != 3:
+            raise DimensionError(
+                f"expected a 2-D matrix, got ndim={m.ndim - 1}")
+        if m.shape[1] != m.shape[2]:
+            raise DimensionError(
+                f"expected a square matrix, got shape {m.shape[1:]}")
+
+        def first(bad):
+            i = int(np.argmax(bad))
+            return i, (f"matrix {i} of {bad.size}: " if bad.size > 1 else "")
+
+        bad = ~np.isfinite(m).all(axis=(1, 2))
+        if bad.any():
+            raise DomainError(first(bad)[1] + "matrix entries must be finite")
+        if m.shape[1] < 2:
             raise StateError("state dimension must be at least 2")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_HERMITIAN:
-            raise StateError("density matrix not hermitian within 1e-10")
-        tr = m.trace()
-        if abs(tr - 1.0) > ATOL_TRACE:
+        bad = (np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
+               > ATOL_HERMITIAN)
+        if bad.any():
             raise StateError(
-                f"density matrix trace {tr.real:.17g} deviates from 1 "
-                "beyond 1e-10")
-        w = np.linalg.eigvalsh(m)
-        if w[0] < EIG_FLOOR:
+                first(bad)[1] + "density matrix not hermitian within 1e-10")
+        tr = np.trace(m, axis1=1, axis2=2)
+        bad = np.abs(tr - 1.0) > ATOL_TRACE
+        if bad.any():
+            i, where = first(bad)
             raise StateError(
-                f"density matrix has eigenvalue {w[0]:.3e} below -1e-8")
-        return cls(cls._TOKEN, "mixed", m.copy())
+                f"{where}density matrix trace {tr[i].real:.17g} deviates "
+                "from 1 beyond 1e-10")
+        w = np.linalg.eigvalsh(m)[:, 0]
+        bad = w < EIG_FLOOR
+        if bad.any():
+            i, where = first(bad)
+            raise StateError(
+                f"{where}density matrix has eigenvalue {w[i]:.3e} below "
+                "-1e-8")
+        return tuple(cls(cls._TOKEN, "mixed", x) for x in m)
 
     def density_matrix(self) -> np.ndarray:
         """Density-matrix form: the outer product for pure states, the

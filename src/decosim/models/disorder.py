@@ -312,7 +312,7 @@ def disorder_averaged_state(spec: DisorderSpec, times,
     t = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if method == "closed-form":
         gamma, abserr = _gamma_table(spec, t, "auto")
-        states = tuple(QuantumState.mixed(spec.r * g) for g in gamma)
+        states = QuantumState._mixed_stack(spec.r * gamma)
         return DisorderAverage(method=method, times=t, states=states,
                                max_quadrature_abserr=abserr)
     if method != "monte-carlo":
@@ -330,7 +330,7 @@ def disorder_averaged_state(spec: DisorderSpec, times,
     static_gap = eps[:, None] - eps[None, :]
     slope_gap = slo[:, None] - slo[None, :]
 
-    states = []
+    rho = np.empty((t.size, spec.dim, spec.dim), dtype=np.complex128)
     se_re = np.empty((t.size, spec.dim, spec.dim))
     se_im = np.empty_like(se_re)
     root = np.sqrt(samples)
@@ -340,8 +340,8 @@ def disorder_averaged_state(spec: DisorderSpec, times,
         mean_phase = phases.mean(axis=0)
         se_re[i] = phases.real.std(axis=0, ddof=1) / root
         se_im[i] = phases.imag.std(axis=0, ddof=1) / root
-        rho = spec.r * (np.exp(-1j * static_gap * ti) * mean_phase)
-        states.append(QuantumState.mixed(rho))
-    return DisorderAverage(method=method, times=t, states=tuple(states),
+        rho[i] = spec.r * (np.exp(-1j * static_gap * ti) * mean_phase)
+    return DisorderAverage(method=method, times=t,
+                           states=QuantumState._mixed_stack(rho),
                            samples=samples, seed=int(seed),
                            stderr_real=se_re, stderr_imag=se_im)

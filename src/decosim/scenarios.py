@@ -30,6 +30,7 @@ from .models.central_spin import (
 )
 from .models.disorder import QUAD_ABS_TOL, disorder_averaged_state
 from .models.oscillator import (
+    TRUNCATION_TOL,
     check_truncation,
     fringe_visibility,
     mean_occupation,
@@ -364,8 +365,10 @@ def run_damped_oscillator(config: ScenarioConfig,
         "occupation_final": float(occupations[-1]),
         "max_top_population": top,
     }
+    headroom = {"max_top_fock_population": top,
+                "top_fock_population_limit": TRUNCATION_TOL}
     return ScenarioResult(columns=("t", "xi", "density"), rows=rows,
-                          checks=tuple(checks), info=info)
+                          checks=tuple(checks), info=info, headroom=headroom)
 
 
 def run_unraveling(config: ScenarioConfig, workers: int) -> ScenarioResult:

@@ -382,3 +382,21 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "False"
+
+
+def test_damped_oscillator_manifest_reports_fock_headroom(tmp_path, capsys):
+    table = {
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "gamma": 0.1, "n_thermal": 0.2,
+                   "n_fock": 16, "alpha1": 1.0, "alpha2": -1.0},
+        "grid": {"t_end": 1.0, "n_steps": 100, "sample_every": 25},
+        "output": {"path": str(tmp_path / "osc.csv")},
+    }
+    assert main(["run", str(write_config(tmp_path, table))]) == 0
+    manifest = json.loads((tmp_path / "osc.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    headroom = manifest["headroom"]
+    assert headroom["top_fock_population_limit"] == 1e-6
+    assert 0.0 < headroom["max_top_fock_population"] <= 1e-6
+    assert (headroom["max_top_fock_population"]
+            == manifest["info"]["max_top_population"])

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+from decosim import evolution
 from decosim.errors import (DimensionError, IntegrationError, ModelError)
 from decosim.evolution import (KrausSet, LindbladModel, TimeGrid,
                                amplitude_damping_kraus, apply_kraus,
                                evolve_unitary, integrate_master, lindblad_rhs,
                                phase_damping_kraus, two_level_decay_model)
 from decosim.hilbert import QuantumState
+from decosim.models.oscillator import (DampedOscillatorParams,
+                                       oscillator_model, superposition_state)
+from decosim.models.three_level import ThreeLevelParams, three_level_model
 
 from oracles import expm_series, lindblad_rhs_loops, master_rk4
 
@@ -206,3 +211,111 @@ def test_evolve_unitary_on_a_mixed_state():
     pure = evolve_unitary(QuantumState.pure(v), h, t)
     mixed = evolve_unitary(QuantumState.mixed(np.outer(v, v.conj())), h, t)
     assert np.allclose(mixed.data, pure.density_matrix(), atol=1e-12)
+
+
+def _block_sizes(model):
+    return sorted(n for g in evolution._invariant_blocks(model)
+                  for n in [g.shape[1]] * g.shape[0])
+
+
+def _route_cases():
+    rng = np.random.default_rng(34)
+    h = _random_complex(rng, 3, 3)
+    h = h + h.conj().T
+    ops = [(_random_complex(rng, 3, 3) * 0.4, 0.6),
+           (_random_complex(rng, 3, 3) * 0.3, 0.2)]
+    dense = (h, ops, _random_density(rng, 3), TimeGrid(0.0, 1.0, 40))
+    p = DampedOscillatorParams(1.0, 0.2, 0.5, 12, (0.5, -0.5))
+    model = oscillator_model(p)
+    psi0 = superposition_state([1.0, 1.0], p.alphas, p.n_fock)
+    fock = (model.h, list(model.channels), psi0.density_matrix(),
+            TimeGrid(0.0, 1.5, 60))
+    strided = (h, ops, dense[2], TimeGrid(0.0, 2.0, 300, sample_every=50))
+    return {"dense-d3": dense, "fock-12": fock, "strided": strided}
+
+
+@pytest.mark.parametrize("case", ["dense-d3", "fock-12", "strided"])
+def test_block_route_matches_loop_rk4(case):
+    h, ops, rho0, grid = _route_cases()[case]
+    model = LindbladModel(h, ops)
+    states = integrate_master(QuantumState.mixed(rho0), model, grid)
+    assert len(states) == grid.n_samples
+    assert np.array_equal(states[0].data, rho0)
+    times = grid.sample_times()
+    for k, (st, t) in enumerate(zip(states[1:], times[1:]), start=1):
+        want = master_rk4(h, ops, rho0, t, k * grid.sample_every)
+        assert np.max(np.abs(st.data - want)) < 1e-12, (case, t)
+
+
+def _counted(fn):
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+    wrapper.calls = 0
+    return wrapper
+
+
+@pytest.mark.parametrize("case", ["dense-d3", "fock-12", "strided"])
+def test_rk4_loop_and_block_route_agree(case, monkeypatch):
+    h, ops, rho0, grid = _route_cases()[case]
+    model = LindbladModel(h, ops)
+    monkeypatch.setattr(evolution, "lindblad_rhs", _counted(lindblad_rhs))
+    blocks = integrate_master(QuantumState.mixed(rho0), model, grid)
+    assert evolution.lindblad_rhs.calls == 0
+    monkeypatch.setattr(evolution, "MAX_POWERED_BLOCK", 0)
+    loop = integrate_master(QuantumState.mixed(rho0), model, grid)
+    assert evolution.lindblad_rhs.calls == 4 * grid.n_steps
+    for a, b in zip(blocks, loop):
+        assert np.max(np.abs(a.data - b.data)) < 1e-12
+
+
+def test_invariant_block_sizes():
+    p = DampedOscillatorParams(1.0, 0.01, 0.5, 40, (2.0, -2.0))
+    sizes = _block_sizes(oscillator_model(p))
+    # each band rho_{m, m+k} of the Fock matrix is one block
+    assert len(sizes) == 79 and max(sizes) == 40 and sum(sizes) == 1600
+    model = three_level_model(ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15))
+    assert _block_sizes(model) == [2, 2, 5]
+    h, ops, _, _ = _route_cases()["dense-d3"]
+    assert _block_sizes(LindbladModel(h, ops)) == [9]
+    # with no coupling at all every entry is its own block
+    assert _block_sizes(LindbladModel(np.diag([0.0, 1.0, 3.0]))) == [1] * 9
+
+
+def _partition(labels):
+    return sorted(sorted(np.flatnonzero(labels == v).tolist())
+                  for v in np.unique(labels))
+
+
+def test_invariant_blocks_match_the_dense_generator_graph():
+    rng = np.random.default_rng(36)
+    d = 4
+    # |0><0| + |1><0|: column 0 feeds two rows, and row 2 of L is empty
+    fan = np.zeros((d, d))
+    fan[0, 0] = fan[1, 0] = 1.0
+    models = [LindbladModel(np.zeros((d, d)), [(fan, 1.0)])]
+    for _ in range(30):
+        h = _random_complex(rng, d, d) * (rng.random((d, d)) < 0.2)
+        ops = [(_random_complex(rng, d, d) * (rng.random((d, d)) < 0.3), 1.0)
+               for _ in range(rng.integers(1, 3))]
+        models.append(LindbladModel(h + h.conj().T, ops))
+    eye = np.eye(d)
+    for model in models:
+        h = model._h_eff
+        gen = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
+        for _, l in model._jumps:
+            gen += np.kron(l, l.conj())
+        _, want = connected_components(gen != 0, connection="weak")
+        got = np.empty(d * d, dtype=int)
+        for k, idx in enumerate(
+                row for g in evolution._invariant_blocks(model) for row in g):
+            got[idx] = k
+        assert _partition(got) == _partition(want)
+
+
+def test_unstable_strided_grid_fails_at_the_first_sample():
+    model = two_level_decay_model(200.0)
+    grid = TimeGrid(0.0, 1.0, 4, sample_every=2)
+    with pytest.raises(IntegrationError) as exc:
+        integrate_master(QuantumState.pure([0.0, 1.0]), model, grid)
+    assert exc.value.time == 2 * grid.dt

@@ -184,3 +184,28 @@ def test_pure_state_data_is_copied():
     st = QuantumState.pure(v)
     v[0] = 0.0
     assert st.data[0] == 1.0
+
+
+def test_mixed_stack_matches_one_by_one_and_names_the_first_bad_matrix():
+    good = np.stack([np.eye(3) / 3.0, np.diag([0.5, 0.25, 0.25])])
+    states = QuantumState._mixed_stack(good)
+    assert [s.data.tolist() for s in states] == [m.tolist() for m in good]
+    good[0, 0, 0] = 9.0         # the states keep their own copy
+    assert states[0].data[0, 0] == 1.0 / 3.0
+
+    bad = np.stack([np.eye(2) / 2.0, np.eye(2), np.eye(2), np.diag([1.1, -0.1])])
+    with pytest.raises(StateError, match="^matrix 1 of 4: density matrix trace 2"):
+        QuantumState._mixed_stack(bad)
+    bad[1:3] = np.eye(2) / 2.0
+    with pytest.raises(StateError, match="^matrix 3 of 4: .* eigenvalue -1.000e-01"):
+        QuantumState._mixed_stack(bad)
+    bad[2, 0, 1] = np.inf
+    with pytest.raises(DomainError, match="^matrix 2 of 4: matrix entries"):
+        QuantumState._mixed_stack(bad)
+    # a stack of one reports as QuantumState.mixed always has
+    with pytest.raises(StateError, match="^density matrix not hermitian"):
+        QuantumState.mixed(np.array([[0.5, 0.3], [0.1, 0.5]]))
+    with pytest.raises(DimensionError, match="got ndim=1"):
+        QuantumState.mixed([0.5, 0.5])
+    with pytest.raises(DimensionError, match="square"):
+        QuantumState.mixed(np.ones((2, 3)) / 2.0)
