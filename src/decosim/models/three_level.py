@@ -26,7 +26,7 @@ from scipy.special import chdtr
 from ..errors import ConfigurationError, DomainError
 from ..evolution import LindbladModel, TimeGrid
 from ..hilbert import QuantumState
-from ..trajectories import TrajectoryRecord, run_ensemble
+from ..trajectories import TrajectoryBatch, run_ensemble
 
 __all__ = ["STRONG", "SHELVE", "DESHELVE", "TelegraphStats",
            "ThreeLevelParams", "bright_excited_population",
@@ -204,6 +204,22 @@ def _telegraph_bins(params: ThreeLevelParams, grid: TimeGrid,
     return n_bins
 
 
+def _emission_counts(batch: TrajectoryBatch,
+                     edges: np.ndarray) -> np.ndarray:
+    """Strong-channel emissions per row and bin, binned as ``np.histogram``
+    bins each row: [edges[i], edges[i+1]), the last bin closed, times
+    outside the edges dropped."""
+    n_bins = edges.size - 1
+    strong = batch.jump_channels == STRONG
+    rows = np.repeat(np.arange(len(batch)), np.diff(batch.offsets))[strong]
+    times = batch.jump_times[strong]
+    bins = np.searchsorted(edges, times, side="right") - 1
+    bins[times == edges[-1]] = n_bins - 1
+    kept = (bins >= 0) & (bins < n_bins)
+    return np.bincount(rows[kept] * n_bins + bins[kept],
+                       minlength=len(batch) * n_bins).reshape(-1, n_bins)
+
+
 def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,
                            n_traj: int, seed: int, bin_width: float,
                            dark_threshold: int = 0,
@@ -224,13 +240,10 @@ def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,
     # the state sequence and the draws (hence the records' jumps) unchanged
     jump_grid = TimeGrid(grid.t_start, grid.t_end, grid.n_steps,
                          grid.n_steps)
-    records = run_ensemble(ground_state(), three_level_model(params),
-                           jump_grid, n_traj, seed, workers=workers)
+    batch = run_ensemble(ground_state(), three_level_model(params),
+                         jump_grid, n_traj, seed, workers=workers)
     edges = grid.t_start + bin_width * np.arange(n_bins + 1)
-    counts = np.zeros((len(records), n_bins), dtype=np.int64)
-    for i, rec in enumerate(records):
-        emissions = rec.jump_times[rec.jump_channels == STRONG]
-        counts[i], _ = np.histogram(emissions, bins=edges)
+    counts = _emission_counts(batch, edges)
     dark = counts <= dark_threshold
     traj, kind, start, duration = _period_table(dark, bin_width, grid.t_start)
     return TelegraphStats(

@@ -59,6 +59,20 @@ The other rows of a batch decide neither which steps a row takes nor
 which draws it reads.  So a trajectory's record is bit-identical whether
 it runs alone, inside a chunk of any size, or on any worker.
 
+Result layout
+-------------
+An ensemble comes back as one ``TrajectoryBatch``, a struct of arrays: the
+seed, a ``streams`` array, ``snapshots`` of shape (n, n_samples, dim), and
+every row's jumps in flat ``jump_times``/``jump_channels`` arrays, row i
+owning the slice ``offsets[i]:offsets[i + 1]``.  The engine collects the
+jumps as one array per pass and validates the batch once, with vectorised
+checks that apply the ``TrajectoryRecord`` rules to every row.  Workers
+return batches and ``run_ensemble`` joins them in stream order, so the
+pool moves a few arrays instead of one object per trajectory.  The batch
+is a sequence: an item is a ``TrajectoryRecord`` view of its row (not
+checked again) and a slice is a batch, so code written for a list of
+records keeps working.
+
 Record text format (version 1)
 ------------------------------
 ``record_to_text`` emits, in order, one line each of::
@@ -80,10 +94,11 @@ Floats are written with 17 significant digits, so the round trip through
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -95,9 +110,10 @@ from .errors import (ConfigurationError, DimensionError, DomainError,
 from .evolution import LindbladModel, TimeGrid, integrate_master
 from .hilbert import QuantumState
 
-__all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryRecord",
-           "aggregate", "record_from_text", "record_to_text", "run_ensemble",
-           "run_trajectory", "unraveling_equivalence_report"]
+__all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
+           "TrajectoryRecord", "aggregate", "record_from_text",
+           "record_to_text", "run_ensemble", "run_trajectory",
+           "unraveling_equivalence_report"]
 
 # Per-step jump probability above which the grid is rejected as too coarse.
 JUMP_PROBABILITY_CAP = 0.1
@@ -134,36 +150,144 @@ class TrajectoryRecord:
     snapshots: np.ndarray
 
     def __post_init__(self):
+        one = TrajectoryBatch(
+            seed=self.seed, streams=[self.stream], dim=self.dim,
+            grid=self.grid, snapshots=np.asarray(self.snapshots)[None],
+            jump_times=self.jump_times, jump_channels=self.jump_channels,
+            offsets=[0, np.size(self.jump_times)])
+        object.__setattr__(self, "jump_times", one.jump_times)
+        object.__setattr__(self, "jump_channels", one.jump_channels)
+        object.__setattr__(self, "snapshots", one.snapshots[0])
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen class from fields already known valid."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch(Sequence):
+    """An ensemble of trajectories under one seed, as one set of arrays.
+
+    Row i is stream ``streams[i]``: its snapshots are ``snapshots[i]``
+    (shape (n_samples, dim)) and its jumps are ``jump_times[a:b]`` and
+    ``jump_channels[a:b]`` with ``a, b = offsets[i], offsets[i + 1]``.
+    Every row obeys the rules of :class:`TrajectoryRecord`, checked once
+    over the whole batch; a failure in a batch of more than one names the
+    first bad row.  The batch is a sequence: items are record views of
+    its rows and slices are batches.
+    """
+
+    seed: int
+    streams: np.ndarray
+    dim: int
+    grid: TimeGrid
+    snapshots: np.ndarray
+    jump_times: np.ndarray
+    jump_channels: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
         jt = np.asarray(self.jump_times, dtype=np.float64)
         jc = np.asarray(self.jump_channels, dtype=np.int64)
         sn = np.asarray(self.snapshots, dtype=np.complex128)
+        off = np.asarray(self.offsets, dtype=np.int64)
         if jt.shape != jc.shape or jt.ndim != 1:
             raise DimensionError("jump times/channels must be matching 1-D arrays")
+        if np.ndim(self.streams) != 1:
+            raise DimensionError("streams must be a 1-D array")
+        n = len(self.streams)
+        if (off.shape != (n + 1,) or off[0] != 0 or off[-1] != jt.size
+                or np.any(np.diff(off) < 0)):
+            raise DimensionError(
+                "offsets must rise from 0 to the jump count, one entry per "
+                "row plus one")
+
+        def where(row: int) -> str:
+            return f"row {row} of {n}: " if n > 1 else ""
+
+        def row_of(jump: int) -> int:
+            return int(np.searchsorted(off, jump, side="right")) - 1
+
         _check_key("seed", self.seed)
-        _check_key("stream", self.stream)
+        keys = np.asarray(self.streams)
+        if keys.dtype.kind == "u":
+            bad = np.zeros(n, dtype=bool)
+        elif keys.dtype.kind == "i":
+            bad = keys < 0
+        else:
+            keys = np.array([int(k) for k in self.streams], dtype=object)
+            bad = (keys < 0) | (keys >= 2**64)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigurationError(
+                f"{where(i)}stream must be in [0, 2**64), got {keys[i]}")
         if jc.size and jc.min() < 0:
-            raise DomainError("jump channels must be non-negative")
+            raise DomainError(f"{where(row_of(np.argmax(jc < 0)))}jump "
+                              "channels must be non-negative")
         # t_start + n_steps * dt may round a few ulps past t_end
-        slack = 8.0 * np.spacing(max(abs(self.grid.t_start),
-                                     abs(self.grid.t_end)))
-        # each bound is written so that a NaN fails it
-        if jt.size and not (np.all(np.diff(jt) > 0.0)
-                            and jt[0] > self.grid.t_start
-                            and jt[-1] <= self.grid.t_end + slack):
-            raise DomainError("jump times must be strictly increasing within "
-                              "(t_start, t_end]")
-        if sn.shape != (self.grid.n_samples, self.dim):
+        g = self.grid
+        slack = 8.0 * np.spacing(max(abs(g.t_start), abs(g.t_end)))
+        # each bound is written so that a NaN fails it; times only rise
+        # within a row, and may drop where the next row starts
+        rising = np.ones(jt.size, dtype=bool)
+        rising[1:] = jt[1:] > jt[:-1]
+        rising[off[:-1][off[:-1] < jt.size]] = True
+        bad = ~(rising & (jt > g.t_start) & (jt <= g.t_end + slack))
+        if bad.any():
+            raise DomainError(
+                f"{where(row_of(np.argmax(bad)))}jump times must be strictly "
+                "increasing within (t_start, t_end]")
+        if sn.shape != (n, g.n_samples, self.dim):
             raise DimensionError(
                 f"snapshots shape {sn.shape} does not match "
-                f"({self.grid.n_samples}, {self.dim})")
-        norms = np.sqrt(np.einsum("sd,sd->s", sn.real, sn.real)
-                        + np.einsum("sd,sd->s", sn.imag, sn.imag))
+                f"({n}, {g.n_samples}, {self.dim})")
+        norms = np.sqrt(np.einsum("nsd,nsd->ns", sn.real, sn.real)
+                        + np.einsum("nsd,nsd->ns", sn.imag, sn.imag))
         # a NaN norm fails <=
-        if not np.max(np.abs(norms - 1.0)) <= 1e-8:
-            raise StateError("snapshots must be normalized within 1e-8")
+        bad = ~(np.abs(norms - 1.0) <= 1e-8).all(axis=1)
+        if bad.any():
+            raise StateError(f"{where(int(np.argmax(bad)))}snapshots must "
+                             "be normalized within 1e-8")
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "streams", keys.astype(np.uint64))
+        object.__setattr__(self, "snapshots", sn)
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "jump_channels", jc)
-        object.__setattr__(self, "snapshots", sn)
+        object.__setattr__(self, "offsets", off)
+
+    def __len__(self) -> int:
+        return self.streams.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._take(np.arange(len(self))[key])
+        i = operator.index(key)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"row {i} out of range for {len(self)} rows")
+        i %= len(self)
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return _unchecked(
+            TrajectoryRecord, seed=self.seed, stream=int(self.streams[i]),
+            dim=self.dim, grid=self.grid, jump_times=self.jump_times[a:b],
+            jump_channels=self.jump_channels[a:b],
+            snapshots=self.snapshots[i])
+
+    def _take(self, rows: np.ndarray) -> "TrajectoryBatch":
+        """The batch of the given rows, in that order."""
+        lo = self.offsets[rows]
+        counts = self.offsets[rows + 1] - lo
+        offsets = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        flat = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+        return _unchecked(
+            TrajectoryBatch, seed=self.seed, streams=self.streams[rows],
+            dim=self.dim, grid=self.grid, snapshots=self.snapshots[rows],
+            jump_times=self.jump_times[flat],
+            jump_channels=self.jump_channels[flat], offsets=offsets)
 
 
 def _sq_norms(z: np.ndarray) -> np.ndarray:
@@ -174,7 +298,7 @@ def _sq_norms(z: np.ndarray) -> np.ndarray:
 
 
 def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
-                 seed: int, streams: Sequence[int]) -> list[TrajectoryRecord]:
+                 seed: int, streams: Sequence[int]) -> TrajectoryBatch:
     """Advance all requested streams over the grid, each row to its own
     next event per pass (consumes each stream's uniforms in the documented
     order)."""
@@ -193,17 +317,23 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     ops = ops.reshape(len(channel_index), dim, dim)
     n_ch = channel_index.size
 
-    streams = [int(s) for s in streams]
-    records: list[TrajectoryRecord] = []
-    # at least 66 columns: a full look-ahead of jump tests plus a channel draw
-    window = min(_RNG_WINDOW, 2 * n_steps + 64)
+    streams = np.asarray(streams, dtype=np.uint64)
+    # A row draws one uniform per step plus one per jump.  A pass reads a
+    # full look-ahead of jump tests plus one channel draw past the row's
+    # offset, so only a row with more than horizon + 1 jumps refills.
+    window = min(_RNG_WINDOW, n_steps + 2 * horizon + 1)
     # Chunk so uniform buffers, snapshots and the per-pass look-ahead
     # temporaries stay within a modest footprint.
     per_traj = (window * 8 + grid.n_samples * dim * 16
                 + (horizon + 1) * (dim * 16 + 64))
     chunk_size = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_traj))
 
-    for lo in range(0, len(streams), chunk_size):
+    snapshots = np.empty((streams.size, grid.n_samples, dim),
+                         dtype=np.complex128)
+    # one array each per pass: batch row, grid step and channel of its jumps
+    none = np.empty(0, dtype=np.int64)
+    jump_rows, jump_steps, jump_channels = [none], [none], [none]
+    for lo in range(0, streams.size, chunk_size):
         chunk = streams[lo:lo + chunk_size]
         b = len(chunk)
         gens = [np.random.Generator(
@@ -216,11 +346,9 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         offset = np.zeros(b, dtype=np.int64)  # next unconsumed column per row
 
         psi = np.tile(psi0, (b, 1))
-        snaps = np.empty((b, grid.n_samples, dim), dtype=np.complex128)
+        snaps = snapshots[lo:lo + b]
         snaps[:, 0, :] = psi
         done = np.zeros(b, dtype=np.int64)  # steps taken per row
-        jump_times = [[] for _ in range(b)]
-        jump_channels = [[] for _ in range(b)]
         active = np.arange(b)
 
         while active.size:
@@ -285,20 +413,23 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                 sampled = step % sample_every == 0
                 snaps[li[sampled], step[sampled] // sample_every] = (
                     psi[li[sampled]])
-                for row, k, c in zip(li.tolist(), step.tolist(),
-                                     channel_index[choice].tolist()):
-                    jump_times[row].append(grid.t_start + k * grid.dt)
-                    jump_channels[row].append(c)
+                jump_rows.append(lo + li)
+                jump_steps.append(step)
+                jump_channels.append(channel_index[choice])
 
             active = active[done[active] < n_steps]
 
-        for i, s in enumerate(chunk):
-            records.append(TrajectoryRecord(
-                seed=seed, stream=s, dim=dim, grid=grid,
-                jump_times=np.array(jump_times[i], dtype=np.float64),
-                jump_channels=np.array(jump_channels[i], dtype=np.int64),
-                snapshots=snaps[i]))
-    return records
+    owner = np.concatenate(jump_rows)
+    # a row's jumps were appended in time order, one per pass
+    order = np.argsort(owner, kind="stable")
+    steps = np.concatenate(jump_steps)[order]
+    offsets = np.zeros(streams.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=streams.size), out=offsets[1:])
+    return TrajectoryBatch(
+        seed=seed, streams=streams, dim=dim, grid=grid, snapshots=snapshots,
+        jump_times=grid.t_start + steps * grid.dt,
+        jump_channels=np.concatenate(jump_channels)[order],
+        offsets=offsets)
 
 
 def _check_trajectory_inputs(state: QuantumState, model: LindbladModel,
@@ -321,19 +452,35 @@ def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     return _run_streams(psi0, model, grid, int(seed), [int(stream)])[0]
 
 
-def _worker(args) -> list[TrajectoryRecord]:
+def _worker(args) -> TrajectoryBatch:
     psi0, model, grid, seed, streams = args
     return _run_streams(psi0, model, grid, seed, streams)
 
 
+def _concat(parts: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
+    """The rows of batches that share seed, dim and grid, in order."""
+    first = parts[0]
+    offsets = np.zeros(sum(len(p) for p in parts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(p.offsets) for p in parts]),
+              out=offsets[1:])
+    return _unchecked(
+        TrajectoryBatch, seed=first.seed,
+        streams=np.concatenate([p.streams for p in parts]), dim=first.dim,
+        grid=first.grid,
+        snapshots=np.concatenate([p.snapshots for p in parts]),
+        jump_times=np.concatenate([p.jump_times for p in parts]),
+        jump_channels=np.concatenate([p.jump_channels for p in parts]),
+        offsets=offsets)
+
+
 def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                  n_traj: int, seed: int, workers: int = 1,
-                 ) -> list[TrajectoryRecord]:
+                 ) -> TrajectoryBatch:
     """Run trajectories for streams 0 .. n_traj-1 under one base seed.
 
     ``workers > 1`` distributes contiguous stream ranges over processes,
-    at most one per CPU; records are returned in stream order either way,
-    so the result is independent of scheduling.
+    at most one per CPU; the batch holds its rows in stream order either
+    way, so the result is independent of scheduling.
     """
     psi0 = _check_trajectory_inputs(state, model, seed)
     n_traj = int(n_traj)
@@ -343,18 +490,15 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    streams = list(range(n_traj))
+    streams = np.arange(n_traj, dtype=np.uint64)
     if workers == 1 or n_traj < 2 * workers:
         return _run_streams(psi0, model, grid, int(seed), streams)
 
     bounds = np.linspace(0, n_traj, workers + 1).astype(int)
     tasks = [(psi0, model, grid, int(seed), streams[a:b])
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    out: list[TrajectoryRecord] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_worker, tasks):
-            out.extend(part)
-    return out
+        return _concat(list(pool.map(_worker, tasks)))
 
 
 @dataclass(frozen=True)
@@ -373,21 +517,27 @@ class EnsembleEstimate:
 
 
 def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
-    """Average an ensemble of records.
+    """Average an ensemble: a batch, or records of one seed, dim and grid.
 
-    The reduction sorts by (seed, stream) first, so the estimate is
-    bit-identical under any permutation of the input list.
+    The reduction sorts by stream first, so the estimate is bit-identical
+    under any permutation of the input.
     """
     if len(records) == 0:
         raise DimensionError("cannot aggregate an empty record list")
-    first = records[0]
-    for r in records:
-        if r.dim != first.dim or r.grid != first.grid:
+    if not isinstance(records, TrajectoryBatch):
+        first = records[0]
+        key = (first.seed, first.dim, first.grid)
+        if any((r.seed, r.dim, r.grid) != key for r in records):
             raise DimensionError(
-                "records mix different grids or dimensions; aggregation "
-                "requires a homogeneous ensemble")
-    ordered = sorted(records, key=lambda r: (r.seed, r.stream))
-    snaps = np.stack([r.snapshots for r in ordered])  # (n, S, d)
+                "records mix different seeds, grids or dimensions; "
+                "aggregation requires a homogeneous ensemble")
+        records = _concat([_unchecked(
+            TrajectoryBatch, seed=r.seed,
+            streams=np.array([r.stream], dtype=np.uint64), dim=r.dim,
+            grid=r.grid, snapshots=r.snapshots[None],
+            jump_times=r.jump_times, jump_channels=r.jump_channels,
+            offsets=np.array([0, r.jump_times.size])) for r in records])
+    snaps = records.snapshots[np.argsort(records.streams, kind="stable")]
     n = snaps.shape[0]
     mean_rho = np.einsum("nsd,nse->sde", snaps, snaps.conj()) / n
     pops = snaps.real ** 2 + snaps.imag ** 2  # (n, S, d)
@@ -395,10 +545,9 @@ def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
         stderr = pops.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         stderr = np.zeros(pops.shape[1:])
-    states = tuple(QuantumState.mixed(mean_rho[s])
-                   for s in range(mean_rho.shape[0]))
     return EnsembleEstimate(
-        n_traj=n, times=first.grid.sample_times(), mean_states=states,
+        n_traj=n, times=records.grid.sample_times(),
+        mean_states=QuantumState._mixed_stack(mean_rho),
         population_stderr=stderr)
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from decosim.errors import ConfigurationError, DomainError
 from decosim.evolution import TimeGrid, integrate_master
+from decosim.trajectories import TrajectoryBatch
 from decosim.models.three_level import (DESHELVE, SHELVE, STRONG,
                                         TelegraphStats, ThreeLevelParams,
-                                        _period_table,
+                                        _emission_counts, _period_table,
                                         bright_excited_population,
                                         fluorescence_telegraph, ground_state,
                                         poisson_dispersion, three_level_model)
@@ -106,6 +107,30 @@ def test_telegraph_stats_properties():
     assert stats.bright_durations.tolist() == [2.0]
     assert stats.dark_mean == pytest.approx(4.0 / 3.0)
     assert np.isnan(stats.bright_mean)       # lone bright period, no spread
+
+
+def test_emission_counts_match_per_row_histograms():
+    # bins [0, 1) .. [4, 5]; 5.5 falls in the discarded partial bin
+    grid = TimeGrid(0.0, 5.5, 11, sample_every=11)
+    rows = [[(0.5, STRONG), (1.0, STRONG), (2.0, SHELVE), (3.7, STRONG),
+             (5.0, STRONG), (5.5, STRONG)],
+            [],
+            [(1.0, DESHELVE), (2.0, STRONG), (4.5, STRONG), (5.0, DESHELVE)]]
+    flat = [jump for row in rows for jump in row]
+    batch = TrajectoryBatch(
+        seed=1, streams=[0, 1, 2], dim=3, grid=grid,
+        snapshots=np.tile([1.0, 0.0, 0.0], (3, 2, 1)),
+        jump_times=[t for t, _ in flat], jump_channels=[c for _, c in flat],
+        offsets=np.cumsum([0] + [len(row) for row in rows]))
+    edges = np.arange(6.0)
+    want = np.zeros((3, 5), dtype=np.int64)
+    for i, rec in enumerate(batch):
+        want[i], _ = np.histogram(rec.jump_times[rec.jump_channels == STRONG],
+                                  bins=edges)
+    got = _emission_counts(batch, edges)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert want.tolist() == [[1, 1, 0, 1, 1], [0] * 5, [0, 0, 1, 0, 1]]
 
 
 def test_fluorescence_without_shelving_has_no_dark_periods():

@@ -1,5 +1,7 @@
 """Quantum-jump engine: randomness contract, reproducibility, statistics."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,8 +17,9 @@ from decosim.models.oscillator import (DampedOscillatorParams,
                                        oscillator_model, superposition_state)
 from decosim.models.three_level import (ThreeLevelParams, ground_state,
                                         three_level_model)
-from decosim.trajectories import (TrajectoryRecord, aggregate, record_from_text,
-                                  record_to_text, run_ensemble, run_trajectory,
+from decosim.trajectories import (TrajectoryBatch, TrajectoryRecord, aggregate,
+                                  record_from_text, record_to_text,
+                                  run_ensemble, run_trajectory,
                                   unraveling_equivalence_report)
 
 from oracles import lindblad_rhs_loops, mcwf_scalar
@@ -590,3 +593,136 @@ def test_sampling_never_changes_jumps():
         assert np.array_equal(a.jump_times, b.jump_times)
         assert np.array_equal(a.jump_channels, b.jump_channels)
         assert np.array_equal(a.snapshots[::1000], b.snapshots)
+
+
+def _batch_fields(**changes):
+    """A valid three-row batch: row 0 jumps twice, row 1 never, row 2
+    twice, so the jump times drop from 0.9 to 0.2 across rows."""
+    fields = dict(seed=0, streams=[4, 5, 6], dim=2,
+                  grid=TimeGrid(0.0, 1.0, 10, sample_every=10),
+                  snapshots=np.tile([1.0 + 0j, 0.0], (3, 2, 1)),
+                  jump_times=[0.3, 0.9, 0.2, 0.5], jump_channels=[0, 1, 0, 0],
+                  offsets=[0, 2, 2, 4])
+    fields.update(changes)
+    return fields
+
+
+def test_batch_accepts_times_that_drop_across_rows():
+    batch = TrajectoryBatch(**_batch_fields())
+    assert [r.jump_times.tolist() for r in batch] == [[0.3, 0.9], [], [0.2, 0.5]]
+    assert [r.stream for r in batch] == [4, 5, 6]
+    assert batch.streams.dtype == np.uint64
+    assert batch.jump_channels.dtype == np.int64
+
+
+def _nan_row(row):
+    snaps = np.tile([1.0 + 0j, 0.0], (3, 2, 1))
+    snaps[row, 1, 0] = np.nan
+    return snaps
+
+
+@pytest.mark.parametrize("change, error, row", [
+    ({"snapshots": _nan_row(2)}, StateError, 2),
+    ({"snapshots": np.tile([1.0 + 0j, 0.0], (3, 2, 1)) * [[[1]], [[2]], [[1]]]},
+     StateError, 1),
+    ({"jump_times": [0.3, np.nan, 0.2, 0.5]}, DomainError, 0),
+    ({"jump_times": [0.3, 0.9, 0.5, 0.5]}, DomainError, 2),
+    ({"jump_times": [0.3, 0.9, 0.2, 1.5]}, DomainError, 2),
+    ({"jump_times": [0.0, 0.9, 0.2, 0.5]}, DomainError, 0),
+    ({"jump_channels": [0, 1, 0, -1]}, DomainError, 2),
+    ({"streams": [4, -1, 6]}, ConfigurationError, 1),
+    ({"streams": [4, 5, 2**64]}, ConfigurationError, 2),
+])
+def test_batch_rejects_what_a_record_rejects_and_names_the_row(change, error,
+                                                                row):
+    fields = _batch_fields(**change)
+    with pytest.raises(error) as batch_err:
+        TrajectoryBatch(**fields)
+    a, b = fields["offsets"][row], fields["offsets"][row + 1]
+    with pytest.raises(error) as record_err:
+        TrajectoryRecord(seed=fields["seed"], stream=fields["streams"][row],
+                         dim=2, grid=fields["grid"],
+                         jump_times=np.array(fields["jump_times"][a:b]),
+                         jump_channels=np.array(fields["jump_channels"][a:b]),
+                         snapshots=fields["snapshots"][row])
+    assert str(batch_err.value) == f"row {row} of 3: {record_err.value}"
+
+
+def test_batch_layout_validation():
+    bound = r"must be in \[0, 2\*\*64\)"
+    with pytest.raises(ConfigurationError, match="^seed " + bound):
+        TrajectoryBatch(**_batch_fields(seed=2**64))
+    for change in ({"jump_channels": [0, 1, 0]}, {"offsets": [0, 2, 4]},
+                   {"offsets": [0, 3, 2, 4]}, {"offsets": [1, 2, 2, 4]},
+                   {"offsets": [0, 2, 2, 3]}, {"streams": [[4, 5, 6]]},
+                   {"snapshots": np.tile([1.0 + 0j, 0.0], (2, 2, 1))}):
+        with pytest.raises(DimensionError):
+            TrajectoryBatch(**_batch_fields(**change))
+
+
+def test_batch_slices_are_batches_and_items_round_trip_as_text():
+    grid = TimeGrid(0.0, 2.0, 200, sample_every=50)
+    batch = run_ensemble(_plus_state(), _driven_decay_model(), grid, 7, seed=3)
+    assert isinstance(batch, TrajectoryBatch) and len(batch) == 7
+    assert sum(r.jump_times.size for r in batch) > 0
+    for key in (slice(2, 5), slice(None, None, -2), slice(6, 0, -3),
+                slice(4, 4)):
+        part = batch[key]
+        rows = list(range(7))[key]
+        assert isinstance(part, TrajectoryBatch)
+        assert part.streams.tolist() == rows
+        for rec, s in zip(part, rows):
+            assert np.array_equal(rec.snapshots, batch[s].snapshots)
+            assert np.array_equal(rec.jump_times, batch[s].jump_times)
+            assert np.array_equal(rec.jump_channels, batch[s].jump_channels)
+    assert batch[-1].stream == 6
+    with pytest.raises(IndexError):
+        batch[7]
+    for rec in batch:
+        back = record_from_text(record_to_text(rec))
+        assert (back.seed, back.stream, back.dim, back.grid) == (
+            rec.seed, rec.stream, rec.dim, rec.grid)
+        for name in ("jump_times", "jump_channels", "snapshots"):
+            a, b = getattr(back, name), getattr(rec, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_pickled_worker_batch_is_little_more_than_its_arrays():
+    model = three_level_model(ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15))
+    grid = TimeGrid(0.0, 10.0, 1000, sample_every=20)
+    batch = tj._worker((ground_state().data, model, grid, 5,
+                        np.arange(300, dtype=np.uint64)))
+    assert batch.jump_times.size > 0
+    arrays = sum(a.nbytes for a in (batch.streams, batch.snapshots,
+                                    batch.jump_times, batch.jump_channels,
+                                    batch.offsets))
+    blob = pickle.dumps(batch)
+    assert len(blob) <= 1.05 * arrays + 2048
+    back = pickle.loads(blob)
+    for name in ("streams", "snapshots", "jump_times", "jump_channels",
+                 "offsets"):
+        assert np.array_equal(getattr(back, name), getattr(batch, name))
+
+
+def test_refilled_uniform_windows_change_nothing(monkeypatch):
+    # telegraph rates: some rows jump more often than a full look-ahead
+    # plus one, so even the default window refills
+    model = three_level_model(ThreeLevelParams(40.0, 0.0, 30.0, 2.0, 5.0))
+    grid = TimeGrid(0.0, 6.25, 2500, sample_every=10)
+    base = run_ensemble(ground_state(), model, grid, 6, seed=8)
+    assert np.diff(base.offsets).max() > tj._LOOKAHEAD + 1
+    monkeypatch.setattr(tj, "_RNG_WINDOW", 70)
+    small = run_ensemble(ground_state(), model, grid, 6, seed=8)
+    for name in ("streams", "snapshots", "jump_times", "jump_channels",
+                 "offsets"):
+        assert np.array_equal(getattr(small, name), getattr(base, name))
+
+
+def test_aggregate_rejects_records_of_different_seeds():
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 1.0, 100, sample_every=100)
+    r1 = run_trajectory(QuantumState.pure([0.0, 1.0]), model, grid, seed=0)
+    r2 = run_trajectory(QuantumState.pure([0.0, 1.0]), model, grid, seed=1,
+                        stream=1)
+    with pytest.raises(DimensionError, match="seeds"):
+        aggregate([r1, r2])
