@@ -14,8 +14,7 @@ Three ways to push a state forward in time:
 
   integrated with a fixed-step classical 4th-order Runge-Kutta scheme.  The
   step is fixed (no adaptivity) so that runs are exactly reproducible;
-  accuracy is controlled by the grid alone.  State validity (hermiticity,
-  trace, positivity) is checked at sample points only.
+  accuracy is controlled by the grid alone.
 
   The generator is linear and time-independent, so one RK4 step is exactly
   the matrix T = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24.  The integrator
@@ -26,7 +25,12 @@ Three ways to push a state forward in time:
   rounding, so RK4's truncation error and stability limit are unchanged.
   A model with a block too large to power (above MAX_POWERED_BLOCK
   entries, such as a dense d = 40 model) keeps the step-by-step loop over
-  ``lindblad_rhs``.
+  ``lindblad_rhs``.  Both routes run to t_end and return one array of the
+  samples after the first, validated once as a stack (hermiticity, trace,
+  positivity).  An IntegrationError names the first bad sample by its
+  ``time`` and by the stack's "matrix i of n: " message prefix, i counting
+  from the second sample.  So an unstable grid runs to the end, overflow
+  warnings and all, on either route.
 """
 
 from __future__ import annotations
@@ -35,8 +39,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
-from .errors import (DimensionError, IntegrationError, ModelError)
+from .errors import (DimensionError, DomainError, IntegrationError,
+                     ModelError, StateError)
 from .hilbert import (ATOL_HERMITIAN, QuantumState, as_matrix,
                       expm_hermitian_prop)
 
@@ -238,32 +245,12 @@ def evolve_unitary(state: QuantumState, h, t: float) -> QuantumState:
     return QuantumState.mixed(u @ state.data @ u.conj().T)
 
 
-def _components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Label the connected components of the undirected graph on
-    ``n_nodes`` nodes with edges (a[e], b[e]): equal labels, equal component.
-
-    Each pass lowers every node's label to the smallest label among its
-    neighbours, then jumps each label to its own label.  Labels stay node
-    ids of the node's own component and never rise, so a pass that changes
-    nothing leaves one label per component.
-    """
-    labels = np.arange(n_nodes)
-    while True:
-        low = np.minimum(labels[a], labels[b])
-        new = labels.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if np.array_equal(new, labels):
-            return labels
-        labels = new
-
-
 def _invariant_blocks(model: LindbladModel) -> list[np.ndarray]:
     """Split the generator into the blocks it leaves invariant.
 
     The entries of rho are the nodes i*d + j of the generator's sparsity
-    graph; each block is one connected component.  A jump term couples
+    graph; each block is one connected component (scipy's
+    ``connected_components`` labels them).  A jump term couples
     (i, j) to (k, l) whenever L_ik and L_jl are both nonzero, which would
     take up to d^4 edges.  Routing it through the entries of rho L^dag as
     extra nodes keeps the edge count at 2 d nnz(L): rho_kl feeds
@@ -272,16 +259,15 @@ def _invariant_blocks(model: LindbladModel) -> list[np.ndarray]:
     sides, so it joins exactly the entries the jump term couples.
 
     Returns one (m, n) array of flat indices per block size n, each row one
-    block, rows ordered by block and indices ascending within a row.
+    block, rows ordered by their smallest index and indices ascending
+    within a row.
     """
     d = model.dim
     r = np.arange(d)
     hi, hk = np.nonzero(model._h_eff)
-    off = hi != hk
-    hi, hk = hi[off], hk[off]
-    # For each off-diagonal H_eff[p, q] != 0, H_eff rho couples row p to
-    # row q in every column, and rho H_eff^dag column p to column q in
-    # every row.
+    # For each H_eff[p, q] != 0, H_eff rho couples row p to row q in every
+    # column, and rho H_eff^dag column p to column q in every row (the
+    # diagonal adds only self-loops).
     a = [(hi[:, None] * d + r).ravel(), (r[:, None] * d + hi).ravel()]
     b = [(hk[:, None] * d + r).ravel(), (r[:, None] * d + hk).ravel()]
     for c, (_, l) in enumerate(model._jumps):
@@ -293,15 +279,15 @@ def _invariant_blocks(model: LindbladModel) -> list[np.ndarray]:
         b += [(base + lk[:, None] * d + rows).ravel(),
               (cols[:, None] * d + lk).ravel()]
     n_nodes = d * d * (1 + len(model._jumps))
-    labels = _components(n_nodes, np.concatenate(a), np.concatenate(b))
-    comp = np.unique(labels[:d * d], return_inverse=True)[1]
+    a, b = np.concatenate(a), np.concatenate(b)
+    graph = coo_array((np.ones(a.size), (a, b)), shape=(n_nodes, n_nodes))
+    labels = connected_components(graph, directed=False)[1]
+    _, first, comp = np.unique(labels[:d * d], return_index=True,
+                               return_inverse=True)
     sizes = np.bincount(comp)
-    order = np.lexsort((comp, sizes[comp]))
-    groups, start = [], 0
-    for n, count in zip(*np.unique(sizes, return_counts=True)):
-        groups.append(order[start:start + n * count].reshape(count, n))
-        start += n * count
-    return groups
+    size = sizes[comp]
+    order = np.lexsort((first[comp], size))
+    return [order[size[order] == n].reshape(-1, n) for n in np.unique(sizes)]
 
 
 # Largest invariant block that integrate_master raises to a power; a model
@@ -350,10 +336,12 @@ def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
     return out.reshape(-1, d, d)
 
 
-def _rk4_samples(model: LindbladModel, rho: np.ndarray, grid: TimeGrid):
-    """Yield the density matrix at each sample after the first, stepping
-    the RK4 scheme one step at a time."""
+def _rk4_samples(model: LindbladModel, rho: np.ndarray,
+                 grid: TimeGrid) -> np.ndarray:
+    """The density matrices at the samples after the first, (n, d, d),
+    stepping the RK4 scheme one step at a time."""
     dt = grid.dt
+    out = np.empty((grid.n_samples - 1, *rho.shape), dtype=np.complex128)
     for k in range(grid.n_steps):
         k1 = lindblad_rhs(model, rho)
         k2 = lindblad_rhs(model, rho + 0.5 * dt * k1)
@@ -361,7 +349,8 @@ def _rk4_samples(model: LindbladModel, rho: np.ndarray, grid: TimeGrid):
         k4 = lindblad_rhs(model, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (k + 1) % grid.sample_every == 0:
-            yield rho
+            out[k // grid.sample_every] = rho
+    return out
 
 
 def integrate_master(state: QuantumState, model: LindbladModel,
@@ -370,24 +359,23 @@ def integrate_master(state: QuantumState, model: LindbladModel,
 
     Returns the validated state at each sample instant (initial state
     included).  If a sampled matrix fails state validation the run aborts
-    with IntegrationError carrying the sample time.
+    with IntegrationError carrying the time of the first bad sample.
     """
     if state.dim != model.dim:
         raise DimensionError(
             f"state dimension {state.dim} does not match model dimension "
             f"{model.dim}")
     rho = state.density_matrix()
+    first = QuantumState.mixed(rho)
     groups = _invariant_blocks(model)
     if max(idx.shape[1] for idx in groups) <= MAX_POWERED_BLOCK:
         samples = _powered_samples(model, groups, rho, grid)
     else:
         samples = _rk4_samples(model, rho, grid)
-    out = [QuantumState.mixed(rho)]
-    for t, sample in zip(grid.sample_times()[1:], samples):
-        try:
-            out.append(QuantumState.mixed(sample))
-        except Exception as exc:
-            raise IntegrationError(
-                f"integration produced an invalid state: {exc}",
-                time=t) from exc
-    return out
+    try:
+        rest = QuantumState._mixed_stack(samples)
+    except (DomainError, StateError) as exc:
+        raise IntegrationError(
+            f"integration produced an invalid state: {exc}",
+            time=grid.sample_times()[1 + exc.index]) from exc
+    return [first, *rest]

@@ -31,6 +31,9 @@ ATOL_TRACE = 1e-10
 # Eigenvalues of a density matrix may dip this far below zero before the
 # state is rejected; small negatives are tolerated, never clipped.
 EIG_FLOOR = -1e-8
+# QuantumState._mixed_stack checks a stack in slabs of about this many
+# bytes of matrices, which bounds the size of its temporaries.
+STACK_SLAB_BYTES = 1 << 20
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -216,9 +219,11 @@ class QuantumState:
     def _mixed_stack(cls, matrices) -> tuple["QuantumState", ...]:
         """Mixed states from an (n, d, d) stack, validated in one pass.
 
-        The checks of :meth:`mixed` run over the whole stack in its order:
-        finite entries, hermiticity, unit trace, then one stacked eigvalsh.
-        In a stack of more than one, a failure names the first bad matrix.
+        Each matrix gets the checks of :meth:`mixed` in their order (finite
+        entries, hermiticity, unit trace, eigenvalues), one slab of about
+        STACK_SLAB_BYTES at a time.  A failure reports the first bad matrix
+        and the first check it fails; in a stack of more than one the
+        message starts "matrix i of n: ".  The error's ``index`` is i.
         """
         m = np.array(matrices, dtype=np.complex128)
         if m.ndim != 3:
@@ -227,35 +232,36 @@ class QuantumState:
         if m.shape[1] != m.shape[2]:
             raise DimensionError(
                 f"expected a square matrix, got shape {m.shape[1:]}")
-
-        def first(bad):
-            i = int(np.argmax(bad))
-            return i, (f"matrix {i} of {bad.size}: " if bad.size > 1 else "")
-
-        bad = ~np.isfinite(m).all(axis=(1, 2))
-        if bad.any():
-            raise DomainError(first(bad)[1] + "matrix entries must be finite")
-        if m.shape[1] < 2:
+        n, d = m.shape[:2]
+        if d < 2:
             raise StateError("state dimension must be at least 2")
-        bad = (np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
-               > ATOL_HERMITIAN)
-        if bad.any():
-            raise StateError(
-                first(bad)[1] + "density matrix not hermitian within 1e-10")
-        tr = np.trace(m, axis1=1, axis2=2)
-        bad = np.abs(tr - 1.0) > ATOL_TRACE
-        if bad.any():
-            i, where = first(bad)
-            raise StateError(
-                f"{where}density matrix trace {tr[i].real:.17g} deviates "
-                "from 1 beyond 1e-10")
-        w = np.linalg.eigvalsh(m)[:, 0]
-        bad = w < EIG_FLOOR
-        if bad.any():
-            i, where = first(bad)
-            raise StateError(
-                f"{where}density matrix has eigenvalue {w[i]:.3e} below "
-                "-1e-8")
+        rows = max(1, STACK_SLAB_BYTES // (m.itemsize * d * d))
+        for lo in range(0, n, rows):
+            s = m[lo:lo + rows]
+            finite = np.isfinite(s).all(axis=(1, 2))
+            if not finite.all():
+                # a valid stand-in keeps the later checks from warning
+                s = np.where(finite[:, None, None], s, np.eye(d) / d)
+            tr = np.trace(s, axis1=1, axis2=2)
+            w = np.linalg.eigvalsh(s)[:, 0]
+            checks = [
+                (~finite, "matrix entries must be finite"),
+                (np.max(np.abs(s - s.conj().swapaxes(1, 2)), axis=(1, 2))
+                 > ATOL_HERMITIAN, "density matrix not hermitian within "
+                 "1e-10"),
+                (np.abs(tr - 1.0) > ATOL_TRACE, "density matrix trace "
+                 "{tr:.17g} deviates from 1 beyond 1e-10"),
+                (w < EIG_FLOOR, "density matrix has eigenvalue {w:.3e} below "
+                 "-1e-8")]
+            bad = np.logical_or.reduce([mask for mask, _ in checks])
+            if bad.any():
+                i = int(np.argmax(bad))
+                text = next(t for mask, t in checks if mask[i])
+                text = text.format(tr=tr[i].real, w=w[i])
+                err = (StateError if finite[i] else DomainError)(
+                    f"matrix {lo + i} of {n}: {text}" if n > 1 else text)
+                err.index = lo + i
+                raise err
         return tuple(cls(cls._TOKEN, "mixed", x) for x in m)
 
     def density_matrix(self) -> np.ndarray:

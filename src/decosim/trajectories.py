@@ -524,20 +524,18 @@ def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
     """
     if len(records) == 0:
         raise DimensionError("cannot aggregate an empty record list")
-    if not isinstance(records, TrajectoryBatch):
+    if isinstance(records, TrajectoryBatch):
+        streams, snaps = records.streams, records.snapshots
+    else:
         first = records[0]
         key = (first.seed, first.dim, first.grid)
         if any((r.seed, r.dim, r.grid) != key for r in records):
             raise DimensionError(
                 "records mix different seeds, grids or dimensions; "
                 "aggregation requires a homogeneous ensemble")
-        records = _concat([_unchecked(
-            TrajectoryBatch, seed=r.seed,
-            streams=np.array([r.stream], dtype=np.uint64), dim=r.dim,
-            grid=r.grid, snapshots=r.snapshots[None],
-            jump_times=r.jump_times, jump_channels=r.jump_channels,
-            offsets=np.array([0, r.jump_times.size])) for r in records])
-    snaps = records.snapshots[np.argsort(records.streams, kind="stable")]
+        streams = np.array([r.stream for r in records], dtype=np.uint64)
+        snaps = np.stack([r.snapshots for r in records])
+    snaps = snaps[np.argsort(streams, kind="stable")]
     n = snaps.shape[0]
     mean_rho = np.einsum("nsd,nse->sde", snaps, snaps.conj()) / n
     pops = snaps.real ** 2 + snaps.imag ** 2  # (n, S, d)
@@ -546,7 +544,7 @@ def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
     else:
         stderr = np.zeros(pops.shape[1:])
     return EnsembleEstimate(
-        n_traj=n, times=records.grid.sample_times(),
+        n_traj=n, times=records[0].grid.sample_times(),
         mean_states=QuantumState._mixed_stack(mean_rho),
         population_stderr=stderr)
 
@@ -628,16 +626,22 @@ def record_to_text(record: TrajectoryRecord) -> str:
 def record_from_text(text: str) -> TrajectoryRecord:
     """Parse the text format back into a record (exact round trip)."""
     lines = text.strip().split("\n")
+
+    def header(i: int, key: str, count: int = 1) -> list[str]:
+        fields = lines[i].split()
+        if fields[:1] != [key] or len(fields) != count + 1:
+            raise ValueError(f"line {i + 1} {lines[i]!r} is not {key!r} "
+                             f"and {count} value(s)")
+        return fields[1:]
     try:
         if lines[0] != "decosim-trajectory-record v1":
             raise ValueError(f"unrecognized header {lines[0]!r}")
-        seed = int(lines[1].split()[1])
-        stream = int(lines[2].split()[1])
-        dim = int(lines[3].split()[1])
-        gparts = lines[4].split()[1:]
-        grid = TimeGrid(float(gparts[0]), float(gparts[1]),
-                        int(gparts[2]), int(gparts[3]))
-        n_jumps = int(lines[5].split()[1])
+        seed = int(header(1, "seed")[0])
+        stream = int(header(2, "stream")[0])
+        dim = int(header(3, "dim")[0])
+        t0, t1, n_steps, every = header(4, "grid", 4)
+        grid = TimeGrid(float(t0), float(t1), int(n_steps), int(every))
+        n_jumps = int(header(5, "jumps")[0])
         pos = 6
         jt = np.empty(n_jumps, dtype=np.float64)
         jc = np.empty(n_jumps, dtype=np.int64)
@@ -646,7 +650,7 @@ def record_from_text(text: str) -> TrajectoryRecord:
             jt[i] = float(a)
             jc[i] = int(b)
         pos += n_jumps
-        n_samples = int(lines[pos].split()[1])
+        n_samples = int(header(pos, "snapshots")[0])
         pos += 1
         snaps = np.empty((n_samples, dim), dtype=np.complex128)
         for i in range(n_samples):

@@ -319,3 +319,59 @@ def test_unstable_strided_grid_fails_at_the_first_sample():
     with pytest.raises(IntegrationError) as exc:
         integrate_master(QuantumState.pure([0.0, 1.0]), model, grid)
     assert exc.value.time == 2 * grid.dt
+
+
+def test_rk4_loop_fails_at_the_first_sample_as_the_block_route_does(
+        monkeypatch):
+    model = two_level_decay_model(200.0)
+    grid = TimeGrid(0.0, 1.0, 4, sample_every=2)
+    monkeypatch.setattr(evolution, "MAX_POWERED_BLOCK", 0)
+    monkeypatch.setattr(evolution, "lindblad_rhs", _counted(lindblad_rhs))
+    with pytest.raises(IntegrationError,
+                       match="state: matrix 0 of 2: ") as exc:
+        integrate_master(QuantumState.pure([0.0, 1.0]), model, grid)
+    assert evolution.lindblad_rhs.calls == 4 * grid.n_steps
+    assert exc.value.time == 2 * grid.dt
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_samples_are_checked_as_one_stack(loop, monkeypatch):
+    h, ops, rho0, grid = _route_cases()["strided"]
+    if loop:
+        monkeypatch.setattr(evolution, "MAX_POWERED_BLOCK", 0)
+    stack = QuantumState._mixed_stack.__func__
+    mixed = QuantumState.mixed.__func__
+    sizes, singles = [], []
+
+    def counted_stack(cls, matrices):
+        sizes.append(len(matrices))
+        return stack(cls, matrices)
+
+    def counted_mixed(cls, matrix):
+        singles.append(matrix)
+        return mixed(cls, matrix)
+
+    monkeypatch.setattr(QuantumState, "_mixed_stack",
+                        classmethod(counted_stack))
+    monkeypatch.setattr(QuantumState, "mixed", classmethod(counted_mixed))
+    states = integrate_master(QuantumState.pure(np.eye(3)[0]),
+                              LindbladModel(h, ops), grid)
+    assert len(states) == grid.n_samples
+    # the initial state alone, then every later sample in one stack
+    assert len(singles) == 1 and sorted(sizes) == [1, grid.n_samples - 1]
+
+
+def test_invariant_block_rows_are_ordered():
+    p = DampedOscillatorParams(1.0, 0.2, 0.5, 12, (0.5, -0.5))
+    h, ops, _, _ = _route_cases()["dense-d3"]
+    for model in [oscillator_model(p), LindbladModel(h, ops),
+                  three_level_model(ThreeLevelParams(2.0, 0.5, 1.0, 0.05,
+                                                     0.15))]:
+        groups = evolution._invariant_blocks(model)
+        assert [g.shape[1] for g in groups] == sorted(
+            {g.shape[1] for g in groups})
+        for g in groups:
+            assert np.all(np.diff(g, axis=1) > 0)
+            assert np.all(np.diff(g[:, 0]) > 0)
+        flat = np.concatenate([g.ravel() for g in groups])
+        assert np.array_equal(np.sort(flat), np.arange(model.dim ** 2))

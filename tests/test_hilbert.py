@@ -1,8 +1,11 @@
 """Linear-algebra layer: products, partial traces, propagators, states."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from decosim import hilbert
 from decosim.errors import DimensionError, DomainError, StateError
 from decosim.hilbert import (QuantumState, TensorFactorization, as_matrix,
                              as_vector, dagger, eig_hermitian,
@@ -209,3 +212,41 @@ def test_mixed_stack_matches_one_by_one_and_names_the_first_bad_matrix():
         QuantumState.mixed([0.5, 0.5])
     with pytest.raises(DimensionError, match="square"):
         QuantumState.mixed(np.ones((2, 3)) / 2.0)
+
+
+def test_mixed_stack_names_the_first_bad_matrix_whatever_check_it_fails():
+    bad = np.stack([np.diag([1.1, -0.1]), np.eye(2)])
+    with pytest.raises(StateError,
+                       match="^matrix 0 of 2: .* eigenvalue") as exc:
+        QuantumState._mixed_stack(bad)
+    assert exc.value.index == 0
+    # a non-finite matrix after a bad one does not hide it
+    bad = np.stack([np.eye(2) / 2.0, np.diag([1.1, -0.1]),
+                    np.full((2, 2), np.nan)])
+    with pytest.raises(StateError, match="^matrix 1 of 3: .* eigenvalue"):
+        QuantumState._mixed_stack(bad)
+    # the later checks never see the non-finite entries, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^matrix entries") as exc:
+            QuantumState.mixed(np.diag([np.inf, 0.0]))
+    assert exc.value.index == 0
+
+
+@pytest.mark.parametrize("slab_bytes", [1, 2 * 64, 3 * 64, 1 << 20])
+def test_mixed_stack_slabs_change_nothing(slab_bytes, monkeypatch):
+    monkeypatch.setattr(hilbert, "STACK_SLAB_BYTES", slab_bytes)
+    good = np.stack([np.eye(2) / 2.0, np.diag([0.25, 0.75])] * 3)
+    states = QuantumState._mixed_stack(good)
+    assert [s.data.tolist() for s in states] == [m.tolist() for m in good]
+    cases = [(3, np.diag([0.2, 0.2]), StateError, "trace 0.4"),
+             (4, np.array([[0.5, 1.0], [0.0, 0.5]]), StateError,
+              "not hermitian"),
+             (5, np.diag([np.inf, 0.0]), DomainError, "must be finite")]
+    for i, matrix, kind, text in cases:
+        bad = good.copy()
+        bad[i] = matrix
+        bad[i + 1:] = np.nan
+        with pytest.raises(kind, match=f"^matrix {i} of 6: .*{text}") as exc:
+            QuantumState._mixed_stack(bad)
+        assert exc.value.index == i

@@ -1,6 +1,7 @@
 """Quantum-jump engine: randomness contract, reproducibility, statistics."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,24 @@ def test_record_from_text_rejects_trailing_text():
                        match="malformed trajectory record: trailing text"):
         record_from_text(text + "extra\n")
     assert record_from_text(text + "\n\n").stream == 0
+
+@pytest.mark.parametrize("line, bad", [
+    (1, "bogus 1"), (2, "stream 0 0"), (3, "xyz 2 9 9"),
+    (4, "grid 0 1 10 10 1"), (4, "grid 0 1 10"), (5, "jumps 1 extra"),
+    (7, "snapshot 2"), (7, "snapshots")])
+def test_record_from_text_checks_each_header_line(line, bad):
+    grid = TimeGrid(0.0, 1.0, 10, sample_every=10)
+    lines = record_to_text(TrajectoryRecord(
+        seed=0, stream=0, dim=2, grid=grid, jump_times=np.array([0.5]),
+        jump_channels=np.array([0]),
+        snapshots=np.eye(2, dtype=complex)[[0, 0]])).split("\n")
+    assert record_from_text("\n".join(lines)).stream == 0
+    lines[line] = bad
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"malformed trajectory record: line "
+                                       f"{line + 1} {bad!r}")):
+        record_from_text("\n".join(lines))
+
 
 def test_zero_rate_channel_runs_unitary():
     h = 1.3 * SX
