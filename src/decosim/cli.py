@@ -24,7 +24,8 @@ are written to a temporary file in the output directory and then moved
 into place, so a write that fails leaves the previous file intact.
 
 The environment variable DECOSIM_WORKERS overrides the trajectory worker
-count (default 1).
+count (default 1); a run uses at most one worker per CPU, and the manifest
+records the count it used.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .config import (
 )
 from .errors import ConfigurationError
 from .scenarios import run_scenario
+from .trajectories import _capped_workers
 
 WORKERS_ENV = "DECOSIM_WORKERS"
 
@@ -86,7 +88,7 @@ def _workers() -> int:
             f"{WORKERS_ENV} must be an integer, got {raw!r}")
     if workers < 1:
         raise ConfigurationError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
+    return _capped_workers(workers)
 
 
 def _write_atomic(path: str, write) -> None:

@@ -224,8 +224,10 @@ class QuantumState:
         STACK_SLAB_BYTES at a time.  A failure reports the first bad matrix
         and the first check it fails; in a stack of more than one the
         message starts "matrix i of n: ".  The error's ``index`` is i.
+        The states are views of a complex128 array passed in, which the
+        caller hands over; a list, as :meth:`mixed` passes, is copied.
         """
-        m = np.array(matrices, dtype=np.complex128)
+        m = np.asarray(matrices, dtype=np.complex128)
         if m.ndim != 3:
             raise DimensionError(
                 f"expected a 2-D matrix, got ndim={m.ndim - 1}")

@@ -36,6 +36,15 @@ the step-by-step recursion above; E^k psi and repeated renormalization
 differ at rounding level only, so a jump decision can differ only where a
 draw ties its probability to within rounding.
 
+A pass holds only the unfinished rows of a chunk, compacted: each row's
+chunk position, state, next unread uniform and steps taken; a row leaves
+on the pass it finishes.  A row whose pass had p <= 0 on every step and
+left psi bitwise unchanged is absorbed: every later pass would repeat that
+pass exactly and no draw could fire, so its remaining samples are copied
+from that pass's columns, periodically, and it finishes at once without
+reading another draw.  A row whose state changes, even by a phase only,
+keeps running.
+
 Randomness contract
 -------------------
 Each trajectory owns an independent counter-based stream: numpy Philox keyed
@@ -43,8 +52,12 @@ by the pair (seed, stream index).  Uniform variates are consumed in event
 order: one draw per time step for the jump test, immediately followed by one
 additional draw for channel selection whenever that step fired a jump (no
 draw is consumed for the channel when the total jump weight is zero, a
-degenerate case treated as no-jump).  Reruns with the same (seed, stream)
-produce bit-for-bit identical records.  Trajectories are independent given
+degenerate case treated as no-jump).  The engine reads the streams through
+one Philox generator, re-keyed to (seed, s) at counter 0 to fill row s's
+window of uniforms; a refill re-keys it and advances it past the draws
+already read (four per counter step), so a row reads the same draws as a
+Philox of its own.  Reruns with the same (seed, stream) produce bit-for-bit
+identical records.  Trajectories are independent given
 distinct (seed, stream) pairs and may run in parallel; aggregation sorts
 records by (seed, stream) so results never depend on completion order.
 
@@ -120,6 +133,8 @@ JUMP_PROBABILITY_CAP = 0.1
 # Uniform-variate window per trajectory stream (refilled as consumed).
 _RNG_WINDOW = 8192
 # Steps a row looks ahead per pass: the engine precomputes E^1 .. E^64.
+# A pass ends on a renormalisation of psi, so another value moves those
+# points and changes the bits of every record: it stays 64.
 _LOOKAHEAD = 64
 _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
@@ -297,6 +312,32 @@ def _sq_norms(z: np.ndarray) -> np.ndarray:
     return np.einsum("...x,...x->...", x, x)
 
 
+def _runs(first: np.ndarray, count: np.ndarray):
+    """Owner i and value of every entry of the runs first[i], first[i] + 1,
+    ..., first[i] + count[i] - 1, concatenated in order."""
+    owner = np.repeat(np.arange(count.size), count)
+    starts = np.cumsum(count) - count
+    return owner, first[owner] + np.arange(owner.size) - starts[owner]
+
+
+def _check_cap(p_jump: np.ndarray, taken: np.ndarray, start: np.ndarray,
+               grid: TimeGrid) -> None:
+    """Raise on the earliest grid step, over all rows, that a row took with
+    a jump probability above the cap; columns past a row's taken steps
+    (the continuation past its jump) are not held against the cap."""
+    took = np.arange(p_jump.shape[1]) < taken[:, None]
+    over = took & (p_jump > JUMP_PROBABILITY_CAP)
+    if over.any():
+        r, j = np.nonzero(over)
+        first = np.argmin(start[r] + j)
+        r, j = r[first], j[first]
+        t_over = grid.t_start + int(start[r] + j + 1) * grid.dt
+        raise ConfigurationError(
+            f"per-step jump probability {p_jump[r, j]:.3e} exceeds "
+            f"{JUMP_PROBABILITY_CAP} at t = {t_over:.17g}; "
+            "the grid step is too coarse")
+
+
 def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                  seed: int, streams: Sequence[int]) -> TrajectoryBatch:
     """Advance all requested streams over the grid, each row to its own
@@ -327,6 +368,21 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     per_traj = (window * 8 + grid.n_samples * dim * 16
                 + (horizon + 1) * (dim * 16 + 64))
     chunk_size = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_traj))
+    # One Philox serves every row: set to key (seed, s) at counter 0 it
+    # yields stream s's uniforms from the first.
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    uniforms = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
+
+    def read(stream, skip: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the stream's uniforms from draw ``skip`` on."""
+        key[1] = stream
+        bits.state = fresh
+        if skip:
+            bits.advance(skip // 4)  # a counter step yields four draws
+            uniforms.random(skip % 4)
+        uniforms.random(out=out)
 
     snapshots = np.empty((streams.size, grid.n_samples, dim),
                          dtype=np.complex128)
@@ -336,88 +392,125 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     for lo in range(0, streams.size, chunk_size):
         chunk = streams[lo:lo + chunk_size]
         b = len(chunk)
-        gens = [np.random.Generator(
-            np.random.Philox(key=np.array([seed, s], dtype=np.uint64)))
-            for s in chunk]
         block = np.empty((b, window), dtype=np.float64)
         for i in range(b):
-            block[i] = gens[i].random(window)
+            read(chunk[i], 0, block[i])
+        drawn = np.full(b, window, dtype=np.int64)  # uniforms drawn per row
         lookahead = sliding_window_view(block, horizon, axis=1)
-        offset = np.zeros(b, dtype=np.int64)  # next unconsumed column per row
-
-        psi = np.tile(psi0, (b, 1))
         snaps = snapshots[lo:lo + b]
-        snaps[:, 0, :] = psi
-        done = np.zeros(b, dtype=np.int64)  # steps taken per row
-        active = np.arange(b)
+        snaps[:, 0, :] = psi0
 
-        while active.size:
+        # The unfinished rows only, compacted: chunk row, state, next
+        # unread column of the row's window, and steps taken.
+        row = np.arange(b)
+        psi = np.tile(psi0, (b, 1))
+        offset = np.zeros(b, dtype=np.int64)
+        done = np.zeros(b, dtype=np.int64)
+        rows = np.arange(b)  # 0 .. n - 1 while n rows remain
+        while row.size:
             # Guarantee a full look-ahead plus a channel draw for every row.
-            for i in active[offset[active] > window - horizon - 1]:
-                off = int(offset[i])
-                block[i, :window - off] = block[i, off:]
-                block[i, window - off:] = gens[i].random(off)
-                offset[i] = 0
+            if offset.max() > window - horizon - 1:
+                for i in (offset > window - horizon - 1).nonzero()[0]:
+                    r, off = row[i], int(offset[i])
+                    block[r, :window - off] = block[r, off:]
+                    read(chunk[r], int(drawn[r]), block[r, window - off:])
+                    drawn[r] += off
+                    offset[i] = 0
 
-            start = done[active]
             # no-jump continuation E^j psi for j = 0 .. horizon
-            phi = np.einsum("kij,bj->bki", powers, psi[active])
+            phi = np.einsum("kij,bj->bki", powers, psi)
             nrm2 = _sq_norms(phi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_jump = 1.0 - nrm2[:, 1:] / nrm2[:, :-1]
-            inside = ahead < (n_steps - start)[:, None]
-            fired = (lookahead[active, offset[active]] < p_jump) & inside
-            hit = fired.any(axis=1)
-            taken = np.where(hit, fired.argmax(axis=1) + 1, inside.sum(axis=1))
-            took = ahead < taken[:, None]
-            at = start[:, None] + ahead + 1  # grid step each column ends on
+            fired = lookahead[row, offset] < p_jump
+            steps = horizon
+            if done.max() > n_steps - horizon:
+                steps = np.minimum(n_steps - done, horizon)
+                fired &= ahead < steps[:, None]
+            k = fired.argmax(axis=1)
+            hit = fired[rows, k]
+            taken = np.where(hit, k + 1, steps)
 
-            over = took & (p_jump > JUMP_PROBABILITY_CAP)
-            if over.any():
-                r, j = np.nonzero(over)
-                first = np.argmin(at[r, j])
-                r, j = r[first], j[first]
-                t_over = grid.t_start + int(at[r, j]) * grid.dt
-                raise ConfigurationError(
-                    f"per-step jump probability {p_jump[r, j]:.3e} exceeds "
-                    f"{JUMP_PROBABILITY_CAP} at t = {t_over:.17g}; "
-                    "the grid step is too coarse")
+            # Column 0 is finite, so no row's maximum is NaN; the exact
+            # check runs only when some probability passes the cap.
+            pmax = np.fmax.reduce(p_jump, axis=1)
+            if pmax.max() > JUMP_PROBABILITY_CAP:
+                _check_cap(p_jump, taken, done, grid)
 
-            offset[active] += taken
-            done[active] += taken
-            r, j = np.nonzero(took & (at % sample_every == 0))
-            snaps[active[r], at[r, j] // sample_every] = (
-                phi[r, j + 1] / np.sqrt(nrm2[r, j + 1])[:, None])
-            rows = np.arange(active.size)
-            psi[active] = phi[rows, taken] / np.sqrt(nrm2[rows, taken])[:, None]
+            start = done
+            done = start + taken
+            offset += taken
+            # snapshots at the sample steps in (start, done]
+            first = start // sample_every
+            count = done // sample_every - first
+            if sample_every >= horizon:  # at most one per pass
+                r = count.nonzero()[0]
+                idx = first[r] + 1
+            else:
+                r, idx = _runs(first + 1, count)
+            if r.size:
+                col = idx * sample_every - start[r]
+                snaps[row[r], idx] = (phi[r, col]
+                                      / np.sqrt(nrm2[r, col])[:, None])
+            # the state after a row's last step, or before it if it fired
+            j = taken - hit
+            psi_next = phi[rows, j] / np.sqrt(nrm2[rows, j])[:, None]
 
-            # Fired rows collapse from their normalized pre-step state; one
-            # with zero total weight keeps its no-jump state.
-            hr = np.nonzero(hit)[0]
-            pre = (phi[hr, taken[hr] - 1]
-                   / np.sqrt(nrm2[hr, taken[hr] - 1])[:, None])
-            v = np.einsum("cij,bj->bci", ops, pre)
-            weights = _sq_norms(v)
-            total = weights.sum(axis=1)
-            live = total > 0.0
-            if live.any():
-                li = active[hr[live]]
-                target = block[li, offset[li]] * total[live]
-                offset[li] += 1
-                cum = np.cumsum(weights[live], axis=1)
-                choice = np.minimum(np.sum(cum < target[:, None], axis=1),
+            # A row whose whole pass had p <= 0 and left psi bitwise as it
+            # was repeats that pass until the end and can never jump: its
+            # remaining samples are this pass's columns, periodically.  (A
+            # pass of fewer than horizon steps is the row's last anyway.)
+            if pmax.min() <= 0.0:
+                a = (pmax <= 0.0).nonzero()[0]
+                same = psi_next[a].view(np.uint64) == psi[a].view(np.uint64)
+                a = a[same.all(axis=1)]
+                first = done[a] // sample_every
+                i, idx = _runs(first + 1, n_steps // sample_every - first)
+                r = a[i]
+                col = (idx * sample_every - done[r] - 1) % horizon + 1
+                snaps[row[r], idx] = (phi[r, col]
+                                      / np.sqrt(nrm2[r, col])[:, None])
+                done[a] = n_steps
+            psi = psi_next
+
+            # Fired rows collapse from their normalized pre-step state.
+            hr = hit.nonzero()[0]
+            if hr.size:
+                v = np.einsum("cij,bj->bci", ops, psi[hr])
+                weights = _sq_norms(v)
+                total = weights.sum(axis=1)
+                if not total.min() > 0.0:
+                    live = total > 0.0
+                    # zero total weight: no jump, the no-jump state stands
+                    j = hr[~live]
+                    psi[j] = (phi[j, taken[j]]
+                              / np.sqrt(nrm2[j, taken[j]])[:, None])
+                    hr, v, weights, total = (hr[live], v[live], weights[live],
+                                             total[live])
+                r = row[hr]
+                o = offset[hr]
+                target = block[r, o] * total
+                offset[hr] = o + 1
+                cum = weights.cumsum(axis=1)
+                choice = np.minimum((cum < target[:, None]).sum(axis=1),
                                     n_ch - 1)
-                pick = np.nonzero(live)[0], choice
-                psi[li] = v[pick] / np.sqrt(weights[pick])[:, None]
-                step = done[li]
-                sampled = step % sample_every == 0
-                snaps[li[sampled], step[sampled] // sample_every] = (
-                    psi[li[sampled]])
-                jump_rows.append(lo + li)
+                pick = np.arange(hr.size), choice
+                jumped = v[pick] / np.sqrt(weights[pick])[:, None]
+                psi[hr] = jumped
+                step = done[hr]
+                i = (step % sample_every == 0).nonzero()[0]
+                if i.size:
+                    snaps[r[i], step[i] // sample_every] = jumped[i]
+                jump_rows.append(lo + r)
                 jump_steps.append(step)
                 jump_channels.append(channel_index[choice])
 
-            active = active[done[active] < n_steps]
+            # rows leave on the pass they finish
+            if done.max() == n_steps:
+                keep = done < n_steps
+                row, psi, offset, done = (row[keep], psi[keep], offset[keep],
+                                          done[keep])
+                rows = rows[:row.size]
 
     owner = np.concatenate(jump_rows)
     # a row's jumps were appended in time order, one per pass
@@ -450,6 +543,11 @@ def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     psi0 = _check_trajectory_inputs(state, model, seed)
     _check_key("stream", stream)
     return _run_streams(psi0, model, grid, int(seed), [int(stream)])[0]
+
+
+def _capped_workers(workers: int) -> int:
+    """The processes a run of ``workers`` uses: at most one per CPU."""
+    return min(workers, os.cpu_count() or 1)
 
 
 def _worker(args) -> TrajectoryBatch:
@@ -489,7 +587,7 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     workers = int(workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = _capped_workers(workers)
     streams = np.arange(n_traj, dtype=np.uint64)
     if workers == 1 or n_traj < 2 * workers:
         return _run_streams(psi0, model, grid, int(seed), streams)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import decosim
+from decosim import trajectories
 from decosim.cli import main
 from decosim.config import (config_hash, config_table, emit_config,
                             parse_config, SCENARIOS)
@@ -134,6 +135,22 @@ def test_workers_env_changes_nothing_but_manifest(tmp_path, capsys,
     assert main(["run", str(path)]) == 0
     assert (tmp_path / "traj.csv").read_bytes() == serial
     manifest = json.loads((tmp_path / "traj.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["workers"] == 2
+    capsys.readouterr()
+
+
+def test_manifest_reports_the_capped_worker_count(tmp_path, capsys,
+                                                  monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run without trajectories started a pool")
+
+    monkeypatch.setattr(trajectories, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("DECOSIM_WORKERS", "64")
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out.csv.manifest.json")
                           .read_text(encoding="utf-8"))
     assert manifest["workers"] == 2
     capsys.readouterr()

@@ -189,6 +189,15 @@ def test_pure_state_data_is_copied():
     assert st.data[0] == 1.0
 
 
+def test_mixed_state_data_is_copied():
+    # the stack check keeps arrays its callers hand over; mixed copies
+    rho = np.diag([0.75 + 0.0j, 0.25])
+    st = QuantumState.mixed(rho)
+    rho[0, 0] = 0.0
+    rho[0, 1] = 0.5
+    assert st.data.tolist() == [[0.75, 0.0], [0.0, 0.25]]
+
+
 def test_mixed_stack_matches_one_by_one_and_names_the_first_bad_matrix():
     good = np.stack([np.eye(3) / 3.0, np.diag([0.5, 0.25, 0.25])])
     states = QuantumState._mixed_stack(good)

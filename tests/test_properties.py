@@ -6,6 +6,7 @@ documents and records.
 
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 
 from decosim.config import (SCENARIOS, config_hash, emit_config, parse_config,
                             parse_config_table)
+import decosim.trajectories as tj
 from decosim.errors import ConfigurationError
-from decosim.evolution import TimeGrid
+from decosim.evolution import LindbladModel, TimeGrid
+from decosim.hilbert import QuantumState
 from decosim.trajectories import (TrajectoryRecord, record_from_text,
-                                  record_to_text)
+                                  record_to_text, run_ensemble, run_trajectory)
 from test_config import minimal_config
 
 PINNED = settings(derandomize=True, database=None, deadline=None,
@@ -298,3 +301,53 @@ def test_record_text_round_trip_is_exact(record):
         a, b = getattr(again, name), getattr(record, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def jump_ensembles(draw):
+    """A small model, start state and grid for the jump engine: d = 2 or 3,
+    decay channels between levels with rates that may be zero, at most
+    one dephasing channel, and either no Hamiltonian (every decay then
+    ends in an absorbing ground state) or a real symmetric one."""
+    d = draw(st.sampled_from([2, 3]))
+    rate = st.sampled_from([0.0, 0.4, 1.0])
+    channels = []
+    for hi in range(1, d):
+        lower = np.zeros((d, d))
+        lower[draw(st.integers(0, hi - 1)), hi] = 1.0
+        channels.append((lower, draw(rate)))
+    if draw(st.booleans()):
+        channels.append((np.diag(np.arange(d, dtype=float)) / d, draw(rate)))
+    h = np.zeros((d, d))
+    if draw(st.booleans()):
+        a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                                   max_size=d * d))).reshape(d, d)
+        h = a + a.T
+    psi = np.zeros(d)
+    psi[draw(st.integers(0, d - 1))] = 1.0
+    if draw(st.booleans()):
+        psi = psi + np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                                           max_size=d)))
+        if np.linalg.norm(psi) < 0.1:
+            psi[0] = 1.0
+    every = draw(st.sampled_from([1, 3, 64]))
+    n_steps = every * draw(st.integers(1, 200 // every + 1))
+    # dt <= 0.03 keeps every per-step jump probability below the 0.1 cap
+    dt = draw(st.floats(0.005, 0.03))
+    grid = TimeGrid(0.0, n_steps * dt, n_steps, sample_every=every)
+    state = QuantumState.pure(psi / np.linalg.norm(psi))
+    return (LindbladModel(h, channels), state, grid, draw(st.integers(1, 6)),
+            draw(st.integers(0, 2**64 - 1)), draw(st.sampled_from([1, 3, 64])))
+
+
+@settings(PINNED, max_examples=25)
+@given(case=jump_ensembles())
+def test_every_ensemble_row_equals_its_solo_run(case):
+    model, state, grid, n_traj, seed, chunk = case
+    with mock.patch.object(tj, "_MAX_CHUNK", chunk):
+        batch = run_ensemble(state, model, grid, n_traj, seed)
+    for rec in batch:
+        solo = run_trajectory(state, model, grid, seed, rec.stream)
+        assert np.array_equal(rec.snapshots, solo.snapshots)
+        assert np.array_equal(rec.jump_times, solo.jump_times)
+        assert np.array_equal(rec.jump_channels, solo.jump_channels)

@@ -745,3 +745,118 @@ def test_aggregate_rejects_records_of_different_seeds():
                         stream=1)
     with pytest.raises(DimensionError, match="seeds"):
         aggregate([r1, r2])
+
+
+def _spy_passes(monkeypatch):
+    """Record the squared norms of the no-jump continuation of every pass,
+    one (rows, horizon + 1) array each."""
+    seen = []
+    real = tj._sq_norms
+
+    def spy(z):
+        nrm2 = real(z)
+        if nrm2.shape[1:] == (tj._LOOKAHEAD + 1,):
+            seen.append(nrm2)
+        return nrm2
+
+    monkeypatch.setattr(tj, "_sq_norms", spy)
+    return seen
+
+
+@pytest.mark.parametrize("sample_every", [1, 5])
+def test_absorbed_rows_finish_at_once_and_match_the_oracle(sample_every,
+                                                           monkeypatch):
+    # pure decay from |e>: after its jump the row sits in |g>, where no
+    # step moves or decays it, so the pass after the jump finishes it
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 20.0, 400, sample_every=sample_every)
+    start = QuantumState.pure([0.0, 1.0])
+    e_step = _oracle_step(model, grid)
+    seen = _spy_passes(monkeypatch)
+    checked = 0
+    for stream in range(8):
+        snaps, jt, jc = mcwf_scalar(
+            start.data, e_step, list(model.channels), grid.t_start, grid.dt,
+            grid.n_steps, sample_every, seed=17, stream=stream)
+        if np.rint(jt[0] / grid.dt) > tj._LOOKAHEAD:
+            continue                   # jumped after the first pass
+        seen.clear()
+        rec = run_trajectory(start, model, grid, seed=17, stream=stream)
+        assert len(seen) == 2          # pass with the jump, then one more
+        assert np.array_equal(rec.jump_times, jt)
+        assert np.array_equal(rec.jump_channels, jc)
+        after = grid.sample_times() >= jt[0]
+        assert after.sum() > grid.n_samples // 2
+        assert np.max(np.abs(rec.snapshots[after] - snaps[after])) < 1e-10
+        assert np.max(np.abs(rec.snapshots - snaps)) < 1e-10
+        checked += 1
+    assert checked >= 4
+
+
+def test_a_dark_state_whose_phase_turns_is_not_finished_early(monkeypatch):
+    # |g> of H = diag(1.1, 0) never decays, so its passes have p = 0 up to
+    # rounding, but its phase turns: no pass leaves psi as it was
+    model = LindbladModel(np.diag([1.1, 0.0]), [(LOWER, 1.0)])
+    grid = TimeGrid(0.0, 20.0, 400, sample_every=1)
+    start = QuantumState.pure([1.0, 0.0])
+    seen = _spy_passes(monkeypatch)
+    rec = run_trajectory(start, model, grid, seed=3)
+    assert len(seen) == -(-grid.n_steps // tj._LOOKAHEAD)   # every pass ran
+    if not any((1.0 - n[:, 1:] / n[:, :-1]).max() <= 0.0 for n in seen):
+        pytest.skip("no pass had p <= 0 on every step with this build")
+    snaps, jt, _ = mcwf_scalar(
+        start.data, _oracle_step(model, grid), list(model.channels),
+        grid.t_start, grid.dt, grid.n_steps, 1, seed=3, stream=0)
+    assert jt.size == 0 and rec.jump_times.size == 0
+    assert np.max(np.abs(rec.snapshots - snaps)) < 1e-10
+    assert abs(rec.snapshots[-1, 0] - rec.snapshots[0, 0]) > 0.1
+
+
+@pytest.mark.parametrize("case", ["telegraph", "decay"])
+def test_worker_rows_match_solo_runs_in_any_stream_order(case, monkeypatch):
+    # out-of-order, non-contiguous streams under a window of 70 uniforms,
+    # which a row refills on nearly every pass.  Decay rows finish at
+    # different passes: stream 3 jumps on step 135, after the others have
+    # left, so it refills from a compacted position.
+    if case == "telegraph":
+        model = three_level_model(ThreeLevelParams(40.0, 0.0, 30.0, 2.0, 5.0))
+        start = ground_state()
+        grid = TimeGrid(0.0, 2.5, 1000, sample_every=10)
+    else:
+        model = two_level_decay_model(0.5)
+        start = QuantumState.pure([0.0, 1.0])
+        grid = TimeGrid(0.0, 20.0, 400, sample_every=10)
+    streams = np.array([9, 3, 5, 2], dtype=np.uint64)
+    monkeypatch.setattr(tj, "_RNG_WINDOW", 70)
+    batch = tj._worker((start.data, model, grid, 31, streams))
+    monkeypatch.undo()
+    assert batch.streams.tolist() == [9, 3, 5, 2]
+    assert batch.jump_times.size > 0
+    for rec in batch:
+        solo = run_trajectory(start, model, grid, seed=31, stream=rec.stream)
+        assert np.array_equal(rec.snapshots, solo.snapshots)
+        assert np.array_equal(rec.jump_times, solo.jump_times)
+        assert np.array_equal(rec.jump_channels, solo.jump_channels)
+
+
+@pytest.mark.parametrize("sample_every", [1, 3])
+def test_finished_rows_take_their_samples_from_the_pass_columns(
+        sample_every, monkeypatch):
+    # A propagator that swaps the two levels exactly: p = 0 on every step
+    # and psi returns bitwise after the 64 steps of a pass, while the
+    # columns in between alternate, so each filled sample must come from
+    # the column of its own step.
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    monkeypatch.setattr(tj, "expm", lambda a: swap)
+    model = LindbladModel(np.zeros((2, 2)), [(LOWER, 1.0)])
+    grid = TimeGrid(0.0, 3.0, 300, sample_every=sample_every)
+    start = QuantumState.pure([1.0, 0.0])
+    seen = _spy_passes(monkeypatch)
+    rec = run_trajectory(start, model, grid, seed=5)
+    assert len(seen) == 1
+    snaps, jt, _ = mcwf_scalar(start.data, swap, list(model.channels),
+                               grid.t_start, grid.dt, grid.n_steps,
+                               sample_every, seed=5, stream=0)
+    assert jt.size == 0 and rec.jump_times.size == 0
+    assert np.array_equal(rec.snapshots, snaps)
+    assert not np.array_equal(rec.snapshots[1], rec.snapshots[2])
