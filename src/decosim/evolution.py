@@ -35,6 +35,7 @@ Three ways to push a state forward in time:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -202,8 +203,13 @@ class TimeGrid:
     def __post_init__(self):
         object.__setattr__(self, "t_start", float(self.t_start))
         object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "sample_every", int(self.sample_every))
+        for name in ("n_steps", "sample_every"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DimensionError(
+                    f"{name} must be an integer, got {value!r}") from None
         if not self.t_end > self.t_start:
             raise DimensionError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")

@@ -158,7 +158,8 @@ def position_density(state: QuantumState, xs: np.ndarray) -> np.ndarray:
     """Quadrature probability density <xi|rho|xi> on the grid."""
     rho = state.density_matrix()
     phi = hermite_functions(xs, rho.shape[0])
-    return np.einsum("xm,mn,xn->x", phi, rho, phi).real
+    # phi is real, so each term's real part is phi_xm Re(rho_mn) phi_xn
+    return np.einsum("xn,xn->x", phi @ rho.real, phi)
 
 
 def fringe_visibility(xs: np.ndarray, density: np.ndarray,

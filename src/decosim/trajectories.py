@@ -38,12 +38,15 @@ draw ties its probability to within rounding.
 
 A pass holds only the unfinished rows of a chunk, compacted: each row's
 chunk position, state, next unread uniform and steps taken; a row leaves
-on the pass it finishes.  A row whose pass had p <= 0 on every step and
-left psi bitwise unchanged is absorbed: every later pass would repeat that
-pass exactly and no draw could fire, so its remaining samples are copied
-from that pass's columns, periodically, and it finishes at once without
-reading another draw.  A row whose state changes, even by a phase only,
-keeps running.
+on the pass it finishes.  A row's window of uniforms starts empty, so the
+refill at the head of a pass also fills it first.  One writer stores a
+pass's samples: the one at step s in (start, done], normalized, from
+continuation column (s - start - 1) mod K + 1.  A row whose pass had
+p <= 0 on every step and left psi bitwise unchanged is absorbed: every
+later pass would repeat it exactly and no draw could fire, so done jumps
+to the last step before the writer runs, which then fills the remaining
+samples periodically from that pass.  A row whose state changes, even by
+a phase only, keeps running.
 
 Randomness contract
 -------------------
@@ -53,13 +56,13 @@ order: one draw per time step for the jump test, immediately followed by one
 additional draw for channel selection whenever that step fired a jump (no
 draw is consumed for the channel when the total jump weight is zero, a
 degenerate case treated as no-jump).  The engine reads the streams through
-one Philox generator, re-keyed to (seed, s) at counter 0 to fill row s's
-window of uniforms; a refill re-keys it and advances it past the draws
-already read (four per counter step), so a row reads the same draws as a
-Philox of its own.  Reruns with the same (seed, stream) produce bit-for-bit
-identical records.  Trajectories are independent given
-distinct (seed, stream) pairs and may run in parallel; aggregation sorts
-records by (seed, stream) so results never depend on completion order.
+one Philox generator: each fill of row s's window of uniforms re-keys it to
+(seed, s) at counter 0 and advances it past the draws the row has already
+read (four per counter step), so a row reads the same draws as a Philox of
+its own.  Reruns with the same (seed, stream) produce bit-for-bit identical
+records.  Trajectories are independent given distinct (seed, stream) pairs
+and may run in parallel; aggregation sorts records by (seed, stream) so
+results never depend on completion order.
 
 Batch independence
 ------------------
@@ -140,9 +143,18 @@ _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or a string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_key(name: str, value) -> None:
     """Seeds and stream indices key Philox as unsigned 64-bit words."""
-    if not 0 <= int(value) < 2**64:
+    if not 0 <= _integer(name, value) < 2**64:
         raise ConfigurationError(f"{name} must be in [0, 2**64), got {value}")
 
 
@@ -229,13 +241,11 @@ class TrajectoryBatch(Sequence):
 
         _check_key("seed", self.seed)
         keys = np.asarray(self.streams)
-        if keys.dtype.kind == "u":
-            bad = np.zeros(n, dtype=bool)
-        elif keys.dtype.kind == "i":
-            bad = keys < 0
-        else:
-            keys = np.array([int(k) for k in self.streams], dtype=object)
-            bad = (keys < 0) | (keys >= 2**64)
+        if keys.dtype.kind not in "iu":
+            keys = np.array([_integer(f"{where(i)}stream", k)
+                             for i, k in enumerate(self.streams)],
+                            dtype=object)
+        bad = (keys < 0) | (keys >= 2**64)
         if bad.any():
             i = int(np.argmax(bad))
             raise ConfigurationError(
@@ -389,22 +399,25 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     # one array each per pass: batch row, grid step and channel of its jumps
     none = np.empty(0, dtype=np.int64)
     jump_rows, jump_steps, jump_channels = [none], [none], [none]
+
+    def unit(r, col):
+        """This pass's continuation of rows ``r`` at ``col``, normalized."""
+        return phi[r, col] / np.sqrt(nrm2[r, col])[:, None]
+
     for lo in range(0, streams.size, chunk_size):
         chunk = streams[lo:lo + chunk_size]
         b = len(chunk)
         block = np.empty((b, window), dtype=np.float64)
-        for i in range(b):
-            read(chunk[i], 0, block[i])
-        drawn = np.full(b, window, dtype=np.int64)  # uniforms drawn per row
+        drawn = np.zeros(b, dtype=np.int64)  # uniforms drawn per row
         lookahead = sliding_window_view(block, horizon, axis=1)
         snaps = snapshots[lo:lo + b]
         snaps[:, 0, :] = psi0
 
         # The unfinished rows only, compacted: chunk row, state, next
-        # unread column of the row's window, and steps taken.
+        # unread column of the row's window (none yet), and steps taken.
         row = np.arange(b)
         psi = np.tile(psi0, (b, 1))
-        offset = np.zeros(b, dtype=np.int64)
+        offset = np.full(b, window, dtype=np.int64)
         done = np.zeros(b, dtype=np.int64)
         rows = np.arange(b)  # 0 .. n - 1 while n rows remain
         while row.size:
@@ -440,37 +453,23 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
             start = done
             done = start + taken
             offset += taken
-            # snapshots at the sample steps in (start, done]
-            first = start // sample_every
-            count = done // sample_every - first
-            if sample_every >= horizon:  # at most one per pass
-                r = count.nonzero()[0]
-                idx = first[r] + 1
-            else:
-                r, idx = _runs(first + 1, count)
-            if r.size:
-                col = idx * sample_every - start[r]
-                snaps[row[r], idx] = (phi[r, col]
-                                      / np.sqrt(nrm2[r, col])[:, None])
             # the state after a row's last step, or before it if it fired
-            j = taken - hit
-            psi_next = phi[rows, j] / np.sqrt(nrm2[rows, j])[:, None]
-
-            # A row whose whole pass had p <= 0 and left psi bitwise as it
-            # was repeats that pass until the end and can never jump: its
-            # remaining samples are this pass's columns, periodically.  (A
-            # pass of fewer than horizon steps is the row's last anyway.)
+            psi_next = unit(rows, taken - hit)
+            # A row whose pass had p <= 0 throughout and left psi bitwise
+            # as it was would repeat that pass to the end, never jumping:
+            # it finishes now (a pass short of horizon steps is its last).
             if pmax.min() <= 0.0:
                 a = (pmax <= 0.0).nonzero()[0]
                 same = psi_next[a].view(np.uint64) == psi[a].view(np.uint64)
-                a = a[same.all(axis=1)]
-                first = done[a] // sample_every
-                i, idx = _runs(first + 1, n_steps // sample_every - first)
-                r = a[i]
-                col = (idx * sample_every - done[r] - 1) % horizon + 1
-                snaps[row[r], idx] = (phi[r, col]
-                                      / np.sqrt(nrm2[r, col])[:, None])
-                done[a] = n_steps
+                done[a[same.all(axis=1)]] = n_steps
+            # snapshots at the sample steps in (start, done]; a finished
+            # row's later steps repeat this pass's columns periodically
+            first = start // sample_every
+            count = done // sample_every - first
+            if count.any():
+                r, idx = _runs(first + 1, count)
+                col = (idx * sample_every - start[r] - 1) % horizon + 1
+                snaps[row[r], idx] = unit(r, col)
             psi = psi_next
 
             # Fired rows collapse from their normalized pre-step state.
@@ -483,8 +482,7 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                     live = total > 0.0
                     # zero total weight: no jump, the no-jump state stands
                     j = hr[~live]
-                    psi[j] = (phi[j, taken[j]]
-                              / np.sqrt(nrm2[j, taken[j]])[:, None])
+                    psi[j] = unit(j, taken[j])
                     hr, v, weights, total = (hr[live], v[live], weights[live],
                                              total[live])
                 r = row[hr]
@@ -581,10 +579,10 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     way, so the result is independent of scheduling.
     """
     psi0 = _check_trajectory_inputs(state, model, seed)
-    n_traj = int(n_traj)
+    n_traj = _integer("n_traj", n_traj)
     if n_traj < 1:
         raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
-    workers = int(workers)
+    workers = _integer("workers", workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     workers = _capped_workers(workers)
@@ -681,8 +679,7 @@ def unraveling_equivalence_report(
         raise DomainError(f"threshold must be positive, got {threshold}")
     records = run_ensemble(state, model, grid, n_traj, seed, workers=workers)
     estimate = aggregate(records)
-    reference = integrate_master(QuantumState.mixed(state.density_matrix()),
-                                 model, grid)
+    reference = integrate_master(state, model, grid)
     dists = np.array([
         trace_distance(est.data, ref.data)
         for est, ref in zip(estimate.mean_states, reference)])
@@ -693,10 +690,6 @@ def unraveling_equivalence_report(
         threshold=float(threshold), flagged=dists > threshold)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def record_to_text(record: TrajectoryRecord) -> str:
     """Serialize to the line-oriented text format documented above."""
     g = record.grid
@@ -705,18 +698,15 @@ def record_to_text(record: TrajectoryRecord) -> str:
         f"seed {record.seed}",
         f"stream {record.stream}",
         f"dim {record.dim}",
-        f"grid {_fmt(g.t_start)} {_fmt(g.t_end)} {g.n_steps} {g.sample_every}",
+        f"grid {g.t_start:.17g} {g.t_end:.17g} {g.n_steps} {g.sample_every}",
         f"jumps {record.jump_times.size}",
     ]
     for t, c in zip(record.jump_times, record.jump_channels):
-        lines.append(f"{_fmt(t)} {int(c)}")
+        lines.append(f"{t:.17g} {int(c)}")
     lines.append(f"snapshots {record.snapshots.shape[0]}")
     for row in record.snapshots:
-        parts = []
-        for z in row:
-            parts.append(_fmt(z.real))
-            parts.append(_fmt(z.imag))
-        lines.append(" ".join(parts))
+        lines.append(" ".join(f"{x:.17g}" for z in row
+                              for x in (z.real, z.imag)))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -375,3 +375,20 @@ def test_invariant_block_rows_are_ordered():
             assert np.all(np.diff(g[:, 0]) > 0)
         flat = np.concatenate([g.ravel() for g in groups])
         assert np.array_equal(np.sort(flat), np.arange(model.dim ** 2))
+
+
+def test_time_grid_refuses_non_integer_counts():
+    # a float or a string count is refused, not truncated to its floor
+    with pytest.raises(DimensionError,
+                       match=r"^n_steps must be an integer, got 100\.7$"):
+        TimeGrid(0.0, 1.0, 100.7, 2.2)
+    with pytest.raises(DimensionError,
+                       match=r"^sample_every must be an integer, got 2\.2$"):
+        TimeGrid(0.0, 1.0, 100, 2.2)
+    with pytest.raises(DimensionError, match="got 100.0"):
+        TimeGrid(0.0, 1.0, 100.0)
+    with pytest.raises(DimensionError, match="got '100'"):
+        TimeGrid(0.0, 1.0, "100")
+    g = TimeGrid(0.0, 1.0, np.int64(100), sample_every=np.uint8(4))
+    assert (g.n_steps, g.sample_every) == (100, 4)
+    assert type(g.n_steps) is int and type(g.sample_every) is int

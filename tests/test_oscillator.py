@@ -202,3 +202,21 @@ def test_thermal_damping_relaxes_occupation():
     for st_t, t in zip(states, grid.sample_times()):
         want = 0.4 + (n0 - 0.4) * np.exp(-0.5 * t)
         assert abs(mean_occupation(st_t) - want) < 1e-5
+
+
+def test_position_density_of_a_mixed_state_matches_the_double_sum():
+    # full rank with complex coherences: sum_mn phi_m(x) rho_mn phi_n(x)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    assert np.linalg.eigvalsh(rho).min() > 1e-3
+    assert np.abs(rho.imag[np.triu_indices(4, 1)]).min() > 1e-3
+    xs = np.linspace(-5.0, 5.0, 201)
+    want = np.zeros(xs.size)
+    for m in range(4):
+        for n in range(4):
+            want += (hermite_phi(m, xs) * rho[m, n] * hermite_phi(n, xs)).real
+    got = position_density(QuantumState.mixed(rho), xs)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want)) < 1e-14

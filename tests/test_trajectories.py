@@ -860,3 +860,71 @@ def test_finished_rows_take_their_samples_from_the_pass_columns(
     assert jt.size == 0 and rec.jump_times.size == 0
     assert np.array_equal(rec.snapshots, snaps)
     assert not np.array_equal(rec.snapshots[1], rec.snapshots[2])
+
+
+@pytest.mark.parametrize("sample_every", [64, 128, 160])
+def test_absorbed_rows_fill_strides_of_a_look_ahead_or_more(sample_every,
+                                                            monkeypatch):
+    # strides of at least the 64-step look-ahead: the pass that finishes
+    # a decayed row writes every later sample, several passes' worth
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 32.0, 640, sample_every=sample_every)
+    start = QuantumState.pure([0.0, 1.0])
+    e_step = _oracle_step(model, grid)
+    seen = _spy_passes(monkeypatch)
+    checked = 0
+    for stream in range(8):
+        snaps, jt, jc = mcwf_scalar(
+            start.data, e_step, list(model.channels), grid.t_start, grid.dt,
+            grid.n_steps, sample_every, seed=23, stream=stream)
+        if np.rint(jt[0] / grid.dt) > tj._LOOKAHEAD:
+            continue                   # jumped after the first pass
+        seen.clear()
+        rec = run_trajectory(start, model, grid, seed=23, stream=stream)
+        assert len(seen) == 2          # pass with the jump, then one more
+        assert np.array_equal(rec.jump_times, jt)
+        assert np.array_equal(rec.jump_channels, jc)
+        assert np.max(np.abs(rec.snapshots - snaps)) < 1e-10
+        checked += 1
+    assert checked >= 4
+
+
+def test_non_integer_keys_and_counts_are_refused_not_truncated():
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 1.0, 100)
+    good = QuantumState.pure([0.0, 1.0])
+    with pytest.raises(ConfigurationError,
+                       match=r"^seed must be an integer, got 1\.5$"):
+        run_trajectory(good, model, grid, seed=1.5, stream=2)
+    with pytest.raises(ConfigurationError,
+                       match=r"^stream must be an integer, got 2\.7$"):
+        run_trajectory(good, model, grid, seed=1, stream=2.7)
+    with pytest.raises(ConfigurationError,
+                       match=r"^n_traj must be an integer, got 2\.9$"):
+        run_ensemble(good, model, grid, n_traj=2.9, seed=7)
+    with pytest.raises(ConfigurationError,
+                       match="^seed must be an integer, got '7'$"):
+        run_ensemble(good, model, grid, n_traj=2, seed="7")
+    with pytest.raises(ConfigurationError,
+                       match=r"^workers must be an integer, got 2\.0$"):
+        run_ensemble(good, model, grid, n_traj=4, seed=7, workers=2.0)
+    snaps = np.array([[0.0, 1.0]] * 101, dtype=complex)
+    with pytest.raises(ConfigurationError,
+                       match=r"^stream must be an integer, got 1\.5$"):
+        TrajectoryRecord(seed=0, stream=1.5, dim=2, grid=grid,
+                         jump_times=np.empty(0), jump_channels=np.empty(0),
+                         snapshots=snaps)
+    streams = np.array([4, 5.5, 6], dtype=object)
+    with pytest.raises(ConfigurationError,
+                       match=r"^row 1 of 3: stream must be an integer, "
+                             r"got 5\.5$"):
+        TrajectoryBatch(**_batch_fields(streams=streams))
+    # numpy integers are integers
+    rec = run_trajectory(good, model, grid, seed=np.uint64(1),
+                         stream=np.int32(2))
+    assert (rec.seed, rec.stream) == (1, 2)
+    assert np.array_equal(
+        rec.snapshots, run_trajectory(good, model, grid, 1, 2).snapshots)
+    batch = run_ensemble(good, model, grid, n_traj=np.int64(3),
+                         seed=np.int16(7), workers=np.uint8(1))
+    assert batch.streams.tolist() == [0, 1, 2] and batch.seed == 7
