@@ -164,38 +164,31 @@ def _cmd_run(path: str) -> int:
         except Exception as e:     # any failure of the run leaves a manifest
             failure = e
         wall = time.perf_counter() - start
-    warned = [{"category": w.category.__name__, "message": str(w.message)}
-              for w in caught]
     if failure is None:
         try:
             _write_csv(config, result.columns, result.rows)
         except Exception as e:
             failure = e
+    payload = {"wall_time_s": wall, "workers": workers}
     if failure is not None:
-        _write_manifest(config, {
-            "wall_time_s": wall,
-            "workers": workers,
-            "failure": {"type": type(failure).__name__,
-                        "message": str(failure)},
-            "checks": [],
-            "all_passed": False,
-            "warnings": warned,
-        })
+        payload.update(
+            failure={"type": type(failure).__name__, "message": str(failure)},
+            checks=[], all_passed=False)
+    else:
+        payload.update(
+            checks=[{"name": c.name, "passed": c.passed, "detail": c.detail}
+                    for c in result.checks],
+            all_passed=result.all_passed, info=result.info,
+            headroom=result.headroom,
+            output={"csv": config.output_path, "rows": len(result.rows)})
+    payload["warnings"] = [{"category": w.category.__name__,
+                            "message": str(w.message)} for w in caught]
+    _write_manifest(config, payload)
+    if failure is not None:
         print(f"scenario {config.scenario} failed: "
               f"{type(failure).__name__}: {failure}", file=sys.stderr)
         print(f"manifest: {_manifest_path(config)}", file=sys.stderr)
         return 1
-    _write_manifest(config, {
-        "wall_time_s": wall,
-        "workers": workers,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in result.checks],
-        "all_passed": result.all_passed,
-        "info": result.info,
-        "headroom": result.headroom,
-        "output": {"csv": config.output_path, "rows": int(len(result.rows))},
-        "warnings": warned,
-    })
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"check {c.name}: {status} ({c.detail})")

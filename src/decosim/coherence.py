@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .hilbert import ATOL_NORM, QuantumState, as_matrix, as_vector, is_unitary
+from .hilbert import (ATOL_NORM, QuantumState, as_matrix, as_real, as_vector,
+                      is_unitary)
 
 __all__ = ["MixtureSpec", "basis_change", "measurement_probability", "mix",
            "populations_coherences", "purity", "trace_distance"]
@@ -92,7 +93,7 @@ class MixtureSpec:
     states: tuple[QuantumState, ...]
 
     def __init__(self, weights: Sequence[float], states: Sequence[QuantumState]):
-        w = tuple(float(x) for x in weights)
+        w = tuple(as_real(x, "weights") for x in weights)
         s = tuple(states)
         if len(w) != len(s) or len(w) == 0:
             raise DimensionError(

@@ -279,16 +279,16 @@ SCENARIOS = {
         estimators=(CLOSED_FORM,), fields=_CENTRAL_SPIN_FIELDS,
         build=_central_spin, run=run_central_spin),
     "spin-echo": Scenario(
-        summary=("central-spin run with a refocusing pulse: central-spin "
-                 "params plus t_e (required, > 0)"),
+        summary=("central-spin run with a refocusing pulse: params couplings, "
+                 "t_e > 0 (required), omega0=0, c1=c2=sqrt(1/2)"),
         estimators=(CLOSED_FORM,),
         fields=_CENTRAL_SPIN_FIELDS + (
             ("t_e", _checked(_as_float, lambda t: t > 0.0,
                              "echo time must be positive, got {}")),),
         build=_central_spin, run=run_spin_echo),
     "disorder": Scenario(
-        summary=("static-disorder ensemble average: params distribution "
-                 "(required), epsilon, slopes, r; trajectories estimator "
+        summary=("static-disorder ensemble average: params distribution, "
+                 "epsilon, slopes, r (all required); trajectories estimator "
                  "draws explicit samples"),
         estimators=(CLOSED_FORM, TRAJECTORIES),
         fields=(("distribution", _union("distribution", _DISTRIBUTIONS)),

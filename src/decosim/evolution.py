@@ -35,7 +35,6 @@ Three ways to push a state forward in time:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,8 +44,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (DimensionError, DomainError, IntegrationError,
                      ModelError, StateError)
-from .hilbert import (ATOL_HERMITIAN, QuantumState, as_matrix,
-                      expm_hermitian_prop)
+from .hilbert import (ATOL_HERMITIAN, QuantumState, as_integer, as_matrix,
+                      as_real, expm_hermitian_prop)
 
 __all__ = ["KrausSet", "LindbladModel", "TimeGrid", "amplitude_damping_kraus",
            "apply_kraus", "evolve_unitary", "integrate_master", "lindblad_rhs",
@@ -101,7 +100,7 @@ def apply_kraus(state: QuantumState, kraus: KrausSet) -> QuantumState:
 def amplitude_damping_kraus(p: float) -> KrausSet:
     """Two-level amplitude damping with decay probability p in [0, 1]:
     E0 = diag(1, sqrt(1-p)), E1 = sqrt(p) |0><1|."""
-    p = float(p)
+    p = as_real(p, "decay probability", ModelError)
     if not 0.0 <= p <= 1.0:
         raise ModelError(f"decay probability must lie in [0, 1], got {p}")
     e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=np.complex128)
@@ -111,7 +110,7 @@ def amplitude_damping_kraus(p: float) -> KrausSet:
 
 def phase_damping_kraus(p: float) -> KrausSet:
     """Two-level pure dephasing with phase-flip probability p in [0, 1]."""
-    p = float(p)
+    p = as_real(p, "dephasing probability", ModelError)
     if not 0.0 <= p <= 1.0:
         raise ModelError(f"dephasing probability must lie in [0, 1], got {p}")
     e0 = np.sqrt(1.0 - p) * np.eye(2, dtype=np.complex128)
@@ -146,12 +145,12 @@ class LindbladModel:
         for entry in channels:
             op, rate = entry
             op = as_matrix(op, square=True)
-            rate = float(rate)
+            rate = as_real(rate, "channel rate", ModelError)
             if op.shape[0] != h.shape[0]:
                 raise DimensionError(
                     f"channel dimension {op.shape[0]} does not match "
                     f"Hamiltonian dimension {h.shape[0]}")
-            if not np.isfinite(rate) or rate < 0.0:
+            if rate < 0.0:
                 raise ModelError(f"channel rate must be >= 0, got {rate}")
             chans.append((op, rate))
         jumps = tuple((j, np.sqrt(rate) * op)
@@ -169,11 +168,9 @@ class LindbladModel:
 
 def two_level_decay_model(gamma: float) -> LindbladModel:
     """Spontaneous decay |1> -> |0> at rate gamma, no Hamiltonian."""
-    if gamma < 0.0:
-        raise ModelError(f"decay rate must be >= 0, got {gamma}")
     h = np.zeros((2, 2), dtype=np.complex128)
     lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-    return LindbladModel(h, [(lower, float(gamma))])
+    return LindbladModel(h, [(lower, gamma)])
 
 
 def lindblad_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
@@ -201,15 +198,11 @@ class TimeGrid:
     sample_every: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        for name in ("n_steps", "sample_every"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise DimensionError(
-                    f"{name} must be an integer, got {value!r}") from None
+        for name, convert in (("t_start", as_real), ("t_end", as_real),
+                              ("n_steps", as_integer),
+                              ("sample_every", as_integer)):
+            object.__setattr__(self, name, convert(getattr(self, name), name,
+                                                   DimensionError))
         if not self.t_end > self.t_start:
             raise DimensionError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")

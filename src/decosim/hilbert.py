@@ -7,11 +7,16 @@ rest of the toolkit builds on.  Storage is dense; the toolkit targets
 Hilbert-space dimensions up to a few thousand.
 
 States are validated on construction and rejected if invalid; nothing is
-clamped or renormalized silently.
+clamped or renormalized silently.  Scalars follow the same rule through
+``as_integer`` (a count, seed or index: a float or a string is refused, not
+truncated) and ``as_real`` (a parameter: it must be a finite number).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,6 +39,22 @@ EIG_FLOOR = -1e-8
 # QuantumState._mixed_stack checks a stack in slabs of about this many
 # bytes of matrices, which bounds the size of its temporaries.
 STACK_SLAB_BYTES = 1 << 20
+
+
+def as_integer(value, name: str, error=DimensionError) -> int:
+    """*value* as an int; a float or a string raises *error*."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def as_real(value, name: str, error=DomainError) -> float:
+    """*value* as a float; a string, a complex or a non-finite value raises
+    *error*, and an int beyond the float range OverflowError."""
+    if isinstance(value, numbers.Real) and math.isfinite(value):
+        return float(value)
+    raise error(f"{name} must be a finite number, got {value!r}")
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -104,7 +125,7 @@ class TensorFactorization:
     factor_dims: tuple[int, ...]
 
     def __init__(self, factor_dims: Iterable[int]):
-        dims = tuple(int(d) for d in factor_dims)
+        dims = tuple(as_integer(d, "factor_dims") for d in factor_dims)
         if len(dims) == 0:
             raise DimensionError("factorization needs at least one factor")
         if any(d < 1 for d in dims):
@@ -132,7 +153,7 @@ def partial_trace(rho, factorization, keep: Sequence[int]) -> np.ndarray:
         raise DimensionError(
             f"factorization {dims} does not match matrix dimension "
             f"{rho.shape[0]}")
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted({as_integer(k, "keep") for k in keep})
     if any(k < 0 or k >= n for k in keep):
         raise DimensionError(f"keep indices {keep} out of range for {n} factors")
     if len(keep) == 0:
@@ -167,7 +188,7 @@ def expm_hermitian_prop(h, t: float) -> np.ndarray:
     """Unitary propagator exp(-i h t) for hermitian h, via the spectral
     decomposition.  The result is unitary to machine precision."""
     w, v = eig_hermitian(h)
-    phases = np.exp(-1j * w * float(t))
+    phases = np.exp(-1j * w * as_real(t, "t"))
     return (v * phases) @ v.conj().T
 
 

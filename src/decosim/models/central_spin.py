@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, DomainError
+from ..hilbert import as_real
 
 __all__ = ["CentralSpinParams", "central_spin_coherence", "decoherence_time",
            "gaussian_envelope", "spin_echo_coherence"]
@@ -43,18 +44,16 @@ class CentralSpinParams:
     c2: complex
 
     def __init__(self, omega0: float, couplings, c1: complex, c2: complex):
-        couplings = tuple(float(a) for a in couplings)
+        omega0 = as_real(omega0, "omega0")
+        couplings = tuple(as_real(a, "couplings") for a in couplings)
         if len(couplings) < 1:
             raise DimensionError("at least one bath coupling is required")
-        if not all(np.isfinite(couplings)) or not np.isfinite(omega0):
-            raise DomainError("couplings and omega0 must be finite")
-        c1 = complex(c1)
-        c2 = complex(c2)
+        c1, c2 = complex(c1), complex(c2)
         norm2 = abs(c1) ** 2 + abs(c2) ** 2
-        if abs(norm2 - 1.0) > 1e-10:
+        if not abs(norm2 - 1.0) <= 1e-10:     # a NaN norm fails <=
             raise DomainError(
                 f"|c1|^2 + |c2|^2 = {norm2:.17g} deviates from 1 beyond 1e-10")
-        object.__setattr__(self, "omega0", float(omega0))
+        object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
@@ -103,7 +102,7 @@ def spin_echo_coherence(params: CentralSpinParams, t_e: float,
     evolution onward.  For t <= t_e this matches the free closed form; for
     t > t_e the bath factors rewind as cos(A_k (t - 2 t_e) / 2), giving full
     magnitude revival at exactly t = 2 t_e."""
-    t_e = float(t_e)
+    t_e = as_real(t_e, "t_e")
     if not t_e > 0.0:
         raise DomainError(f"pulse time must be positive, got {t_e}")
     t = np.asarray(times, dtype=np.float64)

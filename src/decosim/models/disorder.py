@@ -39,7 +39,7 @@ from scipy.integrate import quad, quad_vec
 
 from ..errors import (ConfigurationError, DimensionError, DomainError,
                       QuadratureError)
-from ..hilbert import QuantumState, as_matrix
+from ..hilbert import QuantumState, as_integer, as_matrix, as_real
 
 __all__ = ["Distribution", "DisorderAverage", "DisorderSpec",
            "disorder_averaged_state", "disorder_gamma"]
@@ -72,14 +72,12 @@ class Distribution:
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "a", as_real(self.a, "a"))
+        object.__setattr__(self, "b", as_real(self.b, "b"))
         if self.kind not in _KINDS:
             raise DomainError(
                 f"unknown distribution kind {self.kind!r}; expected one of "
                 f"{_KINDS}")
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise DomainError("distribution parameters must be finite")
         if self.kind in (GAUSSIAN, LORENTZIAN) and not self.b > 0.0:
             raise DomainError(f"{self.kind} width must be positive, got {self.b}")
         if self.kind == UNIFORM and not self.b > self.a:
@@ -205,14 +203,12 @@ class DisorderSpec:
                  slopes: Sequence[float], r):
         if not isinstance(distribution, Distribution):
             raise DomainError("distribution must be a Distribution instance")
-        epsilon = tuple(float(x) for x in epsilon)
-        slopes = tuple(float(x) for x in slopes)
+        epsilon = tuple(as_real(x, "epsilon") for x in epsilon)
+        slopes = tuple(as_real(x, "slopes") for x in slopes)
         if len(epsilon) != len(slopes):
             raise DimensionError(
                 f"epsilon ({len(epsilon)}) and slopes ({len(slopes)}) "
                 "must have equal length")
-        if not all(np.isfinite(epsilon)) or not all(np.isfinite(slopes)):
-            raise DomainError("level parameters must be finite")
         r = as_matrix(r, square=True)
         if r.shape[0] != len(epsilon):
             raise DimensionError(
@@ -239,13 +235,14 @@ def disorder_gamma(spec: DisorderSpec, m: int, n: int, t: float,
     m == n.  The value is read from the gamma table of the single time t.
     """
     d = spec.dim
+    m, n = as_integer(m, "m"), as_integer(n, "n")
     if not (0 <= m < d and 0 <= n < d):
         raise DimensionError(f"level indices ({m}, {n}) out of range for dim {d}")
     if method not in ("auto", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     if m == n:
         return 1.0 + 0.0j
-    return complex(_gamma_table(spec, [float(t)], method)[0][0, m, n])
+    return complex(_gamma_table(spec, [as_real(t, "t")], method)[0][0, m, n])
 
 
 def _gamma_table(spec: DisorderSpec, times, method: str):
@@ -317,12 +314,14 @@ def disorder_averaged_state(spec: DisorderSpec, times,
                                max_quadrature_abserr=abserr)
     if method != "monte-carlo":
         raise ConfigurationError(f"unknown method {method!r}")
-    if samples is None or int(samples) < 2:
+    if samples is not None:
+        samples = as_integer(samples, "samples", ConfigurationError)
+    if samples is None or samples < 2:
         raise ConfigurationError("monte-carlo requires samples >= 2")
     if seed is None:
         raise ConfigurationError("monte-carlo requires an explicit seed")
-    samples = int(samples)
-    rng = np.random.default_rng(int(seed))
+    seed = as_integer(seed, "seed", ConfigurationError)
+    rng = np.random.default_rng(seed)
     draws = spec.distribution.sample(rng, samples)
 
     eps = np.asarray(spec.epsilon)
@@ -343,5 +342,5 @@ def disorder_averaged_state(spec: DisorderSpec, times,
         rho[i] = spec.r * (np.exp(-1j * static_gap * ti) * mean_phase)
     return DisorderAverage(method=method, times=t,
                            states=QuantumState._mixed_stack(rho),
-                           samples=samples, seed=int(seed),
+                           samples=samples, seed=seed,
                            stderr_real=se_re, stderr_imag=se_im)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DomainError, TruncationError
 from ..evolution import LindbladModel
-from ..hilbert import QuantumState
+from ..hilbert import QuantumState, as_integer, as_real
 
 __all__ = ["DampedOscillatorParams", "check_truncation", "coherent_vector",
            "destroy", "fringe_visibility", "hermite_functions",
@@ -46,23 +46,18 @@ class DampedOscillatorParams:
     alphas: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "n_thermal", float(self.n_thermal))
-        object.__setattr__(self, "n_fock", int(self.n_fock))
+        for name in ("omega", "gamma", "n_thermal"):
+            value = as_real(getattr(self, name), name)
+            if name != "omega" and value < 0.0:     # rates and occupations
+                raise DomainError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n_fock",
+                           as_integer(self.n_fock, "n_fock", DomainError))
         object.__setattr__(self, "alphas",
                            tuple(complex(a) for a in self.alphas))
-        if not np.isfinite(self.omega):
-            raise DomainError("omega must be finite")
-        if self.gamma < 0.0 or not np.isfinite(self.gamma):
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.n_thermal < 0.0 or not np.isfinite(self.n_thermal):
-            raise DomainError(
-                f"n_thermal must be >= 0, got {self.n_thermal}")
         if not self.alphas:
             raise DomainError("at least one coherent amplitude is required")
-        if not all(np.isfinite(a.real) and np.isfinite(a.imag)
-                   for a in self.alphas):
+        if not np.isfinite(self.alphas).all():
             raise DomainError("coherent amplitudes must be finite")
         needed = int(np.ceil(
             FOCK_LEVELS_PER_UNIT * (self.max_alpha ** 2 + 1.0)))
@@ -78,12 +73,14 @@ class DampedOscillatorParams:
 
 def destroy(n_fock: int) -> np.ndarray:
     """Annihilation operator on an n_fock-level truncation."""
+    n_fock = as_integer(n_fock, "n_fock", DomainError)
     if n_fock < 2:
         raise DomainError(f"n_fock must be >= 2, got {n_fock}")
     return np.diag(np.sqrt(np.arange(1.0, n_fock)), 1).astype(np.complex128)
 
 
 def number_operator(n_fock: int) -> np.ndarray:
+    n_fock = as_integer(n_fock, "n_fock", DomainError)
     return np.diag(np.arange(n_fock, dtype=np.float64)).astype(np.complex128)
 
 
@@ -94,6 +91,7 @@ def coherent_vector(alpha: complex, n_fock: int) -> np.ndarray:
     starting from exp(-|alpha|^2 / 2); no factorials are formed.
     """
     alpha = complex(alpha)
+    n_fock = as_integer(n_fock, "n_fock", DomainError)
     c = np.empty(n_fock, dtype=np.complex128)
     c[0] = np.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, n_fock):
@@ -107,9 +105,8 @@ def superposition_state(amplitudes, alphas, n_fock: int) -> QuantumState:
     alphas = [complex(a) for a in alphas]
     if len(amplitudes) != len(alphas) or not alphas:
         raise DomainError("amplitudes and alphas must pair up, nonempty")
-    psi = np.zeros(n_fock, dtype=np.complex128)
-    for c, a in zip(amplitudes, alphas):
-        psi += c * coherent_vector(a, n_fock)
+    psi = sum(c * coherent_vector(a, n_fock)
+              for c, a in zip(amplitudes, alphas))
     nrm = np.linalg.norm(psi)
     if nrm < 1e-12:
         raise DomainError("the requested superposition has zero norm")
@@ -142,6 +139,7 @@ def hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1:
         raise DomainError("xs must be a 1-D grid")
+    n_max = as_integer(n_max, "n_max", DomainError)
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     phi = np.empty((xs.size, n_max), dtype=np.float64)

@@ -25,7 +25,7 @@ from scipy.special import chdtr
 
 from ..errors import ConfigurationError, DomainError
 from ..evolution import LindbladModel, TimeGrid
-from ..hilbert import QuantumState
+from ..hilbert import QuantumState, as_integer, as_real
 from ..trajectories import TrajectoryBatch, run_ensemble
 
 __all__ = ["STRONG", "SHELVE", "DESHELVE", "TelegraphStats",
@@ -52,9 +52,7 @@ class ThreeLevelParams:
     def __post_init__(self):
         for name in ("rabi", "detuning", "gamma_strong", "gamma_shelve",
                      "gamma_deshelve"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if self.gamma_strong <= 0.0:
             raise DomainError(
                 f"gamma_strong must be positive, got {self.gamma_strong}")
@@ -232,8 +230,9 @@ def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,
     else ConfigurationError.  Bins cover [t_start, t_start + n_bins *
     bin_width]; a partial trailing bin is discarded.
     """
-    dark_threshold = int(dark_threshold)
-    bin_width = float(bin_width)
+    dark_threshold = as_integer(dark_threshold, "dark_threshold",
+                                ConfigurationError)
+    bin_width = as_real(bin_width, "bin_width", ConfigurationError)
     n_bins = _telegraph_bins(params, grid, bin_width, dark_threshold)
 
     # only jump times are read: sample the end points alone, which leaves

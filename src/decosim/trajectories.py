@@ -110,6 +110,7 @@ Floats are written with 17 significant digits, so the round trip through
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from collections.abc import Sequence
@@ -124,7 +125,7 @@ from .coherence import trace_distance
 from .errors import (ConfigurationError, DimensionError, DomainError,
                      StateError)
 from .evolution import LindbladModel, TimeGrid, integrate_master
-from .hilbert import QuantumState
+from .hilbert import QuantumState, as_integer, as_real
 
 __all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
            "TrajectoryRecord", "aggregate", "record_from_text",
@@ -143,19 +144,12 @@ _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float or a string is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(
-            f"{name} must be an integer, got {value!r}") from None
-
-
-def _check_key(name: str, value) -> None:
+def _check_key(name: str, value) -> int:
     """Seeds and stream indices key Philox as unsigned 64-bit words."""
-    if not 0 <= _integer(name, value) < 2**64:
+    key = as_integer(value, name, ConfigurationError)
+    if not 0 <= key < 2**64:
         raise ConfigurationError(f"{name} must be in [0, 2**64), got {value}")
+    return key
 
 
 @dataclass(frozen=True)
@@ -239,10 +233,11 @@ class TrajectoryBatch(Sequence):
         def row_of(jump: int) -> int:
             return int(np.searchsorted(off, jump, side="right")) - 1
 
-        _check_key("seed", self.seed)
+        seed = _check_key("seed", self.seed)
         keys = np.asarray(self.streams)
         if keys.dtype.kind not in "iu":
-            keys = np.array([_integer(f"{where(i)}stream", k)
+            keys = np.array([as_integer(k, f"{where(i)}stream",
+                                        ConfigurationError)
                              for i, k in enumerate(self.streams)],
                             dtype=object)
         bad = (keys < 0) | (keys >= 2**64)
@@ -277,7 +272,7 @@ class TrajectoryBatch(Sequence):
         if bad.any():
             raise StateError(f"{where(int(np.argmax(bad)))}snapshots must "
                              "be normalized within 1e-8")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "streams", keys.astype(np.uint64))
         object.__setattr__(self, "snapshots", sn)
         object.__setattr__(self, "jump_times", jt)
@@ -524,23 +519,22 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
 
 
 def _check_trajectory_inputs(state: QuantumState, model: LindbladModel,
-                             seed: int) -> np.ndarray:
+                             seed: int) -> tuple[np.ndarray, int]:
     if state.kind != "pure":
         raise StateError("trajectory evolution starts from a pure state")
     if state.dim != model.dim:
         raise DimensionError(
             f"state dimension {state.dim} does not match model dimension "
             f"{model.dim}")
-    _check_key("seed", seed)
-    return state.data
+    return state.data, _check_key("seed", seed)
 
 
 def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                    seed: int, stream: int = 0) -> TrajectoryRecord:
     """Run the single trajectory keyed by (seed, stream)."""
-    psi0 = _check_trajectory_inputs(state, model, seed)
-    _check_key("stream", stream)
-    return _run_streams(psi0, model, grid, int(seed), [int(stream)])[0]
+    psi0, seed = _check_trajectory_inputs(state, model, seed)
+    stream = _check_key("stream", stream)
+    return _run_streams(psi0, model, grid, seed, [stream])[0]
 
 
 def _capped_workers(workers: int) -> int:
@@ -578,20 +572,20 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     at most one per CPU; the batch holds its rows in stream order either
     way, so the result is independent of scheduling.
     """
-    psi0 = _check_trajectory_inputs(state, model, seed)
-    n_traj = _integer("n_traj", n_traj)
+    psi0, seed = _check_trajectory_inputs(state, model, seed)
+    n_traj = as_integer(n_traj, "n_traj", ConfigurationError)
     if n_traj < 1:
         raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
-    workers = _integer("workers", workers)
+    workers = as_integer(workers, "workers", ConfigurationError)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     workers = _capped_workers(workers)
     streams = np.arange(n_traj, dtype=np.uint64)
     if workers == 1 or n_traj < 2 * workers:
-        return _run_streams(psi0, model, grid, int(seed), streams)
+        return _run_streams(psi0, model, grid, seed, streams)
 
     bounds = np.linspace(0, n_traj, workers + 1).astype(int)
-    tasks = [(psi0, model, grid, int(seed), streams[a:b])
+    tasks = [(psi0, model, grid, seed, streams[a:b])
              for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _concat(list(pool.map(_worker, tasks)))
@@ -675,8 +669,10 @@ def unraveling_equivalence_report(
     """Run an ensemble and the master equation on identical inputs and
     compare them sample by sample in trace distance.  ``threshold``
     defaults to the sampling bound 5 / sqrt(n_traj)."""
-    if threshold is not None and not threshold > 0.0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    if threshold is not None:
+        threshold = as_real(threshold, "threshold")
+        if not threshold > 0.0:
+            raise DomainError(f"threshold must be positive, got {threshold}")
     records = run_ensemble(state, model, grid, n_traj, seed, workers=workers)
     estimate = aggregate(records)
     reference = integrate_master(state, model, grid)
@@ -684,10 +680,10 @@ def unraveling_equivalence_report(
         trace_distance(est.data, ref.data)
         for est, ref in zip(estimate.mean_states, reference)])
     if threshold is None:
-        threshold = 5.0 / np.sqrt(n_traj)
+        threshold = 5.0 / math.sqrt(len(records))
     return EquivalenceReport(
-        n_traj=int(n_traj), times=grid.sample_times(), trace_distances=dists,
-        threshold=float(threshold), flagged=dists > threshold)
+        n_traj=len(records), times=grid.sample_times(), trace_distances=dists,
+        threshold=threshold, flagged=dists > threshold)
 
 
 def record_to_text(record: TrajectoryRecord) -> str:

@@ -138,3 +138,25 @@ def test_echo_validation():
         spin_echo_coherence(p, 0.0, [1.0])
     with pytest.raises(DomainError):
         spin_echo_coherence(p, 1.0, [-0.5])
+
+
+def test_params_refuse_a_string():
+    # "0.5" is a string, not a number: refused, not parsed
+    with pytest.raises(DomainError,
+                       match="^omega0 must be a finite number, got '0.5'$"):
+        CentralSpinParams("0.5", [1.0], HALF, HALF)
+    with pytest.raises(DomainError,
+                       match="^couplings must be a finite number, got '2'$"):
+        CentralSpinParams(0.0, [1.0, "2"], HALF, HALF)
+
+
+def test_params_refuse_a_nan_amplitude():
+    # a NaN amplitude makes the norm NaN, which fails the norm test
+    with pytest.raises(DomainError, match=r"^\|c1\|\^2 \+ \|c2\|\^2 = nan"):
+        CentralSpinParams(0.0, [1.0], np.nan, HALF)
+
+
+def test_echo_time_must_be_a_finite_number():
+    with pytest.raises(DomainError, match="^t_e must be a finite number"):
+        spin_echo_coherence(CentralSpinParams(0.0, [1.0], HALF, HALF),
+                            np.nan, [1.0])

@@ -179,3 +179,14 @@ def test_trace_distance_validation():
         trace_distance(np.eye(2), np.eye(3))
     with pytest.raises(DomainError):
         trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2.0)
+
+
+def test_mixture_weights_must_be_finite_numbers():
+    a = QuantumState.pure([1.0, 0.0])
+    b = QuantumState.pure([0.0, 1.0])
+    # a NaN weight makes the sum NaN, which no tolerance test may pass
+    with pytest.raises(DomainError,
+                       match="^weights must be a finite number, got nan$"):
+        MixtureSpec([np.nan, 1.0], [a, b])
+    with pytest.raises(DomainError, match="^weights must be a finite number, got '0.5'$"):
+        MixtureSpec([0.5, "0.5"], [a, b])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -344,3 +345,29 @@ def test_grid_span_must_be_finite():
     doc["grid"].update({"t_start": -1e308, "t_end": 1e308})
     with pytest.raises(ConfigurationError, match="grid: .*must be finite"):
         parse_config_table(doc)
+
+
+def test_malformed_values_name_their_field():
+    cases = [("central-spin", "c1", True,
+              r"params\.c1: expected a number or \[re, im\] pair, got bool"),
+             ("central-spin", "couplings", [],
+              r"params\.couplings: expected a nonempty array of numbers"),
+             ("disorder", "r", [],
+              r"params\.r: expected a nonempty array of rows"),
+             ("disorder", "distribution", {"sigma": 0.5},
+              r"params\.distribution\.kind: missing parameter")]
+    for scenario, field, value, message in cases:
+        doc = minimal_config(scenario)
+        doc["params"][field] = value
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            parse_config_table(doc)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_summary_names_every_field(scenario):
+    # what `decosim list-scenarios` prints: each field of the table, a
+    # defaulted one as "name=", a required one without
+    entry = SCENARIOS[scenario]
+    for name, _, *default in entry.fields:
+        assert re.search(rf"\b{name}\b", entry.summary), name
+        assert bool(re.search(rf"\b{name}=", entry.summary)) == bool(default)

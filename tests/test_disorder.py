@@ -274,3 +274,43 @@ def test_gamma_above_one_raises(monkeypatch):
     with pytest.raises(QuadratureError, match="exceeds 1") as info:
         _gamma_table(spec, [0.0, 1.0], "auto")
     assert info.value.abserr == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("samples, seed, message", [
+    (100.9, 1, "samples must be an integer, got 100.9"),
+    (100, 1.7, "seed must be an integer, got 1.7")])
+def test_monte_carlo_counts_must_be_integers(samples, seed, message):
+    # a float count or seed is refused, not truncated: seed=1.7 would run
+    # the states of seed 1
+    spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
+    with pytest.raises(ConfigurationError) as exc:
+        disorder_averaged_state(spec, [1.0], method="monte-carlo",
+                                samples=samples, seed=seed)
+    assert str(exc.value) == message
+
+
+def test_monte_carlo_counts_take_numpy_integers():
+    spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
+    avg = disorder_averaged_state(spec, [1.0], method="monte-carlo",
+                                  samples=np.int64(100), seed=np.uint8(1))
+    assert (avg.samples, avg.seed) == (100, 1)
+    assert type(avg.samples) is int and type(avg.seed) is int
+
+
+def test_gamma_level_indices_must_be_integers():
+    spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
+    with pytest.raises(DimensionError,
+                       match=r"^m must be an integer, got 0\.5$"):
+        disorder_gamma(spec, 0.5, 1, 1.0)
+    assert disorder_gamma(spec, np.int64(0), np.uint8(1), 1.0) == \
+        disorder_gamma(spec, 0, 1, 1.0)
+
+
+def test_unconverged_lorentzian_quadrature_raises(monkeypatch):
+    # QUADPACK's full output carries a fourth item when it gives up
+    monkeypatch.setattr(disorder, "quad",
+                        lambda *args, **kwargs: (0.4, 1e-12, {}, "limit"))
+    spec = _qubit_spec(Distribution.lorentzian(0.0, 1.0))
+    with pytest.raises(QuadratureError, match="Lorentzian") as info:
+        disorder_gamma(spec, 0, 1, 1.0, method="quadrature")
+    assert info.value.abserr == 2e-12

@@ -5,7 +5,8 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from decosim import evolution
-from decosim.errors import (DimensionError, IntegrationError, ModelError)
+from decosim.errors import (DimensionError, DomainError, IntegrationError,
+                            ModelError)
 from decosim.evolution import (KrausSet, LindbladModel, TimeGrid,
                                amplitude_damping_kraus, apply_kraus,
                                evolve_unitary, integrate_master, lindblad_rhs,
@@ -392,3 +393,43 @@ def test_time_grid_refuses_non_integer_counts():
     g = TimeGrid(0.0, 1.0, np.int64(100), sample_every=np.uint8(4))
     assert (g.n_steps, g.sample_every) == (100, 4)
     assert type(g.n_steps) is int and type(g.sample_every) is int
+
+
+def test_evolve_unitary_refuses_a_generator_of_another_dimension():
+    with pytest.raises(DimensionError,
+                       match="generator dimension 3 does not match state "
+                             "dimension 2"):
+        evolve_unitary(QuantumState.pure([1.0, 0.0]), np.eye(3), 1.0)
+
+
+def test_time_grid_refuses_non_numeric_and_non_finite_times():
+    # a string time is refused, not parsed; the class stays DimensionError
+    with pytest.raises(DimensionError,
+                       match="^t_end must be a finite number, got '1.0'$"):
+        TimeGrid(0.0, "1.0", 10)
+    with pytest.raises(DimensionError,
+                       match="^t_start must be a finite number, got nan$"):
+        TimeGrid(np.nan, 1.0, 10)
+    g = TimeGrid(np.float32(0.5), 1, 10)
+    assert (g.t_start, g.t_end) == (0.5, 1.0)
+    assert type(g.t_start) is float and type(g.t_end) is float
+
+
+def test_rates_and_probabilities_must_be_finite_numbers():
+    # refused with the class each site raised before, never parsed
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ModelError,
+                       match="^channel rate must be a finite number, "
+                             "got '0.5'$"):
+        LindbladModel(np.zeros((2, 2)), [(lower, "0.5")])
+    with pytest.raises(ModelError, match="^channel rate must be a finite"):
+        two_level_decay_model(np.nan)
+    with pytest.raises(ModelError,
+                       match="^decay probability must be a finite number"):
+        amplitude_damping_kraus("0.5")
+    with pytest.raises(ModelError,
+                       match="^dephasing probability must be a finite"):
+        phase_damping_kraus(np.inf)
+    # a NaN time made every entry of the propagator NaN
+    with pytest.raises(DomainError, match="^t must be a finite number"):
+        evolve_unitary(QuantumState.pure([1.0, 0.0]), np.eye(2), np.nan)

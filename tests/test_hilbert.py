@@ -1,15 +1,17 @@
 """Linear-algebra layer: products, partial traces, propagators, states."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from decosim import hilbert
-from decosim.errors import DimensionError, DomainError, StateError
-from decosim.hilbert import (QuantumState, TensorFactorization, as_matrix,
-                             as_vector, dagger, eig_hermitian,
-                             expm_hermitian_prop, is_hermitian, is_unitary,
+from decosim.errors import (ConfigurationError, DimensionError, DomainError,
+                            StateError)
+from decosim.hilbert import (QuantumState, TensorFactorization, as_integer,
+                             as_matrix, as_real, as_vector, dagger,
+                             eig_hermitian, expm_hermitian_prop, is_hermitian, is_unitary,
                              kron, matmul, partial_trace)
 
 from oracles import expm_series, kron_loops, matmul_loops, partial_trace_loops
@@ -64,6 +66,40 @@ def test_as_matrix_validation():
         as_vector([np.inf, 0.0])
 
 
+def test_as_vector_refuses_a_matrix():
+    with pytest.raises(DimensionError, match="expected a 1-D vector"):
+        as_vector([[1.0, 0.0]])
+
+
+def test_as_integer_takes_integers_and_refuses_the_rest():
+    for value in (7, np.int64(7), np.uint8(7)):
+        n = as_integer(value, "n")
+        assert n == 7 and type(n) is int
+    for value in (7.0, 7.5, np.float64(7.0), "7", None):
+        with pytest.raises(DimensionError,
+                           match=f"^n must be an integer, got "
+                                 f"{re.escape(repr(value))}$"):
+            as_integer(value, "n")
+    with pytest.raises(ConfigurationError, match="^seed must be an integer"):
+        as_integer(1.7, "seed", ConfigurationError)
+
+
+def test_as_real_takes_finite_numbers_and_refuses_the_rest():
+    for value in (2, 2.5, np.float32(0.5), np.int64(3), 10**300):
+        x = as_real(value, "x")
+        assert x == float(value) and type(x) is float
+    for value in ("0.5", None, 1j, np.complex128(1.0), [1.0],
+                  np.nan, -np.inf):
+        with pytest.raises(DomainError,
+                           match=f"^x must be a finite number, got "
+                                 f"{re.escape(repr(value))}$"):
+            as_real(value, "x")
+    with pytest.raises(DimensionError, match="^t_end must be a finite"):
+        as_real(np.inf, "t_end", DimensionError)
+    with pytest.raises(OverflowError):      # as float() does
+        as_real(10**400, "x")
+
+
 def test_partial_trace_matches_loop_oracle():
     rng = np.random.default_rng(13)
     dims = (2, 3, 2)
@@ -96,6 +132,25 @@ def test_partial_trace_validation():
         TensorFactorization([])
     with pytest.raises(DimensionError):
         TensorFactorization([2, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TensorFactorization([2.5, 2]),
+     "factor_dims must be an integer, got 2.5"),
+    (lambda: partial_trace(np.eye(4) / 4.0, [2, 2], keep=[0.9]),
+     "keep must be an integer, got 0.9")],
+    ids=["factorization", "partial_trace"])
+def test_factor_helpers_refuse_non_integer_indices(call, message):
+    # a float dimension or index is refused, not truncated to its floor
+    with pytest.raises(DimensionError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_factor_helpers_take_numpy_integers():
+    assert TensorFactorization([np.int64(2), 3]).factor_dims == (2, 3)
+    assert np.allclose(partial_trace(np.eye(4) / 4.0, [2, 2],
+                                     keep=[np.uint8(1)]), np.eye(2) / 2.0)
 
 
 def test_partial_trace_up_to_numpy_axis_limit():

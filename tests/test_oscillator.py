@@ -39,6 +39,40 @@ def test_params_validation():
         DampedOscillatorParams(1.0, 0.0, 0.0, 20, ())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: DampedOscillatorParams(1.0, 0.0, 0.0, 40.7, (1.0,)),
+     "n_fock must be an integer, got 40.7"),
+    (lambda: destroy(3.5), "n_fock must be an integer, got 3.5"),
+    (lambda: number_operator(3.5), "n_fock must be an integer, got 3.5"),
+    (lambda: coherent_vector(1.0, 40.5), "n_fock must be an integer, got 40.5"),
+    (lambda: superposition_state([1.0], [1.0], 40.5),
+     "n_fock must be an integer, got 40.5"),
+    (lambda: hermite_functions(np.linspace(-1.0, 1.0, 5), 3.5),
+     "n_max must be an integer, got 3.5")],
+    ids=["params", "destroy", "number_operator", "coherent_vector",
+         "superposition_state", "hermite_functions"])
+def test_fock_sizes_must_be_integers(call, message):
+    # a float size is refused, not truncated (or rounded up by numpy)
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_fock_sizes_take_numpy_integers():
+    assert destroy(np.int64(3)).shape == (3, 3)
+    assert DampedOscillatorParams(1.0, 0.0, 0.0, np.int32(20),
+                                  (1.0,)).n_fock == 20
+
+
+def test_shape_and_value_rules():
+    with pytest.raises(DomainError, match="amplitudes must be finite"):
+        DampedOscillatorParams(1.0, 0.0, 0.0, 20, (complex(np.nan, 1.0),))
+    with pytest.raises(DomainError, match="must pair up"):
+        superposition_state([1.0], [1.0, -1.0], 20)
+    with pytest.raises(DomainError, match="1-D grid"):
+        hermite_functions(np.zeros((2, 2)), 3)
+
+
 def test_ladder_operators():
     a = destroy(6)
     n = number_operator(6)
@@ -143,6 +177,11 @@ def test_fringe_visibility_validation():
     with pytest.raises(DomainError):
         fringe_visibility(np.array([0.0, 10.0, 20.0]), np.ones(3),
                           half_window=1.0)
+
+
+def test_fringe_visibility_refuses_a_density_that_is_not_positive():
+    with pytest.raises(DomainError, match="not positive"):
+        fringe_visibility(np.linspace(-5.0, 5.0, 101), np.zeros(101))
 
 
 def test_merge_times_quarter_periods():

@@ -223,3 +223,23 @@ def test_telegraph_does_not_depend_on_sampling():
     for name in ("period_trajectory", "period_is_dark", "period_start",
                  "period_duration"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_params_refuse_a_string():
+    # ThreeLevelParams used to parse "1.0"; a string is not a number
+    with pytest.raises(DomainError,
+                       match="^rabi must be a finite number, got '1.0'$"):
+        ThreeLevelParams("1.0", 0.0, 1.0, 0.0, 0.0)
+
+
+def test_telegraph_dark_threshold_must_be_an_integer():
+    # 0.9 is refused, not truncated to 0
+    p = ThreeLevelParams(4.0, 0.0, 2.0, 0.0, 0.0)
+    grid = TimeGrid(0.0, 40.0, 8000, sample_every=8000)
+    with pytest.raises(ConfigurationError,
+                       match=r"^dark_threshold must be an integer, got 0\.9$"):
+        fluorescence_telegraph(p, grid, n_traj=2, seed=0, bin_width=10.0,
+                               dark_threshold=0.9)
+    with pytest.raises(ConfigurationError,
+                       match="^bin_width must be a finite number, got nan$"):
+        fluorescence_telegraph(p, grid, n_traj=2, seed=0, bin_width=np.nan)

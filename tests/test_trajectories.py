@@ -928,3 +928,36 @@ def test_non_integer_keys_and_counts_are_refused_not_truncated():
     batch = run_ensemble(good, model, grid, n_traj=np.int64(3),
                          seed=np.int16(7), workers=np.uint8(1))
     assert batch.streams.tolist() == [0, 1, 2] and batch.seed == 7
+
+
+def test_cap_check_names_the_earliest_step_over_all_rows():
+    # row 0 is first in the array but its violation comes later on the
+    # grid; row 2's violation lies past its taken steps and does not count
+    grid = TimeGrid(0.0, 200.0, 200)
+    p_jump = np.full((3, 8), 0.01)
+    p_jump[0, 5], p_jump[1, 2], p_jump[2, 6] = 0.2, 0.3, 0.4
+    taken = np.array([8, 3, 4])
+    start = np.array([100, 10, 0])
+    with pytest.raises(ConfigurationError,
+                       match=r"probability 3\.000e-01 exceeds 0\.1 at "
+                             r"t = 13;"):
+        tj._check_cap(p_jump, taken, start, grid)
+    taken[1] = 2        # row 1's violation is now past its taken steps
+    with pytest.raises(ConfigurationError,
+                       match=r"probability 2\.000e-01 exceeds 0\.1 at "
+                             r"t = 106;"):
+        tj._check_cap(p_jump, taken, start, grid)
+    taken[0] = 5
+    tj._check_cap(p_jump, taken, start, grid)     # nothing taken is over
+
+
+def test_record_from_text_rejects_a_snapshot_line_of_the_wrong_width():
+    grid = TimeGrid(0.0, 1.0, 100, sample_every=100)
+    text = record_to_text(run_trajectory(_plus_state(), _driven_decay_model(),
+                                         grid, seed=1))
+    lines = text.split("\n")
+    at = lines.index("end") - 1             # the last snapshot line
+    lines[at] = " ".join(lines[at].split()[:3])
+    with pytest.raises(ConfigurationError,
+                       match="snapshot line 1 has 3 fields, expected 4"):
+        record_from_text("\n".join(lines))
