@@ -8,8 +8,9 @@ Hilbert-space dimensions up to a few thousand.
 
 States are validated on construction and rejected if invalid; nothing is
 clamped or renormalized silently.  Scalars follow the same rule through
-``as_integer`` (a count, seed or index: a float or a string is refused, not
-truncated) and ``as_real`` (a parameter: it must be a finite number).
+``as_integer`` and ``as_key`` (a count, seed or index: a bool, a float or a
+string is refused, not truncated), ``as_real`` (a parameter: it must be a
+finite number) and ``as_complex`` (a number, not a bool or a string).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, StateError
+from .errors import ConfigurationError, DimensionError, DomainError, StateError
 
 __all__ = ["QuantumState", "TensorFactorization", "dagger", "eig_hermitian",
            "expm_hermitian_prop", "is_hermitian", "is_unitary", "kron",
@@ -42,19 +43,38 @@ STACK_SLAB_BYTES = 1 << 20
 
 
 def as_integer(value, name: str, error=DimensionError) -> int:
-    """*value* as an int; a float or a string raises *error*."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+    """*value* as an int; a bool, a float or a string raises *error*."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def as_key(value, name: str) -> int:
+    """*value* as a Philox key word: an int in [0, 2**64)."""
+    key = as_integer(value, name, ConfigurationError)
+    if not 0 <= key < 2**64:
+        raise ConfigurationError(f"{name} must be in [0, 2**64), got {value}")
+    return key
 
 
 def as_real(value, name: str, error=DomainError) -> float:
-    """*value* as a float; a string, a complex or a non-finite value raises
-    *error*, and an int beyond the float range OverflowError."""
-    if isinstance(value, numbers.Real) and math.isfinite(value):
+    """*value* as a float; a bool, a string, a complex or a non-finite value
+    raises *error*, and an int beyond the float range OverflowError."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
         return float(value)
     raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def as_complex(value, name: str, error=DomainError) -> complex:
+    """*value* as a complex; a bool or a string raises *error*.  It may be
+    NaN or infinite, which the caller's own checks refuse."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        return complex(value)
+    raise error(f"{name} must be a number, got {value!r}")
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, DomainError
-from ..hilbert import as_real
+from ..hilbert import as_complex, as_real
 
 __all__ = ["CentralSpinParams", "central_spin_coherence", "decoherence_time",
            "gaussian_envelope", "spin_echo_coherence"]
@@ -48,7 +48,7 @@ class CentralSpinParams:
         couplings = tuple(as_real(a, "couplings") for a in couplings)
         if len(couplings) < 1:
             raise DimensionError("at least one bath coupling is required")
-        c1, c2 = complex(c1), complex(c2)
+        c1, c2 = as_complex(c1, "c1"), as_complex(c2, "c2")
         norm2 = abs(c1) ** 2 + abs(c2) ** 2
         if not abs(norm2 - 1.0) <= 1e-10:     # a NaN norm fails <=
             raise DomainError(

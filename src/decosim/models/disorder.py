@@ -39,7 +39,7 @@ from scipy.integrate import quad, quad_vec
 
 from ..errors import (ConfigurationError, DimensionError, DomainError,
                       QuadratureError)
-from ..hilbert import QuantumState, as_integer, as_matrix, as_real
+from ..hilbert import QuantumState, as_integer, as_key, as_matrix, as_real
 
 __all__ = ["Distribution", "DisorderAverage", "DisorderSpec",
            "disorder_averaged_state", "disorder_gamma"]
@@ -320,7 +320,7 @@ def disorder_averaged_state(spec: DisorderSpec, times,
         raise ConfigurationError("monte-carlo requires samples >= 2")
     if seed is None:
         raise ConfigurationError("monte-carlo requires an explicit seed")
-    seed = as_integer(seed, "seed", ConfigurationError)
+    seed = as_key(seed, "seed")
     rng = np.random.default_rng(seed)
     draws = spec.distribution.sample(rng, samples)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, DomainError, TruncationError
 from ..evolution import LindbladModel
-from ..hilbert import QuantumState, as_integer, as_real
+from ..hilbert import QuantumState, as_complex, as_integer, as_real
 
 __all__ = ["DampedOscillatorParams", "check_truncation", "coherent_vector",
            "destroy", "fringe_visibility", "hermite_functions",
@@ -54,7 +54,7 @@ class DampedOscillatorParams:
         object.__setattr__(self, "n_fock",
                            as_integer(self.n_fock, "n_fock", DomainError))
         object.__setattr__(self, "alphas",
-                           tuple(complex(a) for a in self.alphas))
+                           tuple(as_complex(a, "alphas") for a in self.alphas))
         if not self.alphas:
             raise DomainError("at least one coherent amplitude is required")
         if not np.isfinite(self.alphas).all():
@@ -81,6 +81,8 @@ def destroy(n_fock: int) -> np.ndarray:
 
 def number_operator(n_fock: int) -> np.ndarray:
     n_fock = as_integer(n_fock, "n_fock", DomainError)
+    if n_fock < 1:
+        raise DomainError(f"n_fock must be >= 1, got {n_fock}")
     return np.diag(np.arange(n_fock, dtype=np.float64)).astype(np.complex128)
 
 
@@ -90,8 +92,12 @@ def coherent_vector(alpha: complex, n_fock: int) -> np.ndarray:
     Built by the cumulative recurrence c_n = c_{n-1} * alpha / sqrt(n)
     starting from exp(-|alpha|^2 / 2); no factorials are formed.
     """
-    alpha = complex(alpha)
+    alpha = as_complex(alpha, "alpha")
+    if not np.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     n_fock = as_integer(n_fock, "n_fock", DomainError)
+    if n_fock < 1:
+        raise DomainError(f"n_fock must be >= 1, got {n_fock}")
     c = np.empty(n_fock, dtype=np.complex128)
     c[0] = np.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, n_fock):
@@ -101,8 +107,8 @@ def coherent_vector(alpha: complex, n_fock: int) -> np.ndarray:
 
 def superposition_state(amplitudes, alphas, n_fock: int) -> QuantumState:
     """Normalized sum of coherent components sum_k amplitudes[k] |alphas[k]>."""
-    amplitudes = [complex(a) for a in amplitudes]
-    alphas = [complex(a) for a in alphas]
+    amplitudes = [as_complex(a, "amplitudes") for a in amplitudes]
+    alphas = [as_complex(a, "alphas") for a in alphas]
     if len(amplitudes) != len(alphas) or not alphas:
         raise DomainError("amplitudes and alphas must pair up, nonempty")
     psi = sum(c * coherent_vector(a, n_fock)

@@ -158,24 +158,16 @@ class TelegraphStats:
 def _period_table(dark: np.ndarray, bin_width: float, t_start: float,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run-length encode each trajectory's dark/bright bin classification,
-    dropping the boundary-censored first and last runs."""
-    trajs, kinds, starts, durations = [], [], [], []
-    n_traj, n_bins = dark.shape
-    for i in range(n_traj):
-        row = dark[i]
-        edges = np.flatnonzero(np.diff(row)) + 1
-        bounds = np.concatenate([[0], edges, [n_bins]])
-        # interior runs only: run j spans bounds[j]..bounds[j+1]
-        for j in range(1, len(bounds) - 2):
-            lo, hi = bounds[j], bounds[j + 1]
-            trajs.append(i)
-            kinds.append(bool(row[lo]))
-            starts.append(t_start + lo * bin_width)
-            durations.append((hi - lo) * bin_width)
-    return (np.array(trajs, dtype=np.int64),
-            np.array(kinds, dtype=bool),
-            np.array(starts, dtype=np.float64),
-            np.array(durations, dtype=np.float64))
+    dropping the boundary-censored first and last runs: one pass finds every
+    class change between neighbouring bins, and two consecutive changes in
+    one row bound an interior run.  Periods come row by row, in time order."""
+    row, col = np.nonzero(dark[:, 1:] != dark[:, :-1])
+    interior = row[1:] == row[:-1]
+    traj = row[:-1][interior]
+    lo = col[:-1][interior] + 1
+    hi = col[1:][interior] + 1
+    return (traj, dark[traj, lo], t_start + lo * bin_width,
+            (hi - lo) * bin_width)
 
 
 def _telegraph_bins(params: ThreeLevelParams, grid: TimeGrid,
@@ -204,18 +196,14 @@ def _telegraph_bins(params: ThreeLevelParams, grid: TimeGrid,
 
 def _emission_counts(batch: TrajectoryBatch,
                      edges: np.ndarray) -> np.ndarray:
-    """Strong-channel emissions per row and bin, binned as ``np.histogram``
-    bins each row: [edges[i], edges[i+1]), the last bin closed, times
-    outside the edges dropped."""
-    n_bins = edges.size - 1
+    """Strong-channel emissions per row and bin: one ``np.histogram2d``
+    over (row, time), a unit bin per row, bins each row as ``np.histogram``
+    does: [edges[i], edges[i+1]), the last bin closed, other times dropped."""
     strong = batch.jump_channels == STRONG
     rows = np.repeat(np.arange(len(batch)), np.diff(batch.offsets))[strong]
-    times = batch.jump_times[strong]
-    bins = np.searchsorted(edges, times, side="right") - 1
-    bins[times == edges[-1]] = n_bins - 1
-    kept = (bins >= 0) & (bins < n_bins)
-    return np.bincount(rows[kept] * n_bins + bins[kept],
-                       minlength=len(batch) * n_bins).reshape(-1, n_bins)
+    counts, _, _ = np.histogram2d(rows, batch.jump_times[strong],
+                                  bins=(np.arange(len(batch) + 1), edges))
+    return counts.astype(np.int64)
 
 
 def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,

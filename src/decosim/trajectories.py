@@ -125,7 +125,7 @@ from .coherence import trace_distance
 from .errors import (ConfigurationError, DimensionError, DomainError,
                      StateError)
 from .evolution import LindbladModel, TimeGrid, integrate_master
-from .hilbert import QuantumState, as_integer, as_real
+from .hilbert import QuantumState, as_integer, as_key, as_real
 
 __all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
            "TrajectoryRecord", "aggregate", "record_from_text",
@@ -142,14 +142,6 @@ _RNG_WINDOW = 8192
 _LOOKAHEAD = 64
 _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
-
-
-def _check_key(name: str, value) -> int:
-    """Seeds and stream indices key Philox as unsigned 64-bit words."""
-    key = as_integer(value, name, ConfigurationError)
-    if not 0 <= key < 2**64:
-        raise ConfigurationError(f"{name} must be in [0, 2**64), got {value}")
-    return key
 
 
 @dataclass(frozen=True)
@@ -233,7 +225,7 @@ class TrajectoryBatch(Sequence):
         def row_of(jump: int) -> int:
             return int(np.searchsorted(off, jump, side="right")) - 1
 
-        seed = _check_key("seed", self.seed)
+        seed = as_key(self.seed, "seed")
         keys = np.asarray(self.streams)
         if keys.dtype.kind not in "iu":
             keys = np.array([as_integer(k, f"{where(i)}stream",
@@ -526,14 +518,14 @@ def _check_trajectory_inputs(state: QuantumState, model: LindbladModel,
         raise DimensionError(
             f"state dimension {state.dim} does not match model dimension "
             f"{model.dim}")
-    return state.data, _check_key("seed", seed)
+    return state.data, as_key(seed, "seed")
 
 
 def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                    seed: int, stream: int = 0) -> TrajectoryRecord:
     """Run the single trajectory keyed by (seed, stream)."""
     psi0, seed = _check_trajectory_inputs(state, model, seed)
-    stream = _check_key("stream", stream)
+    stream = as_key(stream, "stream")
     return _run_streams(psi0, model, grid, seed, [stream])[0]
 
 

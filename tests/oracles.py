@@ -215,6 +215,29 @@ def hermite_phi(n, xs):
     raise ValueError("only n <= 3 is tabulated")
 
 
+def period_table_loops(dark, bin_width, t_start):
+    """Interior dark/bright runs of each row, by a loop over rows and runs:
+    (row, is_dark, start time, duration), the first and last run of a row
+    dropped as censored."""
+    trajs, kinds, starts, durations = [], [], [], []
+    n_traj, n_bins = dark.shape
+    for i in range(n_traj):
+        row = dark[i]
+        edges = np.flatnonzero(np.diff(row)) + 1
+        bounds = np.concatenate([[0], edges, [n_bins]])
+        # interior runs only: run j spans bounds[j]..bounds[j+1]
+        for j in range(1, len(bounds) - 2):
+            lo, hi = bounds[j], bounds[j + 1]
+            trajs.append(i)
+            kinds.append(bool(row[lo]))
+            starts.append(t_start + lo * bin_width)
+            durations.append((hi - lo) * bin_width)
+    return (np.array(trajs, dtype=np.int64),
+            np.array(kinds, dtype=bool),
+            np.array(starts, dtype=np.float64),
+            np.array(durations, dtype=np.float64))
+
+
 def mcwf_scalar(psi0, e_step, channels, t_start, dt, n_steps, sample_every,
                 seed, stream):
     """One quantum-jump trajectory, propagated one scalar event at a time.

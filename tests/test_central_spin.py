@@ -156,6 +156,18 @@ def test_params_refuse_a_nan_amplitude():
         CentralSpinParams(0.0, [1.0], np.nan, HALF)
 
 
+@pytest.mark.parametrize("c1, c2, message", [
+    ("1", 0.0, "c1 must be a number, got '1'"),
+    (1.0, "0", "c2 must be a number, got '0'"),
+    (True, 0.0, "c1 must be a number, got True")],
+    ids=["c1-string", "c2-string", "c1-bool"])
+def test_params_refuse_a_non_number_amplitude(c1, c2, message):
+    # complex("1") parses a string and complex(True) is 1: both are refused
+    with pytest.raises(DomainError) as exc:
+        CentralSpinParams(0.0, [1.0], c1, c2)
+    assert str(exc.value) == message
+
+
 def test_echo_time_must_be_a_finite_number():
     with pytest.raises(DomainError, match="^t_e must be a finite number"):
         spin_echo_coherence(CentralSpinParams(0.0, [1.0], HALF, HALF),

@@ -289,6 +289,24 @@ def test_monte_carlo_counts_must_be_integers(samples, seed, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_monte_carlo_seed_must_be_a_philox_key(seed):
+    # the trajectory engine's seed rule: numpy took 2**70 and failed on -1
+    spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
+    with pytest.raises(ConfigurationError) as exc:
+        disorder_averaged_state(spec, [1.0], method="monte-carlo",
+                                samples=100, seed=seed)
+    assert str(exc.value) == f"seed must be in [0, 2**64), got {seed}"
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_monte_carlo_seed_takes_both_ends_of_the_key_range(seed):
+    spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
+    avg = disorder_averaged_state(spec, [1.0], method="monte-carlo",
+                                  samples=100, seed=seed)
+    assert avg.seed == seed
+
+
 def test_monte_carlo_counts_take_numpy_integers():
     spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
     avg = disorder_averaged_state(spec, [1.0], method="monte-carlo",

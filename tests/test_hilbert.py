@@ -1,5 +1,6 @@
 """Linear-algebra layer: products, partial traces, propagators, states."""
 
+import math
 import re
 import warnings
 
@@ -9,8 +10,10 @@ import pytest
 from decosim import hilbert
 from decosim.errors import (ConfigurationError, DimensionError, DomainError,
                             StateError)
-from decosim.hilbert import (QuantumState, TensorFactorization, as_integer,
-                             as_matrix, as_real, as_vector, dagger,
+from decosim.evolution import TimeGrid
+from decosim.hilbert import (QuantumState, TensorFactorization, as_complex,
+                             as_integer, as_key, as_matrix, as_real,
+                             as_vector, dagger,
                              eig_hermitian, expm_hermitian_prop, is_hermitian, is_unitary,
                              kron, matmul, partial_trace)
 
@@ -98,6 +101,49 @@ def test_as_real_takes_finite_numbers_and_refuses_the_rest():
         as_real(np.inf, "t_end", DimensionError)
     with pytest.raises(OverflowError):      # as float() does
         as_real(10**400, "x")
+
+
+def test_scalar_helpers_refuse_a_bool():
+    # True is an int to Python, but no count, seed or parameter is a bool
+    for convert, kind in ((as_integer, "an integer"),
+                          (as_real, "a finite number"),
+                          (as_complex, "a number")):
+        for value in (True, False):
+            with pytest.raises(DomainError,
+                               match=f"^x must be {kind}, got {value}$"):
+                convert(value, "x", DomainError)
+    with pytest.raises(DimensionError, match="^t_end must be a finite"):
+        TimeGrid(0.0, True, True)
+
+
+def test_as_complex_takes_numbers_and_refuses_the_rest():
+    for value in (2, 2.5, 1j, np.complex64(1 + 2j), np.float32(0.5),
+                  np.int64(3)):
+        z = as_complex(value, "z")
+        assert z == complex(value) and type(z) is complex
+    # finiteness is the caller's check, as the norm test of c1, c2 is
+    assert math.isnan(as_complex(np.nan, "z").real)
+    for value in ("1", "1+2j", None, [1.0], np.array([1.0])):
+        with pytest.raises(DomainError,
+                           match=f"^z must be a number, got "
+                                 f"{re.escape(repr(value))}$"):
+            as_complex(value, "z")
+
+
+@pytest.mark.parametrize("value", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+def test_as_key_takes_the_philox_key_range(value):
+    assert as_key(value, "seed") == int(value)
+
+
+@pytest.mark.parametrize("value, message", [
+    (-1, "seed must be in [0, 2**64), got -1"),
+    (2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+    (1.0, "seed must be an integer, got 1.0"),
+    (True, "seed must be an integer, got True")])
+def test_as_key_refuses_what_philox_cannot_key(value, message):
+    with pytest.raises(ConfigurationError) as exc:
+        as_key(value, "seed")
+    assert str(exc.value) == message
 
 
 def test_partial_trace_matches_loop_oracle():

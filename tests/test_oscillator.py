@@ -1,6 +1,7 @@
 """Damped oscillator: Fock-space operators, quadrature densities, fringes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,49 @@ def test_fock_sizes_must_be_integers(call, message):
     # a float size is refused, not truncated (or rounded up by numpy)
     with pytest.raises(DomainError) as exc:
         call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: number_operator(-1), "n_fock must be >= 1, got -1"),
+    (lambda: number_operator(0), "n_fock must be >= 1, got 0"),
+    (lambda: coherent_vector(1.0, 0), "n_fock must be >= 1, got 0"),
+    (lambda: superposition_state([1.0], [1.0], 0),
+     "n_fock must be >= 1, got 0")],
+    ids=["number_operator-negative", "number_operator-zero",
+         "coherent_vector", "superposition_state"])
+def test_fock_sizes_below_one_are_refused(call, message):
+    # an empty truncation is refused, not returned as a 0 x 0 operator or
+    # left to fail on an index
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert number_operator(1).shape == (1, 1)
+    assert coherent_vector(1.0, 1).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DampedOscillatorParams(1, 0, 0, 40, ("2", "-2")),
+     "alphas must be a number, got '2'"),
+    (lambda: DampedOscillatorParams(1, 0, 0, 40, (True,)),
+     "alphas must be a number, got True"),
+    (lambda: superposition_state(["1"], [0.5], 20),
+     "amplitudes must be a number, got '1'"),
+    (lambda: superposition_state([1.0], ["0.5"], 20),
+     "alphas must be a number, got '0.5'"),
+    (lambda: coherent_vector("1", 4), "alpha must be a number, got '1'"),
+    (lambda: coherent_vector(np.nan, 4), "alpha must be finite, got (nan+0j)"),
+    (lambda: coherent_vector(complex(0.0, np.inf), 4),
+     "alpha must be finite, got infj")],
+    ids=["params-string", "params-bool", "amplitude-string", "alpha-string",
+         "coherent-string", "coherent-nan", "coherent-inf"])
+def test_complex_parameters_must_be_numbers(call, message):
+    # a string is refused, not parsed by complex(); a NaN alpha is refused,
+    # not turned into NaN amplitudes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as exc:
+            call()
     assert str(exc.value) == message
 
 

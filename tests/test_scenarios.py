@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decosim.config import parse_config_table
+from decosim.models.disorder import _gamma_table
 from decosim.scenarios import Check, run_scenario
 
 SQ = math.sqrt(0.5)
@@ -107,6 +108,23 @@ def test_disorder_closed_form_run():
                 * np.exp(-(0.4 * t) ** 2 / 2.0))
     assert np.allclose(res.rows[:, 4], expected.real, atol=1e-12)
     assert np.allclose(res.rows[:, 5], expected.imag, atol=1e-12)
+
+
+def test_disorder_coherence_columns_follow_the_gamma_table_pairs():
+    # each (re, im, abs) triple names the pair _gamma_table puts in that
+    # place, and holds r_mn gamma_mn(t) for it
+    config = parse_config_table(DISORDER_BASE)
+    res = run_scenario(config)
+    spec = config.model
+    gamma, _ = _gamma_table(spec, res.rows[:, 0], "auto")
+    m, n = np.triu_indices(3, 1)
+    assert res.columns[4:] == tuple(
+        f"coh_{i}_{j}_{part}" for i, j in zip(m.tolist(), n.tolist())
+        for part in ("re", "im", "abs"))
+    entries = spec.r[m, n] * gamma[:, m, n]
+    assert np.array_equal(res.rows[:, 4::3], entries.real)
+    assert np.array_equal(res.rows[:, 5::3], entries.imag)
+    assert np.array_equal(res.rows[:, 6::3], np.abs(entries))
 
 
 def test_disorder_monte_carlo_run():

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from decosim.errors import ConfigurationError, DomainError
 from decosim.evolution import TimeGrid, integrate_master
@@ -12,6 +15,7 @@ from decosim.models.three_level import (DESHELVE, SHELVE, STRONG,
                                         bright_excited_population,
                                         fluorescence_telegraph, ground_state,
                                         poisson_dispersion, three_level_model)
+from oracles import period_table_loops
 
 
 def test_params_validation():
@@ -91,6 +95,23 @@ def test_period_table_single_run_is_censored():
     assert traj.size == 0 and duration.size == 0
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(dark=arrays(bool, array_shapes(min_dims=2, max_dims=2, max_side=12)),
+       bin_width=st.floats(0.01, 100.0), t_start=st.floats(-1e3, 1e3))
+@example(dark=np.array([[True], [False]]), bin_width=1.0, t_start=0.0)
+@example(dark=np.array([[False, True, True, False, True, False]]),
+         bin_width=0.5, t_start=2.0)
+@example(dark=np.ones((3, 7), dtype=bool), bin_width=1.0, t_start=0.0)
+@example(dark=np.zeros((3, 7), dtype=bool), bin_width=1.0, t_start=0.0)
+def test_period_table_matches_loop_oracle(dark, bin_width, t_start):
+    # the examples pin one bin, one row, all dark and all bright
+    got = _period_table(dark, bin_width, t_start)
+    want = period_table_loops(dark, bin_width, t_start)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def test_telegraph_stats_properties():
     counts = np.array([[7, 8, 0, 0, 9, 6],
                        [8, 0, 7, 9, 0, 7]])
@@ -131,6 +152,26 @@ def test_emission_counts_match_per_row_histograms():
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert want.tolist() == [[1, 1, 0, 1, 1], [0] * 5, [0, 0, 1, 0, 1]]
+
+
+def test_emission_counts_on_and_past_the_edges():
+    # edges 1, 2, 3, 4 inside a grid from 0: before the first edge, on an
+    # interior edge (the bin it opens), on the last edge (the closed last
+    # bin) and past it; row 1 jumps only on the shelving channels
+    grid = TimeGrid(0.0, 5.0, 10, sample_every=10)
+    rows = [[(0.5, STRONG), (1.0, STRONG), (2.0, STRONG), (2.5, SHELVE),
+             (3.0, STRONG), (4.0, STRONG), (4.5, STRONG)],
+            [(1.0, SHELVE), (2.0, DESHELVE), (4.0, SHELVE)],
+            [(2.0, STRONG), (2.5, STRONG), (3.5, STRONG), (5.0, STRONG)]]
+    flat = [jump for row in rows for jump in row]
+    batch = TrajectoryBatch(
+        seed=1, streams=[0, 1, 2], dim=3, grid=grid,
+        snapshots=np.tile([1.0, 0.0, 0.0], (3, 2, 1)),
+        jump_times=[t for t, _ in flat], jump_channels=[c for _, c in flat],
+        offsets=np.cumsum([0] + [len(row) for row in rows]))
+    got = _emission_counts(batch, np.array([1.0, 2.0, 3.0, 4.0]))
+    assert got.dtype == np.int64
+    assert got.tolist() == [[1, 1, 2], [0, 0, 0], [0, 2, 1]]
 
 
 def test_fluorescence_without_shelving_has_no_dark_periods():
