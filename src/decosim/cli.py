@@ -48,6 +48,7 @@ from .config import (
     parse_config,
 )
 from .errors import ConfigurationError
+from .hilbert import as_integer
 from .scenarios import run_scenario
 from .trajectories import _capped_workers
 
@@ -86,9 +87,8 @@ def _workers() -> int:
     except ValueError:
         raise ConfigurationError(
             f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigurationError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return _capped_workers(workers)
+    return _capped_workers(
+        as_integer(workers, WORKERS_ENV, ConfigurationError, least=1))
 
 
 def _write_atomic(path: str, write) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
 from .hilbert import (ATOL_NORM, QuantumState, as_matrix, as_real, as_vector,
-                      is_unitary)
+                      check_dims, is_unitary)
 
 __all__ = ["MixtureSpec", "basis_change", "measurement_probability", "mix",
            "populations_coherences", "purity", "trace_distance"]
@@ -32,9 +32,7 @@ def purity(state: QuantumState) -> float:
 
 def validate_basis(basis, dim: int) -> np.ndarray:
     b = as_matrix(basis, square=True)
-    if b.shape[0] != dim:
-        raise DimensionError(
-            f"basis dimension {b.shape[0]} does not match state dimension {dim}")
+    check_dims(b.shape[0], dim, "basis", "state")
     if not is_unitary(b):
         raise DomainError("basis matrix is not unitary within 1e-10")
     return b
@@ -71,10 +69,7 @@ def measurement_probability(state: QuantumState, phi) -> float:
     """Probability <phi|rho|phi> of finding the state along the normalized
     vector phi."""
     v = as_vector(phi)
-    if v.shape[0] != state.dim:
-        raise DimensionError(
-            f"projector dimension {v.shape[0]} does not match state "
-            f"dimension {state.dim}")
+    check_dims(v.shape[0], state.dim, "projector", "state")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > ATOL_NORM:
         raise DomainError("measurement vector must be normalized within 1e-10")

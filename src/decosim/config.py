@@ -247,8 +247,7 @@ def _check_disorder(params, spec, grid, estimator):
 def _check_telegraph(params, model, grid, estimator):
     # an overflow in the rate arithmetic propagates and is reported at params
     try:
-        _telegraph_bins(model, grid, params["bin_width"],
-                        params["dark_threshold"])
+        _telegraph_bins(model, grid, params["bin_width"])
     except ConfigurationError as e:
         return "params.bin_width", str(e)
 

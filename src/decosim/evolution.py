@@ -44,8 +44,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (DimensionError, DomainError, IntegrationError,
                      ModelError, StateError)
-from .hilbert import (ATOL_HERMITIAN, QuantumState, as_integer, as_matrix,
-                      as_real, expm_hermitian_prop)
+from .hilbert import (QuantumState, as_integer, as_matrix, as_real,
+                      check_dims, expm_hermitian_prop, is_hermitian)
 
 __all__ = ["KrausSet", "LindbladModel", "TimeGrid", "amplitude_damping_kraus",
            "apply_kraus", "evolve_unitary", "integrate_master", "lindblad_rhs",
@@ -86,10 +86,7 @@ class KrausSet:
 
 def apply_kraus(state: QuantumState, kraus: KrausSet) -> QuantumState:
     """rho -> sum_k E_k rho E_k^dag.  Returns a mixed state."""
-    if state.dim != kraus.dim:
-        raise DimensionError(
-            f"state dimension {state.dim} does not match Kraus dimension "
-            f"{kraus.dim}")
+    check_dims(state.dim, kraus.dim, "state", "Kraus")
     rho = state.density_matrix()
     out = np.zeros_like(rho)
     for op in kraus.operators:
@@ -139,17 +136,14 @@ class LindbladModel:
 
     def __init__(self, h, channels: Sequence = ()):
         h = as_matrix(h, square=True)
-        if np.max(np.abs(h - h.conj().T)) > ATOL_HERMITIAN:
+        if not is_hermitian(h):
             raise ModelError("Hamiltonian is not hermitian within 1e-10")
         chans = []
         for entry in channels:
             op, rate = entry
             op = as_matrix(op, square=True)
             rate = as_real(rate, "channel rate", ModelError)
-            if op.shape[0] != h.shape[0]:
-                raise DimensionError(
-                    f"channel dimension {op.shape[0]} does not match "
-                    f"Hamiltonian dimension {h.shape[0]}")
+            check_dims(op.shape[0], h.shape[0], "channel", "Hamiltonian")
             if rate < 0.0:
                 raise ModelError(f"channel rate must be >= 0, got {rate}")
             chans.append((op, rate))
@@ -198,21 +192,17 @@ class TimeGrid:
     sample_every: int = 1
 
     def __post_init__(self):
-        for name, convert in (("t_start", as_real), ("t_end", as_real),
-                              ("n_steps", as_integer),
-                              ("sample_every", as_integer)):
-            object.__setattr__(self, name, convert(getattr(self, name), name,
+        for name in ("t_start", "t_end"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name,
                                                    DimensionError))
+        for name in ("n_steps", "sample_every"):
+            object.__setattr__(self, name, as_integer(getattr(self, name),
+                                                      name, least=1))
         if not self.t_end > self.t_start:
             raise DimensionError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
         if not np.isfinite(self.t_end - self.t_start):
             raise DimensionError("grid span t_end - t_start must be finite")
-        if self.n_steps < 1:
-            raise DimensionError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.sample_every < 1:
-            raise DimensionError(
-                f"sample_every must be >= 1, got {self.sample_every}")
         if self.n_steps % self.sample_every != 0:
             raise DimensionError(
                 f"sample_every ({self.sample_every}) must divide n_steps "
@@ -234,10 +224,7 @@ class TimeGrid:
 def evolve_unitary(state: QuantumState, h, t: float) -> QuantumState:
     """Closed-system evolution by exp(-i h t); pure stays pure."""
     h = as_matrix(h, square=True)
-    if h.shape[0] != state.dim:
-        raise DimensionError(
-            f"generator dimension {h.shape[0]} does not match state "
-            f"dimension {state.dim}")
+    check_dims(h.shape[0], state.dim, "generator", "state")
     u = expm_hermitian_prop(h, t)
     if state.kind == "pure":
         return QuantumState.pure(u @ state.data)
@@ -360,10 +347,7 @@ def integrate_master(state: QuantumState, model: LindbladModel,
     included).  If a sampled matrix fails state validation the run aborts
     with IntegrationError carrying the time of the first bad sample.
     """
-    if state.dim != model.dim:
-        raise DimensionError(
-            f"state dimension {state.dim} does not match model dimension "
-            f"{model.dim}")
+    check_dims(state.dim, model.dim, "state", "model")
     rho = state.density_matrix()
     first = QuantumState.mixed(rho)
     groups = _invariant_blocks(model)

@@ -9,8 +9,11 @@ Hilbert-space dimensions up to a few thousand.
 States are validated on construction and rejected if invalid; nothing is
 clamped or renormalized silently.  Scalars follow the same rule through
 ``as_integer`` and ``as_key`` (a count, seed or index: a bool, a float or a
-string is refused, not truncated), ``as_real`` (a parameter: it must be a
-finite number) and ``as_complex`` (a number, not a bool or a string).
+string is refused, not truncated; a count below its bound is refused as
+"<name> must be >= k"), ``as_real`` (a parameter: it must be a finite
+number) and ``as_complex`` (a number, not a bool or a string).  Two
+operands of unequal dimension are refused by ``check_dims``, whose message
+names both dimensions.
 """
 
 from __future__ import annotations
@@ -42,14 +45,18 @@ EIG_FLOOR = -1e-8
 STACK_SLAB_BYTES = 1 << 20
 
 
-def as_integer(value, name: str, error=DimensionError) -> int:
-    """*value* as an int; a bool, a float or a string raises *error*."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{name} must be an integer, got {value!r}")
+def as_integer(value, name: str, error=DimensionError, least=None) -> int:
+    """*value* as an int; a bool, a float or a string raises *error*, and
+    so does an int below *least*."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise error(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def as_key(value, name: str) -> int:
@@ -75,6 +82,14 @@ def as_complex(value, name: str, error=DomainError) -> complex:
     if isinstance(value, numbers.Complex) and not isinstance(value, bool):
         return complex(value)
     raise error(f"{name} must be a number, got {value!r}")
+
+
+def check_dims(dim: int, other: int, what: str, against: str) -> None:
+    """Raise DimensionError unless the *what* dimension equals the
+    *against* dimension."""
+    if dim != other:
+        raise DimensionError(f"{what} dimension {dim} does not match "
+                             f"{against} dimension {other}")
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
@@ -145,11 +160,10 @@ class TensorFactorization:
     factor_dims: tuple[int, ...]
 
     def __init__(self, factor_dims: Iterable[int]):
-        dims = tuple(as_integer(d, "factor_dims") for d in factor_dims)
+        dims = tuple(as_integer(d, "factor_dims", least=1)
+                     for d in factor_dims)
         if len(dims) == 0:
             raise DimensionError("factorization needs at least one factor")
-        if any(d < 1 for d in dims):
-            raise DimensionError(f"factor dimensions must be >= 1: {dims}")
         object.__setattr__(self, "factor_dims", dims)
 
     @property

@@ -106,13 +106,9 @@ def spin_echo_coherence(params: CentralSpinParams, t_e: float,
     if not t_e > 0.0:
         raise DomainError(f"pulse time must be positive, got {t_e}")
     t = np.asarray(times, dtype=np.float64)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
     if np.any(t < 0.0):
         raise DomainError("times must be >= 0")
-    out = np.empty(t.shape, dtype=np.complex128)
-    pre = t <= t_e
-    out[pre] = central_spin_coherence(params, t[pre])
-    out[~pre] = _dephased(params.c2 * np.conj(params.c1), params,
-                          t[~pre] - 2.0 * t_e)
-    return out[0] if scalar else out
+    late = t > t_e
+    amp = np.where(late, params.c2 * np.conj(params.c1),
+                   params.c1 * np.conj(params.c2))
+    return _dephased(amp, params, np.where(late, t - 2.0 * t_e, t))[()]

@@ -314,10 +314,9 @@ def disorder_averaged_state(spec: DisorderSpec, times,
                                max_quadrature_abserr=abserr)
     if method != "monte-carlo":
         raise ConfigurationError(f"unknown method {method!r}")
-    if samples is not None:
-        samples = as_integer(samples, "samples", ConfigurationError)
-    if samples is None or samples < 2:
+    if samples is None:
         raise ConfigurationError("monte-carlo requires samples >= 2")
+    samples = as_integer(samples, "samples", ConfigurationError, least=2)
     if seed is None:
         raise ConfigurationError("monte-carlo requires an explicit seed")
     seed = as_key(seed, "seed")

@@ -73,16 +73,12 @@ class DampedOscillatorParams:
 
 def destroy(n_fock: int) -> np.ndarray:
     """Annihilation operator on an n_fock-level truncation."""
-    n_fock = as_integer(n_fock, "n_fock", DomainError)
-    if n_fock < 2:
-        raise DomainError(f"n_fock must be >= 2, got {n_fock}")
+    n_fock = as_integer(n_fock, "n_fock", DomainError, least=2)
     return np.diag(np.sqrt(np.arange(1.0, n_fock)), 1).astype(np.complex128)
 
 
 def number_operator(n_fock: int) -> np.ndarray:
-    n_fock = as_integer(n_fock, "n_fock", DomainError)
-    if n_fock < 1:
-        raise DomainError(f"n_fock must be >= 1, got {n_fock}")
+    n_fock = as_integer(n_fock, "n_fock", DomainError, least=1)
     return np.diag(np.arange(n_fock, dtype=np.float64)).astype(np.complex128)
 
 
@@ -95,9 +91,7 @@ def coherent_vector(alpha: complex, n_fock: int) -> np.ndarray:
     alpha = as_complex(alpha, "alpha")
     if not np.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
-    n_fock = as_integer(n_fock, "n_fock", DomainError)
-    if n_fock < 1:
-        raise DomainError(f"n_fock must be >= 1, got {n_fock}")
+    n_fock = as_integer(n_fock, "n_fock", DomainError, least=1)
     c = np.empty(n_fock, dtype=np.complex128)
     c[0] = np.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, n_fock):
@@ -145,9 +139,7 @@ def hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1:
         raise DomainError("xs must be a 1-D grid")
-    n_max = as_integer(n_max, "n_max", DomainError)
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    n_max = as_integer(n_max, "n_max", DomainError, least=1)
     phi = np.empty((xs.size, n_max), dtype=np.float64)
     phi[:, 0] = np.pi ** -0.25 * np.exp(-0.5 * xs ** 2)
     if n_max > 1:
@@ -180,7 +172,7 @@ def fringe_visibility(xs: np.ndarray, density: np.ndarray,
     density = np.asarray(density, dtype=np.float64)
     if xs.shape != density.shape or xs.ndim != 1:
         raise DomainError("xs and density must be matching 1-D arrays")
-    sel = np.abs(xs) <= half_window
+    sel = np.abs(xs) <= as_real(half_window, "half_window")
     if sel.sum() < 3:
         raise DomainError("fewer than three grid points in the window")
     v = density[sel]
@@ -199,6 +191,7 @@ def merge_times(params: DampedOscillatorParams, t_end: float) -> np.ndarray:
     at xi = 0: odd multiples of the quarter period pi/(2 omega)."""
     if params.omega == 0.0:
         raise DomainError("merge times need a nonzero frequency")
+    t_end = as_real(t_end, "t_end")
     quarter = np.pi / (2.0 * abs(params.omega))
     if t_end < quarter:
         return np.empty(0, dtype=np.float64)

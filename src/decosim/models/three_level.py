@@ -171,12 +171,10 @@ def _period_table(dark: np.ndarray, bin_width: float, t_start: float,
 
 
 def _telegraph_bins(params: ThreeLevelParams, grid: TimeGrid,
-                    bin_width: float, dark_threshold: int) -> int:
-    """Check the binning rules of ``fluorescence_telegraph`` and return the
-    number of full bins; a violation raises ConfigurationError."""
-    if dark_threshold < 0:
-        raise ConfigurationError(
-            f"dark_threshold must be >= 0, got {dark_threshold}")
+                    bin_width: float) -> int:
+    """Check the bin width of ``fluorescence_telegraph`` against the rates
+    and the grid, and return the number of full bins; a violation raises
+    ConfigurationError.  The dark threshold is the caller's to check."""
     if not bin_width > 0.0:
         raise ConfigurationError(f"bin_width must be positive, got {bin_width}")
     expected = (params.gamma_strong * bright_excited_population(params)
@@ -219,9 +217,9 @@ def fluorescence_telegraph(params: ThreeLevelParams, grid: TimeGrid,
     bin_width]; a partial trailing bin is discarded.
     """
     dark_threshold = as_integer(dark_threshold, "dark_threshold",
-                                ConfigurationError)
+                                ConfigurationError, least=0)
     bin_width = as_real(bin_width, "bin_width", ConfigurationError)
-    n_bins = _telegraph_bins(params, grid, bin_width, dark_threshold)
+    n_bins = _telegraph_bins(params, grid, bin_width)
 
     # only jump times are read: sample the end points alone, which leaves
     # the state sequence and the draws (hence the records' jumps) unchanged

@@ -125,7 +125,7 @@ from .coherence import trace_distance
 from .errors import (ConfigurationError, DimensionError, DomainError,
                      StateError)
 from .evolution import LindbladModel, TimeGrid, integrate_master
-from .hilbert import QuantumState, as_integer, as_key, as_real
+from .hilbert import QuantumState, as_integer, as_key, as_real, check_dims
 
 __all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
            "TrajectoryRecord", "aggregate", "record_from_text",
@@ -168,6 +168,7 @@ class TrajectoryRecord:
             grid=self.grid, snapshots=np.asarray(self.snapshots)[None],
             jump_times=self.jump_times, jump_channels=self.jump_channels,
             offsets=[0, np.size(self.jump_times)])
+        object.__setattr__(self, "dim", one.dim)
         object.__setattr__(self, "jump_times", one.jump_times)
         object.__setattr__(self, "jump_channels", one.jump_channels)
         object.__setattr__(self, "snapshots", one.snapshots[0])
@@ -226,17 +227,13 @@ class TrajectoryBatch(Sequence):
             return int(np.searchsorted(off, jump, side="right")) - 1
 
         seed = as_key(self.seed, "seed")
+        dim = as_integer(self.dim, "dim")
+        # an unsigned array holds valid keys by its type
         keys = np.asarray(self.streams)
-        if keys.dtype.kind not in "iu":
-            keys = np.array([as_integer(k, f"{where(i)}stream",
-                                        ConfigurationError)
+        if keys.dtype.kind != "u":
+            keys = np.array([as_key(k, f"{where(i)}stream")
                              for i, k in enumerate(self.streams)],
-                            dtype=object)
-        bad = (keys < 0) | (keys >= 2**64)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigurationError(
-                f"{where(i)}stream must be in [0, 2**64), got {keys[i]}")
+                            dtype=np.uint64)
         if jc.size and jc.min() < 0:
             raise DomainError(f"{where(row_of(np.argmax(jc < 0)))}jump "
                               "channels must be non-negative")
@@ -253,10 +250,10 @@ class TrajectoryBatch(Sequence):
             raise DomainError(
                 f"{where(row_of(np.argmax(bad)))}jump times must be strictly "
                 "increasing within (t_start, t_end]")
-        if sn.shape != (n, g.n_samples, self.dim):
+        if sn.shape != (n, g.n_samples, dim):
             raise DimensionError(
                 f"snapshots shape {sn.shape} does not match "
-                f"({n}, {g.n_samples}, {self.dim})")
+                f"({n}, {g.n_samples}, {dim})")
         norms = np.sqrt(np.einsum("nsd,nsd->ns", sn.real, sn.real)
                         + np.einsum("nsd,nsd->ns", sn.imag, sn.imag))
         # a NaN norm fails <=
@@ -265,6 +262,7 @@ class TrajectoryBatch(Sequence):
             raise StateError(f"{where(int(np.argmax(bad)))}snapshots must "
                              "be normalized within 1e-8")
         object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "streams", keys.astype(np.uint64))
         object.__setattr__(self, "snapshots", sn)
         object.__setattr__(self, "jump_times", jt)
@@ -292,14 +290,21 @@ class TrajectoryBatch(Sequence):
         """The batch of the given rows, in that order."""
         lo = self.offsets[rows]
         counts = self.offsets[rows + 1] - lo
-        offsets = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
+        offsets = _offsets(counts)
         flat = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
         return _unchecked(
             TrajectoryBatch, seed=self.seed, streams=self.streams[rows],
             dim=self.dim, grid=self.grid, snapshots=self.snapshots[rows],
             jump_times=self.jump_times[flat],
             jump_channels=self.jump_channels[flat], offsets=offsets)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Row offsets into flat jump arrays: 0 and the running sums of the
+    per-row jump counts."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
 
 
 def _sq_norms(z: np.ndarray) -> np.ndarray:
@@ -501,23 +506,18 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     # a row's jumps were appended in time order, one per pass
     order = np.argsort(owner, kind="stable")
     steps = np.concatenate(jump_steps)[order]
-    offsets = np.zeros(streams.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=streams.size), out=offsets[1:])
     return TrajectoryBatch(
         seed=seed, streams=streams, dim=dim, grid=grid, snapshots=snapshots,
         jump_times=grid.t_start + steps * grid.dt,
         jump_channels=np.concatenate(jump_channels)[order],
-        offsets=offsets)
+        offsets=_offsets(np.bincount(owner, minlength=streams.size)))
 
 
 def _check_trajectory_inputs(state: QuantumState, model: LindbladModel,
                              seed: int) -> tuple[np.ndarray, int]:
     if state.kind != "pure":
         raise StateError("trajectory evolution starts from a pure state")
-    if state.dim != model.dim:
-        raise DimensionError(
-            f"state dimension {state.dim} does not match model dimension "
-            f"{model.dim}")
+    check_dims(state.dim, model.dim, "state", "model")
     return state.data, as_key(seed, "seed")
 
 
@@ -542,9 +542,6 @@ def _worker(args) -> TrajectoryBatch:
 def _concat(parts: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
     """The rows of batches that share seed, dim and grid, in order."""
     first = parts[0]
-    offsets = np.zeros(sum(len(p) for p in parts) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.diff(p.offsets) for p in parts]),
-              out=offsets[1:])
     return _unchecked(
         TrajectoryBatch, seed=first.seed,
         streams=np.concatenate([p.streams for p in parts]), dim=first.dim,
@@ -552,7 +549,8 @@ def _concat(parts: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
         snapshots=np.concatenate([p.snapshots for p in parts]),
         jump_times=np.concatenate([p.jump_times for p in parts]),
         jump_channels=np.concatenate([p.jump_channels for p in parts]),
-        offsets=offsets)
+        offsets=_offsets(np.concatenate([np.diff(p.offsets)
+                                         for p in parts])))
 
 
 def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
@@ -565,13 +563,9 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     way, so the result is independent of scheduling.
     """
     psi0, seed = _check_trajectory_inputs(state, model, seed)
-    n_traj = as_integer(n_traj, "n_traj", ConfigurationError)
-    if n_traj < 1:
-        raise ConfigurationError(f"n_traj must be >= 1, got {n_traj}")
-    workers = as_integer(workers, "workers", ConfigurationError)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    workers = _capped_workers(workers)
+    n_traj = as_integer(n_traj, "n_traj", ConfigurationError, least=1)
+    workers = _capped_workers(
+        as_integer(workers, "workers", ConfigurationError, least=1))
     streams = np.arange(n_traj, dtype=np.uint64)
     if workers == 1 or n_traj < 2 * workers:
         return _run_streams(psi0, model, grid, seed, streams)

@@ -172,3 +172,16 @@ def test_echo_time_must_be_a_finite_number():
     with pytest.raises(DomainError, match="^t_e must be a finite number"):
         spin_echo_coherence(CentralSpinParams(0.0, [1.0], HALF, HALF),
                             np.nan, [1.0])
+
+
+def test_spin_echo_keeps_the_shape_of_its_times():
+    params = CentralSpinParams(0.7, [0.8, 0.3], 0.6, 0.8j)
+    t = np.array([[0.0, 1.0], [2.0, 4.0]])
+    out = spin_echo_coherence(params, 2.0, t)
+    assert out.shape == (2, 2) and out.dtype == np.complex128
+    for ti, value in zip(t.ravel(), out.ravel()):
+        one = spin_echo_coherence(params, 2.0, ti)
+        assert type(one) is np.complex128 and one == value
+    # the pulse instant is still free evolution; 2 t_e is the full revival
+    assert out[1, 0] == central_spin_coherence(params, 2.0)
+    assert out[1, 1] == 0.8j * np.conj(0.6) * np.exp(-0.5j * 0.7 * 0.0)

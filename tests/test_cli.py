@@ -417,3 +417,26 @@ def test_damped_oscillator_manifest_reports_fock_headroom(tmp_path, capsys):
     assert 0.0 < headroom["max_top_fock_population"] <= 1e-6
     assert (headroom["max_top_fock_population"]
             == manifest["info"]["max_top_population"])
+
+
+def test_worker_count_below_one_names_its_bound(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setenv("DECOSIM_WORKERS", "-2")
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 2
+    assert "DECOSIM_WORKERS must be >= 1, got -2" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_run_into_an_unwritable_directory_exits_two(tmp_path, capsys,
+                                                    monkeypatch):
+    # root may write anywhere, so the permission answer is stubbed
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: (
+        False if mode == os.W_OK and os.path.samefile(p, tmp_path)
+        else real_access(p, mode)))
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 2
+    assert (f"output.path: directory {tmp_path} is not writable"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()

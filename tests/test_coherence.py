@@ -190,3 +190,15 @@ def test_mixture_weights_must_be_finite_numbers():
         MixtureSpec([np.nan, 1.0], [a, b])
     with pytest.raises(DomainError, match="^weights must be a finite number, got '0.5'$"):
         MixtureSpec([0.5, "0.5"], [a, b])
+
+
+def test_basis_and_projector_mismatches_name_both_dimensions():
+    qubit = QuantumState.pure([1.0, 0.0])
+    with pytest.raises(DimensionError) as exc:
+        validate_basis(np.eye(3), 2)
+    assert str(exc.value) == ("basis dimension 3 does not match state "
+                              "dimension 2")
+    with pytest.raises(DimensionError) as exc:
+        measurement_probability(qubit, [1.0, 0.0, 0.0])
+    assert str(exc.value) == ("projector dimension 3 does not match state "
+                              "dimension 2")

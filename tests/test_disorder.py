@@ -332,3 +332,15 @@ def test_unconverged_lorentzian_quadrature_raises(monkeypatch):
     with pytest.raises(QuadratureError, match="Lorentzian") as info:
         disorder_gamma(spec, 0, 1, 1.0, method="quadrature")
     assert info.value.abserr == 2e-12
+
+
+@pytest.mark.parametrize("samples, message", [
+    (None, "monte-carlo requires samples >= 2"),
+    (1, "samples must be >= 2, got 1"),
+    (np.int64(-5), "samples must be >= 2, got -5")])
+def test_monte_carlo_samples_have_a_lower_bound(samples, message):
+    spec = _qubit_spec(Distribution.gaussian(0.0, 1.0))
+    with pytest.raises(ConfigurationError) as exc:
+        disorder_averaged_state(spec, [1.0], method="monte-carlo",
+                                samples=samples, seed=0)
+    assert str(exc.value) == message

@@ -433,3 +433,43 @@ def test_rates_and_probabilities_must_be_finite_numbers():
     # a NaN time made every entry of the propagator NaN
     with pytest.raises(DomainError, match="^t must be a finite number"):
         evolve_unitary(QuantumState.pure([1.0, 0.0]), np.eye(2), np.nan)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 1.0, 0), "n_steps must be >= 1, got 0"),
+    ((0.0, 1.0, 10, 0), "sample_every must be >= 1, got 0"),
+    ((0.0, 1.0, -4, -2), "n_steps must be >= 1, got -4"),
+    # two bad inputs: the counts are checked with their type, first
+    ((1.0, 0.0, 0), "n_steps must be >= 1, got 0")])
+def test_grid_counts_have_a_lower_bound(args, message):
+    with pytest.raises(DimensionError) as exc:
+        TimeGrid(*args)
+    assert str(exc.value) == message
+
+
+def test_dimension_mismatches_name_both_dimensions():
+    qubit = QuantumState.pure([1.0, 0.0])
+    qutrit = three_level_model(ThreeLevelParams(1.0, 0.0, 1.0, 0.0, 0.0))
+    grid = TimeGrid(0.0, 1.0, 10)
+    cases = [
+        (lambda: apply_kraus(QuantumState.pure([1.0, 0.0, 0.0]),
+                             amplitude_damping_kraus(0.5)),
+         "state dimension 3 does not match Kraus dimension 2"),
+        (lambda: LindbladModel(np.zeros((2, 2)), [(np.eye(3), 1.0)]),
+         "channel dimension 3 does not match Hamiltonian dimension 2"),
+        (lambda: evolve_unitary(qubit, np.eye(4), 1.0),
+         "generator dimension 4 does not match state dimension 2"),
+        (lambda: integrate_master(qubit, qutrit, grid),
+         "state dimension 2 does not match model dimension 3")]
+    for call, message in cases:
+        with pytest.raises(DimensionError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_lindblad_model_refuses_a_non_hermitian_hamiltonian():
+    h = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ModelError,
+                       match="^Hamiltonian is not hermitian within 1e-10$"):
+        LindbladModel(h)
+    LindbladModel(np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]]))

@@ -13,7 +13,7 @@ from decosim.errors import (ConfigurationError, DimensionError, DomainError,
 from decosim.evolution import TimeGrid
 from decosim.hilbert import (QuantumState, TensorFactorization, as_complex,
                              as_integer, as_key, as_matrix, as_real,
-                             as_vector, dagger,
+                             as_vector, check_dims, dagger,
                              eig_hermitian, expm_hermitian_prop, is_hermitian, is_unitary,
                              kron, matmul, partial_trace)
 
@@ -360,3 +360,38 @@ def test_mixed_stack_slabs_change_nothing(slab_bytes, monkeypatch):
         with pytest.raises(kind, match=f"^matrix {i} of 6: .*{text}") as exc:
             QuantumState._mixed_stack(bad)
         assert exc.value.index == i
+
+
+def test_as_integer_refuses_a_count_below_its_bound():
+    assert as_integer(2, "n", least=2) == 2
+    assert as_integer(np.int64(0), "n", DomainError, least=0) == 0
+    with pytest.raises(DomainError) as exc:
+        as_integer(np.int64(1), "n_fock", DomainError, least=2)
+    assert str(exc.value) == "n_fock must be >= 2, got 1"
+    with pytest.raises(DimensionError) as exc:
+        as_integer(-3, "n", least=-2)
+    assert str(exc.value) == "n must be >= -2, got -3"
+    # the type rule comes first, and without a bound any int passes
+    with pytest.raises(DimensionError, match="^n must be an integer, got 0.5$"):
+        as_integer(0.5, "n", least=1)
+    assert as_integer(-10**30, "n") == -10**30
+
+
+def test_check_dims_names_both_dimensions():
+    check_dims(3, 3, "state", "model")
+    with pytest.raises(DimensionError) as exc:
+        check_dims(2, 4, "basis", "state")
+    assert str(exc.value) == "basis dimension 2 does not match state dimension 4"
+
+
+def test_factorization_refuses_a_factor_below_one():
+    with pytest.raises(DimensionError) as exc:
+        TensorFactorization([2, 0, 3])
+    assert str(exc.value) == "factor_dims must be >= 1, got 0"
+    assert TensorFactorization([1, 2]).total_dim == 2
+
+
+def test_mixed_stack_refuses_one_dimensional_states():
+    with pytest.raises(StateError,
+                       match="^state dimension must be at least 2$"):
+        QuantumState._mixed_stack(np.ones((3, 1, 1)))

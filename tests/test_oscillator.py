@@ -303,3 +303,29 @@ def test_position_density_of_a_mixed_state_matches_the_double_sum():
     got = position_density(QuantumState.mixed(rho), xs)
     assert got.dtype == np.float64
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: destroy(1), "n_fock must be >= 2, got 1"),
+    (lambda: destroy(np.int64(0)), "n_fock must be >= 2, got 0"),
+    (lambda: hermite_functions(np.linspace(-1.0, 1.0, 5), 0),
+     "n_max must be >= 1, got 0")])
+def test_fock_counts_have_a_lower_bound(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("t_end", ["3", True, np.nan, np.inf, 1j])
+def test_merge_times_refuses_a_non_real_end(t_end):
+    with pytest.raises(DomainError,
+                       match="^t_end must be a finite number, got "):
+        merge_times(_cat_params(), t_end)
+
+
+@pytest.mark.parametrize("half_window", ["1", True, np.nan, None])
+def test_fringe_visibility_refuses_a_non_real_window(half_window):
+    xs = np.linspace(-5.0, 5.0, 101)
+    with pytest.raises(DomainError,
+                       match="^half_window must be a finite number, got "):
+        fringe_visibility(xs, np.ones(101), half_window=half_window)

@@ -284,3 +284,12 @@ def test_telegraph_dark_threshold_must_be_an_integer():
     with pytest.raises(ConfigurationError,
                        match="^bin_width must be a finite number, got nan$"):
         fluorescence_telegraph(p, grid, n_traj=2, seed=0, bin_width=np.nan)
+
+
+def test_telegraph_dark_threshold_has_a_lower_bound():
+    p = ThreeLevelParams(4.0, 0.0, 2.0, 0.0, 0.0)
+    grid = TimeGrid(0.0, 40.0, 8000, sample_every=8000)
+    with pytest.raises(ConfigurationError) as exc:
+        fluorescence_telegraph(p, grid, n_traj=2, seed=0, bin_width=10.0,
+                               dark_threshold=-1)
+    assert str(exc.value) == "dark_threshold must be >= 0, got -1"

@@ -961,3 +961,75 @@ def test_record_from_text_rejects_a_snapshot_line_of_the_wrong_width():
     with pytest.raises(ConfigurationError,
                        match="snapshot line 1 has 3 fields, expected 4"):
         record_from_text("\n".join(lines))
+
+
+def test_ensemble_counts_have_a_lower_bound():
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 1.0, 100)
+    good = QuantumState.pure([0.0, 1.0])
+    for kwargs, message in (({"n_traj": 0}, "n_traj must be >= 1, got 0"),
+                            ({"n_traj": 2, "workers": np.int64(0)},
+                             "workers must be >= 1, got 0")):
+        with pytest.raises(ConfigurationError) as exc:
+            run_ensemble(good, model, grid, seed=1, **kwargs)
+        assert str(exc.value) == message
+
+
+def test_trajectory_state_and_model_dimensions_must_match():
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 1.0, 100)
+    qutrit = QuantumState.pure([0.0, 1.0, 0.0])
+    for call in (lambda: run_trajectory(qutrit, model, grid, seed=1),
+                 lambda: run_ensemble(qutrit, model, grid, 2, seed=1)):
+        with pytest.raises(DimensionError) as exc:
+            call()
+        assert str(exc.value) == ("state dimension 3 does not match model "
+                                  "dimension 2")
+
+
+def _record_fields(**changes):
+    grid = TimeGrid(0.0, 1.0, 10, sample_every=5)
+    fields = dict(seed=1, stream=2, dim=2, grid=grid,
+                  jump_times=np.array([0.4]), jump_channels=np.array([0]),
+                  snapshots=np.tile([0.6 + 0j, 0.8j], (3, 1)))
+    fields.update(changes)
+    return fields
+
+
+def test_record_dim_must_be_an_integer():
+    with pytest.raises(DimensionError,
+                       match=r"^dim must be an integer, got 2\.0$"):
+        TrajectoryRecord(**_record_fields(dim=2.0))
+    with pytest.raises(DimensionError, match="^dim must be an integer"):
+        TrajectoryBatch(**_batch_fields(dim=2.0))
+
+
+def test_integer_dim_record_survives_the_text_round_trip():
+    rec = TrajectoryRecord(**_record_fields(dim=np.int64(2)))
+    assert type(rec.dim) is int
+    text = record_to_text(rec)
+    assert "\ndim 2\n" in text
+    back = record_from_text(text)
+    assert back.dim == 2 and record_to_text(back) == text
+    assert np.array_equal(back.snapshots, rec.snapshots)
+
+
+def test_unsigned_stream_array_is_taken_as_it_is():
+    streams = np.array([2**63, 0, 2**64 - 1], dtype=np.uint64)
+    batch = TrajectoryBatch(**_batch_fields(streams=streams))
+    assert batch.streams.tolist() == [2**63, 0, 2**64 - 1]
+    assert batch[0].stream == 2**63
+
+
+@pytest.mark.parametrize("streams, message", [
+    ([4, 5, 2**64], "row 2 of 3: stream must be in [0, 2**64), got "
+                    "18446744073709551616"),
+    ([4, True, 6], "row 1 of 3: stream must be an integer, got True"),
+    (np.array([4, -1, 6]), "row 1 of 3: stream must be in [0, 2**64), got -1"),
+    (np.array([True, False, True]),
+     "row 0 of 3: stream must be an integer, got np.True_")])
+def test_stream_keys_outside_an_unsigned_array_follow_the_key_rule(streams,
+                                                                    message):
+    with pytest.raises(ConfigurationError) as exc:
+        TrajectoryBatch(**_batch_fields(streams=streams))
+    assert str(exc.value) == message
