@@ -20,18 +20,19 @@ scenario info block, the headroom block (how close the run came to each
 numerical limit, such as the largest certified quadrature error of a
 disorder run against 1e-8), and the warnings raised while parsing and
 running (category and message; each is still shown on stderr).  Both files
-are written to a temporary file in the output directory and then moved
+are streamed to a temporary file in the output directory and then moved
 into place, so a write that fails leaves the previous file intact.
 
-The environment variable DECOSIM_WORKERS overrides the trajectory worker
-count (default 1); a run uses at most one worker per CPU, and the manifest
-records the count it used.
+The environment variable DECOSIM_WORKERS, in ASCII decimal digits, sets the
+trajectory worker count (default 1); a run uses at most one worker per CPU,
+and the manifest records the count it used.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -48,7 +49,7 @@ from .config import (
     parse_config,
 )
 from .errors import ConfigurationError
-from .hilbert import as_integer
+from .hilbert import as_decimal
 from .scenarios import run_scenario
 from .trajectories import _capped_workers
 
@@ -79,25 +80,17 @@ def _check_output_writable(config: ScenarioConfig):
 
 
 def _workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return _capped_workers(
-        as_integer(workers, WORKERS_ENV, ConfigurationError, least=1))
+    raw = os.environ.get(WORKERS_ENV, "1")
+    return _capped_workers(as_decimal(raw, WORKERS_ENV, least=1))
 
 
-def _write_atomic(path: str, write) -> None:
-    """Write ``path`` through a temporary file in its directory, then move
-    it into place: a failed write leaves the old file as it was."""
+def _write_atomic(path: str, chunks) -> None:
+    """Stream the strings of *chunks* into a temporary file beside ``path``,
+    then move it into place: a failed write leaves the old file as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -106,16 +99,11 @@ def _write_atomic(path: str, write) -> None:
 
 
 def _write_csv(config: ScenarioConfig, columns, rows) -> None:
-    digest = config_hash(config)
-
-    def write(fh):
-        fh.write(f"# decosim {__version__} scenario {config.scenario}\n")
-        fh.write(f"# config-sha256: {digest}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-    _write_atomic(config.output_path, write)
+    head = (f"# decosim {__version__} scenario {config.scenario}\n"
+            f"# config-sha256: {config_hash(config)}\n"
+            + ",".join(columns) + "\n")
+    lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    _write_atomic(config.output_path, itertools.chain([head], lines))
 
 
 def _manifest_path(config: ScenarioConfig) -> str:
@@ -129,14 +117,9 @@ def _write_manifest(config: ScenarioConfig, payload: dict) -> None:
         "scenario": config.scenario,
         "config": config_table(config),
         "config_sha256": config_hash(config),
+        **payload,
     }
-    body.update(payload)
-
-    def write(fh):
-        json.dump(body, fh, indent=2)
-        fh.write("\n")
-
-    _write_atomic(_manifest_path(config), write)
+    _write_atomic(_manifest_path(config), [json.dumps(body, indent=2), "\n"])
 
 
 @contextlib.contextmanager

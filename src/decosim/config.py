@@ -211,19 +211,15 @@ _DISTRIBUTIONS = {
     "uniform": (("low", _as_float), ("high", _as_float)),
 }
 
+# unraveling model kind -> (fields, builder of (LindbladModel, state))
 _MODELS = {
     "two-level-decay": (
-        ("gamma", _checked(_as_float, lambda g: g >= 0.0, "must be ≥ 0")),),
-    "three-level": _THREE_LEVEL_FIELDS,
-}
-
-# unraveling model kind -> constructor of (LindbladModel, initial state)
-_MODEL_BUILDERS = {
-    "two-level-decay": lambda kind, gamma: (
-        two_level_decay_model(gamma),
-        QuantumState.pure(np.array([0.0, 1.0], dtype=np.complex128))),
-    "three-level": lambda kind, **rates: (
-        three_level_model(ThreeLevelParams(**rates)), ground_state()),
+        (("gamma", _checked(_as_float, lambda g: g >= 0.0, "must be ≥ 0")),),
+        lambda kind, gamma: (
+            two_level_decay_model(gamma),
+            QuantumState.pure(np.array([0.0, 1.0], dtype=np.complex128)))),
+    "three-level": (_THREE_LEVEL_FIELDS, lambda kind, **rates: (
+        three_level_model(ThreeLevelParams(**rates)), ground_state())),
 }
 
 
@@ -324,9 +320,10 @@ SCENARIOS = {
         summary=("trajectory average vs master equation: params model "
                  "(required), threshold=5/sqrt(n_traj); needs trajectories"),
         estimators=(TRAJECTORIES,),
-        fields=(("model", _union("model", _MODELS)),
+        fields=(("model", _union("model", {
+                    kind: fields for kind, (fields, _) in _MODELS.items()})),
                 ("threshold", _POSITIVE, None)),
-        build=lambda p: _MODEL_BUILDERS[p["model"]["kind"]](**p["model"]),
+        build=lambda p: _MODELS[p["model"]["kind"]][1](**p["model"]),
         run=run_unraveling, check=_default_threshold),
 }
 

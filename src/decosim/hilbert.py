@@ -8,12 +8,12 @@ Hilbert-space dimensions up to a few thousand.
 
 States are validated on construction and rejected if invalid; nothing is
 clamped or renormalized silently.  Scalars follow the same rule through
-``as_integer`` and ``as_key`` (a count, seed or index: a bool, a float or a
-string is refused, not truncated; a count below its bound is refused as
-"<name> must be >= k"), ``as_real`` (a parameter: it must be a finite
-number) and ``as_complex`` (a number, not a bool or a string).  Two
-operands of unequal dimension are refused by ``check_dims``, whose message
-names both dimensions.
+``as_integer``, ``as_decimal`` (from text) and ``as_key`` (a count, seed
+or index: a bool, a float or a string is refused, not truncated; a count
+below its bound is refused as "<name> must be >= k"), ``as_real`` (a
+parameter: it must be a finite number) and ``as_complex`` (a number, not
+a bool or a string).  Two operands of unequal dimension are refused by
+``check_dims``, whose message names both dimensions.
 """
 
 from __future__ import annotations
@@ -57,6 +57,17 @@ def as_integer(value, name: str, error=DimensionError, least=None) -> int:
     if least is not None and n < least:
         raise error(f"{name} must be >= {least}, got {n}")
     return n
+
+
+def as_decimal(text: str, name: str, error=ConfigurationError,
+               least=None) -> int:
+    """*text* as an int: ASCII digits after an optional "-", nothing else."""
+    digits = text.removeprefix("-")
+    try:
+        value = int(text) if digits.isascii() and digits.isdigit() else text
+    except ValueError:      # past int's digit limit
+        value = text
+    return as_integer(value, name, error, least)
 
 
 def as_key(value, name: str) -> int:

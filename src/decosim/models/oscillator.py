@@ -187,8 +187,8 @@ def fringe_visibility(xs: np.ndarray, density: np.ndarray,
 
 
 def merge_times(params: DampedOscillatorParams, t_end: float) -> np.ndarray:
-    """Times up to t_end where counter-rotating real-axis components meet
-    at xi = 0: odd multiples of the quarter period pi/(2 omega)."""
+    """Elapsed times up to t_end where counter-rotating real-axis parts
+    meet at xi = 0: odd multiples of the quarter period pi/(2 omega)."""
     if params.omega == 0.0:
         raise DomainError("merge times need a nonzero frequency")
     t_end = as_real(t_end, "t_end")

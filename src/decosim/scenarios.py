@@ -319,11 +319,12 @@ def run_damped_oscillator(config: ScenarioConfig,
     checks.append(Check("truncation-adequate", True,
                         f"max top-level population = {top:.3g} (tol 1e-6)"))
 
-    merges = merge_times(p, config.grid.t_end) if p.omega != 0.0 else []
+    elapsed = times - times[0]      # the motion starts at t_start
+    merges = merge_times(p, elapsed[-1]) if p.omega != 0.0 else []
     merge_samples, vis = [], []
     for m in merges:
-        i = int(np.argmin(np.abs(times - m)))
-        if abs(times[i] - m) <= 1e-9 * max(1.0, abs(m)):
+        i = int(np.argmin(np.abs(elapsed - m)))
+        if abs(elapsed[i] - m) <= 1e-9 * max(1.0, m):
             merge_samples.append(float(times[i]))
             vis.append(fringe_visibility(xs, densities[i]))
     if p.gamma == 0.0 and vis:
@@ -340,7 +341,7 @@ def run_damped_oscillator(config: ScenarioConfig,
             f"{', '.join(f'{v:.4f}' for v in vis)}"))
     if p.gamma > 0.0:
         analytic = (p.n_thermal + (occupations[0] - p.n_thermal)
-                    * np.exp(-p.gamma * (times - times[0])))
+                    * np.exp(-p.gamma * elapsed))
         occ_dev = float(np.max(np.abs(occupations - analytic)))
         tol = 1e-6 * max(1.0, occupations[0])
         checks.append(Check(

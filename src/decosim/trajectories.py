@@ -104,8 +104,10 @@ Record text format (version 1)
     <re im re im ...>           (n_samples lines, 2*dim floats each)
     end                         (nothing but whitespace may follow)
 
-Floats are written with 17 significant digits, so the round trip through
-``record_from_text`` is exact.
+Floats carry 17 significant digits and integers are ASCII digits after
+an optional "-", so ``record_from_text`` reads them back exactly.  It
+reads each block from the lines present: a count that does not match its
+lines is an error, never the size of an array.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ from .coherence import trace_distance
 from .errors import (ConfigurationError, DimensionError, DomainError,
                      StateError)
 from .evolution import LindbladModel, TimeGrid, integrate_master
-from .hilbert import QuantumState, as_integer, as_key, as_real, check_dims
+from .hilbert import (QuantumState, as_decimal, as_integer, as_key, as_real,
+                      check_dims)
 
 __all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
            "TrajectoryRecord", "aggregate", "record_from_text",
@@ -675,6 +678,8 @@ def unraveling_equivalence_report(
 def record_to_text(record: TrajectoryRecord) -> str:
     """Serialize to the line-oriented text format documented above."""
     g = record.grid
+    # the float view of a snapshot row interleaves its re and im parts
+    row = " ".join(["%.17g"] * (2 * record.dim))
     lines = [
         "decosim-trajectory-record v1",
         f"seed {record.seed}",
@@ -682,14 +687,13 @@ def record_to_text(record: TrajectoryRecord) -> str:
         f"dim {record.dim}",
         f"grid {g.t_start:.17g} {g.t_end:.17g} {g.n_steps} {g.sample_every}",
         f"jumps {record.jump_times.size}",
+        *("%.17g %d" % jump
+          for jump in zip(record.jump_times, record.jump_channels)),
+        f"snapshots {record.snapshots.shape[0]}",
+        *(row % tuple(values) for values in
+          np.ascontiguousarray(record.snapshots).view(np.float64)),
+        "end",
     ]
-    for t, c in zip(record.jump_times, record.jump_channels):
-        lines.append(f"{t:.17g} {int(c)}")
-    lines.append(f"snapshots {record.snapshots.shape[0]}")
-    for row in record.snapshots:
-        lines.append(" ".join(f"{x:.17g}" for z in row
-                              for x in (z.real, z.imag)))
-    lines.append("end")
     return "\n".join(lines) + "\n"
 
 
@@ -698,44 +702,40 @@ def record_from_text(text: str) -> TrajectoryRecord:
     lines = text.strip().split("\n")
 
     def header(i: int, key: str, count: int = 1) -> list[str]:
-        fields = lines[i].split()
+        line = lines[i] if i < len(lines) else ""
+        fields = line.split()
         if fields[:1] != [key] or len(fields) != count + 1:
-            raise ValueError(f"line {i + 1} {lines[i]!r} is not {key!r} "
+            raise ValueError(f"line {i + 1} {line!r} is not {key!r} "
                              f"and {count} value(s)")
         return fields[1:]
     try:
         if lines[0] != "decosim-trajectory-record v1":
             raise ValueError(f"unrecognized header {lines[0]!r}")
-        seed = int(header(1, "seed")[0])
-        stream = int(header(2, "stream")[0])
-        dim = int(header(3, "dim")[0])
+        seed, stream, dim = (as_decimal(header(i, key)[0], key) for i, key
+                             in enumerate(("seed", "stream", "dim"), 1))
         t0, t1, n_steps, every = header(4, "grid", 4)
-        grid = TimeGrid(float(t0), float(t1), int(n_steps), int(every))
-        n_jumps = int(header(5, "jumps")[0])
-        pos = 6
-        jt = np.empty(n_jumps, dtype=np.float64)
-        jc = np.empty(n_jumps, dtype=np.int64)
-        for i in range(n_jumps):
-            a, b = lines[pos + i].split()
-            jt[i] = float(a)
-            jc[i] = int(b)
-        pos += n_jumps
-        n_samples = int(header(pos, "snapshots")[0])
-        pos += 1
-        snaps = np.empty((n_samples, dim), dtype=np.complex128)
-        for i in range(n_samples):
-            vals = [float(x) for x in lines[pos + i].split()]
+        grid = TimeGrid(float(t0), float(t1), as_decimal(n_steps, "n_steps"),
+                        as_decimal(every, "sample_every"))
+        pos = 6 + as_decimal(header(5, "jumps")[0], "jumps", least=0)
+        end = pos + 1 + as_decimal(header(pos, "snapshots")[0], "snapshots",
+                                   least=0)
+        if lines[end:end + 1] != ["end"]:
+            raise ValueError("missing end marker")
+        if len(lines) > end + 1:
+            raise ValueError("trailing text after end marker")
+        jumps = [(float(t), as_decimal(c, "jump channel"))
+                 for t, c in map(str.split, lines[6:pos])]
+        snaps = [[float(x) for x in line.split()]
+                 for line in lines[pos + 1:end]]
+        for i, vals in enumerate(snaps):
             if len(vals) != 2 * dim:
                 raise ValueError(f"snapshot line {i} has {len(vals)} fields, "
                                  f"expected {2 * dim}")
-            # reinterpreting (re, im) pairs keeps the sign of zero parts
-            snaps[i] = np.array(vals).view(np.complex128)
-        if lines[pos + n_samples] != "end":
-            raise ValueError("missing end marker")
-        if len(lines) > pos + n_samples + 1:
-            raise ValueError("trailing text after end marker")
     except (IndexError, ValueError) as exc:
         raise ConfigurationError(
             f"malformed trajectory record: {exc}") from exc
+    # reinterpreting (re, im) pairs keeps the sign of zero parts
     return TrajectoryRecord(seed=seed, stream=stream, dim=dim, grid=grid,
-                            jump_times=jt, jump_channels=jc, snapshots=snaps)
+                            jump_times=[t for t, _ in jumps],
+                            jump_channels=[c for _, c in jumps],
+                            snapshots=np.array(snaps).view(np.complex128))

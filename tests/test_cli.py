@@ -440,3 +440,14 @@ def test_run_into_an_unwritable_directory_exits_two(tmp_path, capsys,
     assert (f"output.path: directory {tmp_path} is not writable"
             in capsys.readouterr().err)
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("raw", ["1_0", "+1", " 1 ", "١"])
+def test_workers_env_takes_plain_decimal_digits_only(tmp_path, capsys,
+                                                     monkeypatch, raw):
+    monkeypatch.setenv("DECOSIM_WORKERS", raw)
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    assert main(["run", str(path)]) == 2
+    assert (f"DECOSIM_WORKERS must be an integer, got {raw!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()

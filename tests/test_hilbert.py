@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -395,3 +396,24 @@ def test_mixed_stack_refuses_one_dimensional_states():
     with pytest.raises(StateError,
                        match="^state dimension must be at least 2$"):
         QuantumState._mixed_stack(np.ones((3, 1, 1)))
+
+
+def test_as_decimal_reads_plain_decimal_digits_only():
+    assert hilbert.as_decimal("12", "n") == 12
+    assert hilbert.as_decimal("-3", "n") == -3
+    assert hilbert.as_decimal("007", "n") == 7
+    for text in ("1_0", "+1", " 1", "1 ", "١", "²", "1.0", "0x1", "", "-",
+                 "--1", "-+1"):
+        with pytest.raises(ConfigurationError) as exc:
+            hilbert.as_decimal(text, "n")
+        assert str(exc.value) == f"n must be an integer, got {text!r}"
+    with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+        hilbert.as_decimal("0", "n", DomainError, least=1)
+
+
+def test_as_decimal_past_the_int_digit_limit_is_refused_not_raised():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts any number of digits")
+    with pytest.raises(ConfigurationError, match="^n must be an integer"):
+        hilbert.as_decimal("9" * (limit + 1), "n")

@@ -306,3 +306,24 @@ def test_zero_couplings_leave_t_d_undefined(scenario, extra):
     assert res.all_passed
     # nothing dephases: |coherence| stays at |c1 c2*| = 1/2
     assert np.allclose(res.rows[:, 3], 0.5, atol=1e-12)
+
+
+def test_damped_oscillator_merge_times_count_from_t_start():
+    # the master-fock40 benchmark model over a 3 pi / 2 span: the packets
+    # meet at elapsed times pi/2 and 3 pi/2 wherever the grid starts
+    details = set()
+    for t0 in (0.0, 1.0, math.pi / 2, -2.0):
+        res = run({
+            "scenario": "damped-oscillator",
+            "params": {"omega": 1.0, "gamma": 0.01, "n_thermal": 0.5,
+                       "n_fock": 40, "alpha1": 2.0, "alpha2": -2.0},
+            "grid": {"t_start": t0, "t_end": t0 + 1.5 * math.pi,
+                     "n_steps": 1200, "sample_every": 200},
+            "output": {"path": "o.csv"},
+        })
+        assert res.all_passed
+        assert res.info["merge_times_sampled"] == pytest.approx(
+            [t0 + math.pi / 2, t0 + 1.5 * math.pi], abs=1e-12)
+        check, = (c for c in res.checks if c.name == "visibility-decreasing")
+        details.add(check.detail)
+    assert details == {"visibilities at sampled merge times: 0.8362, 0.6185"}

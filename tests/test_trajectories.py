@@ -1033,3 +1033,71 @@ def test_stream_keys_outside_an_unsigned_array_follow_the_key_rule(streams,
     with pytest.raises(ConfigurationError) as exc:
         TrajectoryBatch(**_batch_fields(streams=streams))
     assert str(exc.value) == message
+
+
+def _text_lines():
+    grid = TimeGrid(0.0, 1.0, 10, sample_every=10)
+    return record_to_text(TrajectoryRecord(
+        seed=0, stream=0, dim=2, grid=grid, jump_times=np.array([0.5]),
+        jump_channels=np.array([0]),
+        snapshots=np.eye(2, dtype=complex)[[0, 0]])).split("\n")
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    (5, "jumps 1000000000000000", "line 1000000000000007 '' is not "
+                                  "'snapshots' and 1 value(s)"),
+    (7, "snapshots 1000000000000000", "missing end marker"),
+    (3, "dim 1000000000000000", "snapshot line 0 has 4 fields, expected "
+                                "2000000000000000"),
+    (5, "jumps 0", "line 7 '0.5 0' is not 'snapshots' and 1 value(s)"),
+    (5, "jumps 2", "line 9 '1 0 0 0' is not 'snapshots' and 1 value(s)"),
+    (7, "snapshots 1", "missing end marker"),
+    (7, "snapshots 3", "missing end marker"),
+    (5, "jumps -1", "jumps must be >= 0, got -1")])
+def test_record_counts_must_match_the_lines_present(line, bad, message):
+    # a count is never used to size an array: 10**15 jumps, snapshots or
+    # amplitudes would ask for petabytes
+    lines = _text_lines()
+    lines[line] = bad
+    with pytest.raises(ConfigurationError) as exc:
+        record_from_text("\n".join(lines))
+    assert str(exc.value) == f"malformed trajectory record: {message}"
+
+
+def test_record_text_bytes_are_pinned():
+    rec = TrajectoryRecord(
+        seed=3, stream=7, dim=2, grid=TimeGrid(0.0, 1.0, 10, sample_every=10),
+        jump_times=np.array([0.1]), jump_channels=np.array([1]),
+        snapshots=np.array([[complex(1.0, -0.0), complex(-0.0, 0.0)],
+                            [complex(-0.0, 0.6), complex(0.8, -0.0)]]))
+    text = ("decosim-trajectory-record v1\nseed 3\nstream 7\ndim 2\n"
+            "grid 0 1 10 10\njumps 1\n0.10000000000000001 1\nsnapshots 2\n"
+            "1 -0 -0 0\n-0 0.59999999999999998 0.80000000000000004 -0\n"
+            "end\n")
+    assert record_to_text(rec) == text
+    back = record_from_text(text)
+    assert np.array_equal(np.signbit(back.snapshots.view(np.float64)),
+                          np.signbit(rec.snapshots.view(np.float64)))
+    assert record_to_text(back) == text
+
+
+def test_record_snapshots_need_not_be_contiguous():
+    snaps = np.asfortranarray(np.tile([0.6 + 0j, 0.8j], (3, 1)))
+    rec = TrajectoryRecord(**_record_fields(snapshots=snaps))
+    back = record_from_text(record_to_text(rec))
+    assert np.array_equal(back.snapshots, snaps)
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+10", "١٠"])
+@pytest.mark.parametrize("line, field, name", [
+    (1, "seed {}", "seed"), (2, "stream {}", "stream"), (3, "dim {}", "dim"),
+    (4, "grid 0 1 {} 10", "n_steps"), (4, "grid 0 1 10 {}", "sample_every"),
+    (5, "jumps {}", "jumps"), (6, "0.5 {}", "jump channel"),
+    (7, "snapshots {}", "snapshots")])
+def test_record_integers_are_plain_decimals(line, field, name, bad):
+    lines = _text_lines()
+    lines[line] = field.format(bad)
+    with pytest.raises(ConfigurationError) as exc:
+        record_from_text("\n".join(lines))
+    assert str(exc.value) == (f"malformed trajectory record: {name} must be "
+                              f"an integer, got {bad!r}")
