@@ -19,7 +19,8 @@ toolkit version, wall time, the executed checks with pass/fail, the
 scenario info block, the headroom block (how close the run came to each
 numerical limit, such as the largest certified quadrature error of a
 disorder run against 1e-8), and the warnings raised while parsing and
-running (category and message; each is still shown on stderr).  Both files
+running (category and message; each is still shown on stderr).  It is
+strict JSON: a statistic the run could not define is null.  Both files
 are streamed to a temporary file in the output directory and then moved
 into place, so a write that fails leaves the previous file intact.
 
@@ -34,6 +35,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -66,10 +68,7 @@ def _read_config(path: str) -> ScenarioConfig:
             text = fh.read()
     except OSError as e:
         raise ConfigurationError(f"cannot read config {path}: {e}") from e
-    return parse_config(text)
-
-
-def _check_output_writable(config: ScenarioConfig):
+    config = parse_config(text)
     parent = os.path.dirname(os.path.abspath(config.output_path)) or "."
     if not os.path.isdir(parent):
         raise ConfigurationError(
@@ -77,6 +76,7 @@ def _check_output_writable(config: ScenarioConfig):
     if not os.access(parent, os.W_OK):
         raise ConfigurationError(
             f"output.path: directory {parent} is not writable")
+    return config
 
 
 def _workers() -> int:
@@ -110,6 +110,18 @@ def _manifest_path(config: ScenarioConfig) -> str:
     return config.output_path + ".manifest.json"
 
 
+def _finite(value):
+    """*value* with every non-finite float in it, at any depth, as None: a
+    statistic that a run could not define is JSON null, not NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _write_manifest(config: ScenarioConfig, payload: dict) -> None:
     body = {
         "toolkit": "decosim",
@@ -119,7 +131,8 @@ def _write_manifest(config: ScenarioConfig, payload: dict) -> None:
         "config_sha256": config_hash(config),
         **payload,
     }
-    _write_atomic(_manifest_path(config), [json.dumps(body, indent=2), "\n"])
+    text = json.dumps(_finite(body), indent=2, allow_nan=False)
+    _write_atomic(_manifest_path(config), [text, "\n"])
 
 
 @contextlib.contextmanager
@@ -139,7 +152,6 @@ def _cmd_run(path: str) -> int:
     failure = None
     with _recorded_warnings() as caught:
         config = _read_config(path)
-        _check_output_writable(config)
         workers = _workers()
         start = time.perf_counter()
         try:
@@ -182,7 +194,6 @@ def _cmd_run(path: str) -> int:
 
 def _cmd_validate(path: str) -> int:
     config = _read_config(path)
-    _check_output_writable(config)
     sys.stdout.write(emit_config(config))
     print(f"valid {config.scenario} configuration "
           f"(sha256 {config_hash(config)})", file=sys.stderr)

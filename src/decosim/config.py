@@ -42,6 +42,7 @@ from .scenarios import (CLOSED_FORM, MASTER_EQUATION, TRAJECTORIES,
                         EstimatorSpec, ScenarioConfig, run_central_spin,
                         run_damped_oscillator, run_disorder, run_spin_echo,
                         run_telegraph, run_unraveling)
+from .trajectories import _sampling_threshold
 
 DEFAULT_AMPLITUDE = math.sqrt(0.5)
 
@@ -249,8 +250,8 @@ def _check_telegraph(params, model, grid, estimator):
 
 
 def _default_threshold(params, model, grid, estimator):
-    # the sampling bound 5/sqrt(n_traj) depends on the estimator section
-    params.setdefault("threshold", 5.0 / math.sqrt(estimator.n_traj))
+    # the sampling bound depends on the estimator section
+    params.setdefault("threshold", _sampling_threshold(estimator.n_traj))
 
 
 @dataclass(frozen=True)

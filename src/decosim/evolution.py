@@ -42,6 +42,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
+from .coherence import basis_change
 from .errors import (DimensionError, DomainError, IntegrationError,
                      ModelError, StateError)
 from .hilbert import (QuantumState, as_integer, as_matrix, as_real,
@@ -225,10 +226,7 @@ def evolve_unitary(state: QuantumState, h, t: float) -> QuantumState:
     """Closed-system evolution by exp(-i h t); pure stays pure."""
     h = as_matrix(h, square=True)
     check_dims(h.shape[0], state.dim, "generator", "state")
-    u = expm_hermitian_prop(h, t)
-    if state.kind == "pure":
-        return QuantumState.pure(u @ state.data)
-    return QuantumState.mixed(u @ state.data @ u.conj().T)
+    return basis_change(state, expm_hermitian_prop(h, t))
 
 
 def _invariant_blocks(model: LindbladModel) -> list[np.ndarray]:

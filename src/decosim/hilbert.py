@@ -103,29 +103,25 @@ def check_dims(dim: int, other: int, what: str, against: str) -> None:
                              f"{against} dimension {other}")
 
 
-def as_matrix(a, *, square: bool = False) -> np.ndarray:
-    """Coerce *a* to a 2-D complex128 array, validating finiteness.
-
-    Raises DimensionError for wrong rank or (if ``square``) non-square input,
-    DomainError for non-finite entries.
-    """
+def _as_complex_array(a, ndim: int, what: str, square: bool) -> np.ndarray:
+    """*a* as an *ndim*-D complex128 array of finite entries: DimensionError
+    for wrong rank or (if ``square``) non-square input, else DomainError."""
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise DimensionError(f"expected a {ndim}-D {what}, got ndim={arr.ndim}")
     if square and arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise DomainError("matrix entries must be finite")
+        raise DomainError(f"{what} entries must be finite")
     return arr
+
+
+def as_matrix(a, *, square: bool = False) -> np.ndarray:
+    return _as_complex_array(a, 2, "matrix", square)
 
 
 def as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise DomainError("vector entries must be finite")
-    return arr
+    return _as_complex_array(v, 1, "vector", False)
 
 
 def matmul(a, b) -> np.ndarray:

@@ -56,13 +56,13 @@ order: one draw per time step for the jump test, immediately followed by one
 additional draw for channel selection whenever that step fired a jump (no
 draw is consumed for the channel when the total jump weight is zero, a
 degenerate case treated as no-jump).  The engine reads the streams through
-one Philox generator: each fill of row s's window of uniforms re-keys it to
-(seed, s) at counter 0 and advances it past the draws the row has already
-read (four per counter step), so a row reads the same draws as a Philox of
-its own.  Reruns with the same (seed, stream) produce bit-for-bit identical
-records.  Trajectories are independent given distinct (seed, stream) pairs
-and may run in parallel; aggregation sorts records by (seed, stream) so
-results never depend on completion order.
+one Philox generator in whole blocks of four draws (one counter step):
+each fill of row s's window re-keys it to (seed, s), sets its counter past
+the blocks the row has read and reads whole blocks, so a row reads the
+same draws as a Philox of its own and no draw is discarded.  Reruns with the
+same (seed, stream) give bit-for-bit identical records.  Trajectories are
+independent given distinct (seed, stream) pairs and may run in parallel;
+aggregation sorts by (seed, stream), so no result depends on completion.
 
 Batch independence
 ------------------
@@ -177,6 +177,25 @@ class TrajectoryRecord:
         object.__setattr__(self, "snapshots", one.snapshots[0])
 
 
+def _as_int64(values) -> np.ndarray:
+    """*values* as an int64 array in which each entry that is not an
+    integer by the rule of ``as_integer`` (a bool, a float or a string is
+    not) or lies outside int64 reads negative, which the callers' checks
+    refuse; an unsigned entry past int64 wraps to a negative one."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    arr = np.asarray(values, dtype=object)
+
+    def entry(value) -> int:
+        try:
+            n = as_integer(value, "")
+        except DimensionError:
+            return -1
+        return n if -2**63 <= n < 2**63 else -1
+    return np.array([entry(v) for v in arr.flat],
+                    dtype=np.int64).reshape(arr.shape)
+
+
 def _unchecked(cls, **fields):
     """An instance of a frozen class from fields already known valid."""
     obj = object.__new__(cls)
@@ -209,9 +228,9 @@ class TrajectoryBatch(Sequence):
 
     def __post_init__(self):
         jt = np.asarray(self.jump_times, dtype=np.float64)
-        jc = np.asarray(self.jump_channels, dtype=np.int64)
+        jc = _as_int64(self.jump_channels)
         sn = np.asarray(self.snapshots, dtype=np.complex128)
-        off = np.asarray(self.offsets, dtype=np.int64)
+        off = _as_int64(self.offsets)
         if jt.shape != jc.shape or jt.ndim != 1:
             raise DimensionError("jump times/channels must be matching 1-D arrays")
         if np.ndim(self.streams) != 1:
@@ -220,8 +239,8 @@ class TrajectoryBatch(Sequence):
         if (off.shape != (n + 1,) or off[0] != 0 or off[-1] != jt.size
                 or np.any(np.diff(off) < 0)):
             raise DimensionError(
-                "offsets must rise from 0 to the jump count, one entry per "
-                "row plus one")
+                "offsets must be integers that rise from 0 to the jump "
+                "count, one entry per row plus one")
 
         def where(row: int) -> str:
             return f"row {row} of {n}: " if n > 1 else ""
@@ -239,7 +258,7 @@ class TrajectoryBatch(Sequence):
                             dtype=np.uint64)
         if jc.size and jc.min() < 0:
             raise DomainError(f"{where(row_of(np.argmax(jc < 0)))}jump "
-                              "channels must be non-negative")
+                              "channels must be non-negative integers")
         # t_start + n_steps * dt may round a few ulps past t_end
         g = self.grid
         slack = 8.0 * np.spacing(max(abs(g.t_start), abs(g.t_end)))
@@ -366,27 +385,26 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     streams = np.asarray(streams, dtype=np.uint64)
     # A row draws one uniform per step plus one per jump.  A pass reads a
     # full look-ahead of jump tests plus one channel draw past the row's
-    # offset, so only a row with more than horizon + 1 jumps refills.
-    window = min(_RNG_WINDOW, n_steps + 2 * horizon + 1)
+    # offset, so only a row with more than horizon + 1 jumps refills; its
+    # offset then falls below 4, and its window holds >= horizon + 4 draws.
+    window = -(-min(_RNG_WINDOW, n_steps + 2 * horizon + 1) // 4) * 4
     # Chunk so uniform buffers, snapshots and the per-pass look-ahead
     # temporaries stay within a modest footprint.
     per_traj = (window * 8 + grid.n_samples * dim * 16
                 + (horizon + 1) * (dim * 16 + 64))
     chunk_size = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_traj))
-    # One Philox serves every row: set to key (seed, s) at counter 0 it
-    # yields stream s's uniforms from the first.
+    # One Philox serves every row: set to key (seed, s) at counter n it
+    # yields stream s's uniforms from block n on.  Writing the counter word
+    # is the advance by n blocks, without the cost of a call to advance().
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     uniforms = np.random.Generator(bits)
     fresh = bits.state
-    key = fresh["state"]["key"]
+    key, counter = fresh["state"]["key"], fresh["state"]["counter"]
 
-    def read(stream, skip: int, out: np.ndarray) -> None:
-        """Fill ``out`` with the stream's uniforms from draw ``skip`` on."""
-        key[1] = stream
+    def read(stream, blocks: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the stream's uniforms from block ``blocks`` on."""
+        key[1], counter[0] = stream, blocks
         bits.state = fresh
-        if skip:
-            bits.advance(skip // 4)  # a counter step yields four draws
-            uniforms.random(skip % 4)
         uniforms.random(out=out)
 
     snapshots = np.empty((streams.size, grid.n_samples, dim),
@@ -403,7 +421,7 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         chunk = streams[lo:lo + chunk_size]
         b = len(chunk)
         block = np.empty((b, window), dtype=np.float64)
-        drawn = np.zeros(b, dtype=np.int64)  # uniforms drawn per row
+        drawn = np.zeros(b, dtype=np.int64)  # blocks read per row
         lookahead = sliding_window_view(block, horizon, axis=1)
         snaps = snapshots[lo:lo + b]
         snaps[:, 0, :] = psi0
@@ -414,16 +432,16 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         psi = np.tile(psi0, (b, 1))
         offset = np.full(b, window, dtype=np.int64)
         done = np.zeros(b, dtype=np.int64)
-        rows = np.arange(b)  # 0 .. n - 1 while n rows remain
         while row.size:
+            rows = np.arange(row.size)
             # Guarantee a full look-ahead plus a channel draw for every row.
             if offset.max() > window - horizon - 1:
                 for i in (offset > window - horizon - 1).nonzero()[0]:
-                    r, off = row[i], int(offset[i])
-                    block[r, :window - off] = block[r, off:]
-                    read(chunk[r], int(drawn[r]), block[r, window - off:])
-                    drawn[r] += off
-                    offset[i] = 0
+                    r, used = row[i], int(offset[i]) // 4 * 4
+                    block[r, :window - used] = block[r, used:]
+                    read(chunk[r], int(drawn[r]), block[r, window - used:])
+                    drawn[r] += used // 4
+                    offset[i] -= used
 
             # no-jump continuation E^j psi for j = 0 .. horizon
             phi = np.einsum("kij,bj->bki", powers, psi)
@@ -503,7 +521,6 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                 keep = done < n_steps
                 row, psi, offset, done = (row[keep], psi[keep], offset[keep],
                                           done[keep])
-                rows = rows[:row.size]
 
     owner = np.concatenate(jump_rows)
     # a row's jumps were appended in time order, one per pass
@@ -575,7 +592,7 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
 
     bounds = np.linspace(0, n_traj, workers + 1).astype(int)
     tasks = [(psi0, model, grid, seed, streams[a:b])
-             for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+             for a, b in zip(bounds[:-1], bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return _concat(list(pool.map(_worker, tasks)))
 
@@ -651,6 +668,11 @@ class EquivalenceReport:
         return not bool(np.any(self.flagged))
 
 
+def _sampling_threshold(n_traj: int) -> float:
+    """The sampling bound 5 / sqrt(n_traj) on an ensemble's trace distance."""
+    return 5.0 / math.sqrt(n_traj)
+
+
 def unraveling_equivalence_report(
         state: QuantumState, model: LindbladModel, grid: TimeGrid,
         n_traj: int, seed: int, workers: int = 1,
@@ -669,7 +691,7 @@ def unraveling_equivalence_report(
         trace_distance(est.data, ref.data)
         for est, ref in zip(estimate.mean_states, reference)])
     if threshold is None:
-        threshold = 5.0 / math.sqrt(len(records))
+        threshold = _sampling_threshold(len(records))
     return EquivalenceReport(
         n_traj=len(records), times=grid.sample_times(), trace_distances=dists,
         threshold=threshold, flagged=dists > threshold)

@@ -451,3 +451,32 @@ def test_workers_env_takes_plain_decimal_digits_only(tmp_path, capsys,
     assert (f"DECOSIM_WORKERS must be an integer, got {raw!r}"
             in capsys.readouterr().err)
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_undefined_statistics_are_null_in_a_strict_json_manifest(tmp_path,
+                                                                 capsys):
+    # without deshelving, a shelved row stays dark to the end, so no
+    # interior dark or bright period occurs and their means are undefined
+    table = {
+        "scenario": "three-level-telegraph",
+        "params": {"rabi": 2.0, "gamma_strong": 1.0, "gamma_shelve": 0.05,
+                   "gamma_deshelve": 0.0, "bin_width": 12.5},
+        "grid": {"t_end": 50.0, "n_steps": 5000},
+        "estimator": {"kind": "trajectories", "n_traj": 10, "seed": 1},
+        "output": {"path": str(tmp_path / "dark.csv")},
+    }
+    assert main(["run", str(write_config(tmp_path, table))]) == 0
+    capsys.readouterr()
+
+    def refuse(name):
+        raise ValueError(f"manifest holds {name}")
+
+    manifest = json.loads((tmp_path / "dark.csv.manifest.json")
+                          .read_text(encoding="utf-8"),
+                          parse_constant=refuse)
+    info = manifest["info"]
+    for key in ("dark_mean", "dark_stderr", "bright_mean", "bright_stderr",
+                "expected_dark_mean"):
+        assert info[key] is None
+    assert info["dark_period_count"] == info["bright_period_count"] == 0
+    assert manifest["checks"] == [] and manifest["all_passed"] is True

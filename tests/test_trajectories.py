@@ -667,6 +667,44 @@ def test_batch_rejects_what_a_record_rejects_and_names_the_row(change, error,
     assert str(batch_err.value) == f"row {row} of 3: {record_err.value}"
 
 
+@pytest.mark.parametrize("channels, row", [
+    ([0, 1, 0, 1.7], 2), ([0, "1", 0, 0], 0), ([0, 1, True, 0], 2),
+    ([0, 1, 0, 2**63], 2), ([0, 2**70, 0, 0], 0),
+    (np.array([0.0, 1.0, 0.0, 0.0]), 0),
+    (np.array([0, 1, 2**63, 0], dtype=np.uint64), 2)])
+def test_batch_refuses_channels_that_are_not_int64_integers(channels, row):
+    with pytest.raises(DomainError) as exc:
+        TrajectoryBatch(**_batch_fields(jump_channels=channels))
+    assert str(exc.value) == (f"row {row} of 3: jump channels must be "
+                              "non-negative integers")
+
+
+@pytest.mark.parametrize("offsets", [
+    [0, 2.0, 2, 4], [0, "2", 2, 4], [0, 2, 2, True], [0, 2**63, 2, 4],
+    [0, 2, 2**70, 4], np.array([0, 2, 2, 4], dtype=np.float64)])
+def test_batch_refuses_offsets_that_are_not_int64_integers(offsets):
+    with pytest.raises(DimensionError, match="^offsets must be integers"):
+        TrajectoryBatch(**_batch_fields(offsets=offsets))
+
+
+def test_integer_arrays_of_any_width_are_taken():
+    batch = TrajectoryBatch(**_batch_fields(
+        jump_channels=np.array([0, 1, 0, 0], dtype=np.uint8),
+        offsets=np.array([0, 2, 2, 4], dtype=np.uint64)))
+    assert batch.jump_channels.dtype == batch.offsets.dtype == np.int64
+    assert batch.offsets.tolist() == [0, 2, 2, 4]
+
+
+@pytest.mark.parametrize("channel", [2**63, 2**70])
+def test_record_text_refuses_a_channel_past_int64(channel):
+    lines = _text_lines()
+    assert lines[6] == "0.5 0"
+    lines[6] = f"0.5 {channel}"
+    with pytest.raises(DomainError,
+                       match="^jump channels must be non-negative integers$"):
+        record_from_text("\n".join(lines))
+
+
 def test_batch_layout_validation():
     bound = r"must be in \[0, 2\*\*64\)"
     with pytest.raises(ConfigurationError, match="^seed " + bound):
@@ -732,6 +770,36 @@ def test_refilled_uniform_windows_change_nothing(monkeypatch):
     assert np.diff(base.offsets).max() > tj._LOOKAHEAD + 1
     monkeypatch.setattr(tj, "_RNG_WINDOW", 70)
     small = run_ensemble(ground_state(), model, grid, 6, seed=8)
+    for name in ("streams", "snapshots", "jump_times", "jump_channels",
+                 "offsets"):
+        assert np.array_equal(getattr(small, name), getattr(base, name))
+
+
+def test_stream_reads_cover_whole_philox_blocks(monkeypatch):
+    # A Philox counter step yields a block of four draws.  Every read must
+    # start on a block (the generator's buffer of four is empty) and read
+    # whole blocks, so no draw is generated and thrown away, even under a
+    # window of 70 uniforms that a row refills on nearly every pass.
+    reads = []
+
+    class Counting(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            before = self.bit_generator.state["buffer_pos"]
+            values = super().random(size, dtype, out)
+            reads.append((before, np.size(values),
+                          self.bit_generator.state["buffer_pos"]))
+            return values
+
+    model = three_level_model(ThreeLevelParams(40.0, 0.0, 30.0, 2.0, 5.0))
+    grid = TimeGrid(0.0, 2.5, 1000, sample_every=10)
+    base = run_ensemble(ground_state(), model, grid, 6, seed=8)
+    monkeypatch.setattr(tj, "_RNG_WINDOW", 70)
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    small = run_ensemble(ground_state(), model, grid, 6, seed=8)
+    monkeypatch.undo()
+    assert len(reads) > 6 * grid.n_steps // tj._LOOKAHEAD
+    assert [(before, n % 4, after) for before, n, after in reads
+            if (before, n % 4, after) != (4, 0, 4)] == []
     for name in ("streams", "snapshots", "jump_times", "jump_channels",
                  "offsets"):
         assert np.array_equal(getattr(small, name), getattr(base, name))
