@@ -13,7 +13,9 @@ or index: a bool, a float or a string is refused, not truncated; a count
 below its bound is refused as "<name> must be >= k"), ``as_real`` (a
 parameter: it must be a finite number) and ``as_complex`` (a number, not
 a bool or a string).  Two operands of unequal dimension are refused by
-``check_dims``, whose message names both dimensions.
+``check_dims``, whose message names both dimensions.  Arrays of numbers
+pass ``as_number_array``, which refuses bools and strings rather than
+casting them to numbers.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ def as_integer(value, name: str, error=DimensionError, least=None) -> int:
     if least is not None and n < least:
         raise error(f"{name} must be >= {least}, got {n}")
     return n
+
+
+def as_number_array(values, name: str, dtype) -> np.ndarray:
+    """*values* as an array of *dtype*; an array of bools, strings or bytes
+    raises DomainError, and so does an object array that holds one."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "bSU" or (arr.dtype.kind == "O" and any(
+            isinstance(v, (bool, np.bool_, str, bytes)) for v in arr.flat)):
+        raise DomainError(f"{name} must be numbers, not bools or strings")
+    return np.asarray(arr, dtype=dtype)
 
 
 def as_decimal(text: str, name: str, error=ConfigurationError,
@@ -106,7 +118,7 @@ def check_dims(dim: int, other: int, what: str, against: str) -> None:
 def _as_complex_array(a, ndim: int, what: str, square: bool) -> np.ndarray:
     """*a* as an *ndim*-D complex128 array of finite entries: DimensionError
     for wrong rank or (if ``square``) non-square input, else DomainError."""
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = as_number_array(a, what, np.complex128)
     if arr.ndim != ndim:
         raise DimensionError(f"expected a {ndim}-D {what}, got ndim={arr.ndim}")
     if square and arr.shape[0] != arr.shape[1]:
@@ -289,7 +301,7 @@ class QuantumState:
         The states are views of a complex128 array passed in, which the
         caller hands over; a list, as :meth:`mixed` passes, is copied.
         """
-        m = np.asarray(matrices, dtype=np.complex128)
+        m = as_number_array(matrices, "matrix", np.complex128)
         if m.ndim != 3:
             raise DimensionError(
                 f"expected a 2-D matrix, got ndim={m.ndim - 1}")

@@ -66,14 +66,22 @@ aggregation sorts by (seed, stream), so no result depends on completion.
 
 Batch independence
 ------------------
-Trajectories advance in batches, one event per trajectory per pass, but
-every product with a power of E or a jump operator is row-local
-(``einsum`` over one row's own amplitudes, with the same summation order
-at any batch size), and so is every norm.  A BLAS matrix product would not
-be: it sends a one-row batch and a many-row batch to different kernels.
-The other rows of a batch decide neither which steps a row takes nor
-which draws it reads.  So a trajectory's record is bit-identical whether
-it runs alone, inside a chunk of any size, or on any worker.
+Trajectories advance in batches, one event per trajectory per pass.  The
+continuation is one BLAS product of the rows with the stacked powers
+E^0 .. E^K, taken over tiles of _TILE = 8 rows, the last padded with zero
+rows.  A BLAS library picks its kernel from the shape of a product, so
+one product over the whole batch would send a one-row batch and a
+many-row batch to different kernels and round a row differently.  Every
+tile has the same shape, whatever the batch size, so a row's
+continuation has the same bits at any place in any tile, and under one
+or several BLAS threads.  The jump-operator products (``einsum`` over one
+row's own amplitudes) and every norm are row-local.  The other rows of a
+batch decide neither which steps a row takes nor which draws it reads.
+So a trajectory's record is bit-identical whether it runs alone, inside
+a chunk of any size, or on any worker.  The bits do depend on the numpy
+and BLAS build and on the CPU kernel it picks at run time: on another
+build or CPU a state may differ in its last digit, and a jump only where
+a draw ties its probability to within rounding.
 
 Result layout
 -------------
@@ -127,8 +135,8 @@ from .coherence import trace_distance
 from .errors import (ConfigurationError, DimensionError, DomainError,
                      StateError)
 from .evolution import LindbladModel, TimeGrid, integrate_master
-from .hilbert import (QuantumState, as_decimal, as_integer, as_key, as_real,
-                      check_dims)
+from .hilbert import (QuantumState, as_decimal, as_integer, as_key,
+                      as_number_array, as_real, check_dims)
 
 __all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
            "TrajectoryRecord", "aggregate", "record_from_text",
@@ -143,6 +151,14 @@ _RNG_WINDOW = 8192
 # A pass ends on a renormalisation of psi, so another value moves those
 # points and changes the bits of every record: it stays 64.
 _LOOKAHEAD = 64
+# Rows per BLAS call of the continuation.  The kernel a BLAS product runs
+# depends on the shape of its operands, so every call takes a whole tile
+# (the last padded with zero rows): a row's bits then depend on neither
+# the batch size nor its place in the tile.  8 keeps the padding small: a
+# one-row run pays for 8 rows, 6.4 us a call against 3.7 us for a
+# row-local einsum at d = 3 (one OpenBLAS thread on an x86-64 Xeon), and
+# a 64-row tile was no faster on a 60-row telegraph batch.
+_TILE = 8
 _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
 
@@ -227,9 +243,9 @@ class TrajectoryBatch(Sequence):
     offsets: np.ndarray
 
     def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=np.float64)
+        jt = as_number_array(self.jump_times, "jump times", np.float64)
         jc = _as_int64(self.jump_channels)
-        sn = np.asarray(self.snapshots, dtype=np.complex128)
+        sn = as_number_array(self.snapshots, "snapshots", np.complex128)
         off = _as_int64(self.offsets)
         if jt.shape != jc.shape or jt.ndim != 1:
             raise DimensionError("jump times/channels must be matching 1-D arrays")
@@ -344,6 +360,18 @@ def _runs(first: np.ndarray, count: np.ndarray):
     return owner, first[owner] + np.arange(owner.size) - starts[owner]
 
 
+def _continuation(psi: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """The rows' no-jump continuations E^k psi, shape (rows, K + 1, d), as
+    the product ``psi @ stacked`` taken over tiles of _TILE rows, the last
+    padded with zero rows, so BLAS sees one shape at any batch size."""
+    n, dim = psi.shape
+    tiles = -(-n // _TILE)
+    padded = np.zeros((tiles * _TILE, dim), dtype=np.complex128)
+    padded[:n] = psi
+    phi = np.matmul(padded.reshape(tiles, _TILE, dim), stacked)
+    return phi.reshape(tiles * _TILE, -1, dim)[:n]
+
+
 def _check_cap(p_jump: np.ndarray, taken: np.ndarray, start: np.ndarray,
                grid: TimeGrid) -> None:
     """Raise on the earliest grid step, over all rows, that a row took with
@@ -376,6 +404,9 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     powers[0] = np.eye(dim)
     for k in range(horizon):
         powers[k + 1] = np.einsum("ij,jk->ik", e, powers[k])
+    # column k * dim + i holds row i of E^k, so psi @ stacked lists E^k psi
+    stacked = np.ascontiguousarray(powers.transpose(2, 0, 1))
+    stacked = stacked.reshape(dim, (horizon + 1) * dim)
     ahead = np.arange(horizon)  # column j: the (j+1)-th step ahead
     channel_index = np.array([c for c, _ in model._jumps], dtype=np.int64)
     ops = np.array([l for _, l in model._jumps], dtype=np.complex128)
@@ -444,7 +475,7 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                     offset[i] -= used
 
             # no-jump continuation E^j psi for j = 0 .. horizon
-            phi = np.einsum("kij,bj->bki", powers, psi)
+            phi = _continuation(psi, stacked)
             nrm2 = _sq_norms(phi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 p_jump = 1.0 - nrm2[:, 1:] / nrm2[:, :-1]

@@ -288,3 +288,10 @@ def mcwf_scalar(psi0, e_step, channels, t_start, dt, n_steps, sample_every,
             snaps.append(psi.copy())
     return (np.array(snaps), np.array(jump_times),
             np.array(jump_channels, dtype=np.int64))
+
+
+def continuation_einsum(powers, psi):
+    """The no-jump continuations E^k psi of each row of *psi*, shape
+    (rows, K + 1, d), from the powers (K + 1, d, d): one row-local einsum,
+    the engine's route before it took BLAS products over fixed tiles."""
+    return np.einsum("kij,bj->bki", np.asarray(powers), np.asarray(psi))

@@ -13,8 +13,8 @@ from decosim.errors import (ConfigurationError, DimensionError, DomainError,
                             StateError)
 from decosim.evolution import TimeGrid
 from decosim.hilbert import (QuantumState, TensorFactorization, as_complex,
-                             as_integer, as_key, as_matrix, as_real,
-                             as_vector, check_dims, dagger,
+                             as_integer, as_key, as_matrix, as_number_array,
+                             as_real, as_vector, check_dims, dagger,
                              eig_hermitian, expm_hermitian_prop, is_hermitian, is_unitary,
                              kron, matmul, partial_trace)
 
@@ -417,3 +417,32 @@ def test_as_decimal_past_the_int_digit_limit_is_refused_not_raised():
         pytest.skip("this Python converts any number of digits")
     with pytest.raises(ConfigurationError, match="^n must be an integer"):
         hilbert.as_decimal("9" * (limit + 1), "n")
+
+
+@pytest.mark.parametrize("vector", [
+    ["1", "0"], [b"1", b"0"], np.array(["1", "0"]), [True, False],
+    np.array([1, True], dtype=object)])
+def test_pure_state_refuses_strings_and_bools(vector):
+    with pytest.raises(DomainError, match=r"^vector must be numbers, not "
+                       r"bools or strings$"):
+        QuantumState.pure(vector)
+
+
+def test_mixed_state_refuses_a_string_matrix():
+    with pytest.raises(DomainError, match=r"^matrix must be numbers"):
+        QuantumState.mixed([["0.5", "0"], ["0", "0.5"]])
+    with pytest.raises(DomainError, match=r"^matrix must be numbers"):
+        QuantumState._mixed_stack(np.array([[[0.5, 0], [0, "0.5"]]],
+                                           dtype=object))
+
+
+def test_number_arrays_take_numbers_of_any_kind():
+    mixed = np.array([1, 2.5, 1j, np.float32(2)], dtype=object)
+    assert as_number_array(mixed, "x", np.complex128).tolist() == [
+        1, 2.5, 1j, 2]
+    ints = np.arange(3)
+    assert as_number_array(ints, "x", np.float64).dtype == np.float64
+    same = np.zeros(2, dtype=np.complex128)
+    assert as_number_array(same, "x", np.complex128) is same
+    with pytest.raises(DomainError, match=r"^rho must be numbers"):
+        as_number_array([np.True_], "rho", np.complex128)

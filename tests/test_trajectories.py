@@ -1,7 +1,10 @@
 """Quantum-jump engine: randomness contract, reproducibility, statistics."""
 
+import os
 import pickle
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from decosim.trajectories import (TrajectoryBatch, TrajectoryRecord, aggregate,
                                   run_ensemble, run_trajectory,
                                   unraveling_equivalence_report)
 
-from oracles import lindblad_rhs_loops, mcwf_scalar
+from oracles import continuation_einsum, lindblad_rhs_loops, mcwf_scalar
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SZ = np.diag([0.5, -0.5]).astype(complex)
@@ -1169,3 +1172,126 @@ def test_record_integers_are_plain_decimals(line, field, name, bad):
         record_from_text("\n".join(lines))
     assert str(exc.value) == (f"malformed trajectory record: {name} must be "
                               f"an integer, got {bad!r}")
+
+
+# out-of-order streams 0 .. 16 without stream 11
+_SHUFFLED = [16, 3, 9, 0, 14, 5, 12, 1, 7, 15, 2, 10, 6, 13, 4, 8]
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
+def test_rows_match_solo_runs_at_every_place_in_a_tile(size):
+    # A continuation tile holds 8 rows.  Stream 11 takes each place 0 .. 8
+    # the batch has, so it runs alone, in a padded tile, in a full one and
+    # at the head of the second; every row of every batch is held against
+    # its solo run.  No telegraph row finishes early, so places hold.  The
+    # detuning matters: one product over the whole batch changes rows here.
+    model = three_level_model(ThreeLevelParams(40.0, 3.0, 30.0, 2.0, 5.0))
+    start = ground_state()
+    grid = TimeGrid(0.0, 2.5, 1000, sample_every=10)
+    solo = {}
+    for place in range(min(size, 9)):
+        streams = _SHUFFLED[:size - 1]
+        streams.insert(place, 11)
+        batch = tj._worker((start.data, model, grid, 31,
+                            np.array(streams, dtype=np.uint64)))
+        assert batch.streams.tolist() == streams
+        assert batch.jump_times.size > 0
+        for rec in batch:
+            if rec.stream not in solo:
+                solo[rec.stream] = run_trajectory(start, model, grid, seed=31,
+                                                  stream=rec.stream)
+            want = solo[rec.stream]
+            assert np.array_equal(rec.snapshots, want.snapshots)
+            assert np.array_equal(rec.jump_times, want.jump_times)
+            assert np.array_equal(rec.jump_channels, want.jump_channels)
+
+
+def test_records_do_not_depend_on_blas_threads():
+    # At d = 40 a tile's product is large enough for OpenBLAS to split it
+    # over two threads; the record text must not change.
+    src = os.path.dirname(os.path.dirname(tj.__file__))
+    code = (
+        "import sys\n"
+        "from decosim.evolution import TimeGrid\n"
+        "from decosim.models.oscillator import (DampedOscillatorParams,\n"
+        "    oscillator_model, superposition_state)\n"
+        "from decosim.trajectories import record_to_text, run_ensemble\n"
+        "p = DampedOscillatorParams(1.0, 0.2, 0.3, 40, (1.5,))\n"
+        "batch = run_ensemble(superposition_state([1.0], p.alphas, 40),\n"
+        "                     oscillator_model(p),\n"
+        "                     TimeGrid(0.0, 2.0, 100, sample_every=25),\n"
+        "                     n_traj=17, seed=21)\n"
+        "sys.stdout.write(''.join(record_to_text(r) for r in batch))\n")
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        texts.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert texts[0].count("decosim-trajectory-record v1") == 17
+    assert texts[0] == texts[1]
+
+
+def _stacked_powers(model, dt):
+    """E^0 .. E^K of the model's step as the engine stacks them, and as
+    the (K + 1, d, d) array the oracle takes."""
+    e = expm(-1j * dt * model._h_eff)
+    powers = [np.eye(model.dim, dtype=complex)]
+    for _ in range(tj._LOOKAHEAD):
+        powers.append(e @ powers[-1])
+    powers = np.array(powers)
+    stacked = np.ascontiguousarray(powers.transpose(2, 0, 1))
+    return stacked.reshape(model.dim, -1), powers
+
+
+@pytest.mark.parametrize("case", ["telegraph", "decay"])
+def test_tiled_continuation_matches_the_einsum_oracle(case, monkeypatch):
+    # The tiled BLAS product is the oracle's row-local einsum to rounding,
+    # and an engine driven by the oracle makes the same jumps.
+    if case == "telegraph":
+        model = three_level_model(ThreeLevelParams(40.0, 3.0, 30.0, 2.0, 5.0))
+        start = ground_state()
+        grid = TimeGrid(0.0, 2.5, 1000, sample_every=10)
+    else:
+        model = two_level_decay_model(0.5)
+        start = QuantumState.pure([0.0, 1.0])
+        grid = TimeGrid(0.0, 20.0, 400, sample_every=10)
+    stacked, powers = _stacked_powers(model, grid.dt)
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 8, 9, 17):
+        psi = (rng.standard_normal((n, model.dim))
+               + 1j * rng.standard_normal((n, model.dim)))
+        got = tj._continuation(psi, stacked)
+        want = continuation_einsum(powers, psi)
+        assert got.shape == want.shape == (n, tj._LOOKAHEAD + 1, model.dim)
+        err = np.abs(got - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-15 * np.linalg.norm(psi, axis=1))
+
+    batch = run_ensemble(start, model, grid, n_traj=17, seed=12)
+    assert batch.jump_times.size > 0
+    monkeypatch.setattr(
+        tj, "_continuation", lambda psi, stacked: continuation_einsum(
+            stacked.reshape(model.dim, -1, model.dim).transpose(1, 2, 0),
+            psi))
+    reference = run_ensemble(start, model, grid, n_traj=17, seed=12)
+    assert np.array_equal(batch.offsets, reference.offsets)
+    assert np.array_equal(batch.jump_times, reference.jump_times)
+    assert np.array_equal(batch.jump_channels, reference.jump_channels)
+    assert np.allclose(batch.snapshots, reference.snapshots, rtol=0,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("times", [["0.5"], [True], np.array([0.5, "0.6"],
+                                                            dtype=object)])
+def test_record_refuses_jump_times_that_are_strings_or_bools(times):
+    with pytest.raises(DomainError, match=r"^jump times must be numbers, "
+                       r"not bools or strings$"):
+        TrajectoryRecord(**_record_fields(
+            jump_times=times, jump_channels=[0] * len(times)))
+
+
+def test_record_refuses_string_snapshots():
+    with pytest.raises(DomainError, match=r"^snapshots must be numbers"):
+        TrajectoryRecord(**_record_fields(
+            snapshots=[["0.6", "0.8j"]] * 3))
