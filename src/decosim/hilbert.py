@@ -62,9 +62,12 @@ def as_integer(value, name: str, error=DimensionError, least=None) -> int:
 
 
 def as_number_array(values, name: str, dtype) -> np.ndarray:
-    """*values* as an array of *dtype*; an array of bools, strings or bytes
-    raises DomainError, and so does an object array that holds one."""
-    arr = np.asarray(values)
+    """*values* as an array of *dtype*; a bool, string or bytes entry
+    raises DomainError.  An ndarray is judged by its dtype; other input is
+    read as objects first, so a list that mixes numbers and bools is
+    refused rather than cast."""
+    arr = (values if isinstance(values, np.ndarray)
+           else np.asarray(values, dtype=object))
     if arr.dtype.kind in "bSU" or (arr.dtype.kind == "O" and any(
             isinstance(v, (bool, np.bool_, str, bytes)) for v in arr.flat)):
         raise DomainError(f"{name} must be numbers, not bools or strings")
@@ -287,7 +290,9 @@ class QuantumState:
 
     @classmethod
     def mixed(cls, matrix) -> "QuantumState":
-        return cls._mixed_stack([matrix])[0]
+        # a stack of one copy, so a numeric array skips the entry scan
+        m = as_number_array(matrix, "matrix", np.complex128)
+        return cls._mixed_stack(np.array([m]))[0]
 
     @classmethod
     def _mixed_stack(cls, matrices) -> tuple["QuantumState", ...]:
@@ -299,7 +304,7 @@ class QuantumState:
         and the first check it fails; in a stack of more than one the
         message starts "matrix i of n: ".  The error's ``index`` is i.
         The states are views of a complex128 array passed in, which the
-        caller hands over; a list, as :meth:`mixed` passes, is copied.
+        caller hands over; a list is copied.
         """
         m = as_number_array(matrices, "matrix", np.complex128)
         if m.ndim != 3:

@@ -97,6 +97,22 @@ is a sequence: an item is a ``TrajectoryRecord`` view of its row (not
 checked again) and a slice is a batch, so code written for a list of
 records keeps working.
 
+Ensemble reduction
+------------------
+An estimate is reduced in fixed blocks of _BLOCK = 256 rows of the
+stream-sorted ensemble.  A block's moments are its count, the sum of its
+projectors psi psi^dag per sample (one ``einsum`` over the block), and the
+mean and M2 (sum of squared deviations) of its populations.  The blocks
+are folded left to right in block order with the pairwise update of Chan,
+Golub & LeVeque (Am. Stat. 37, 242, 1983), so the estimate's bits depend
+on the ensemble and _BLOCK only, never on workers or chunks.
+``aggregate`` applies this reduction to the rows it is given.  The
+unraveling report runs it as the ensemble runs: each process takes a
+contiguous run of whole blocks, runs at most four blocks per engine call
+and returns only their moments, so the pool moves O(blocks * S * d^2)
+bytes and no process holds every snapshot.  Its estimate equals
+``aggregate(run_ensemble(...))`` bit for bit.
+
 Record text format (version 1)
 ------------------------------
 ``record_to_text`` emits, in order, one line each of::
@@ -161,6 +177,9 @@ _LOOKAHEAD = 64
 _TILE = 8
 _CHUNK_BYTES = 48_000_000
 _MAX_CHUNK = 4096
+# Rows per reduction block (see "Ensemble reduction").  Workers take whole
+# blocks, and 256 splits 6,000 rows over two as 3,072 + 2,928.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -184,7 +203,8 @@ class TrajectoryRecord:
     def __post_init__(self):
         one = TrajectoryBatch(
             seed=self.seed, streams=[self.stream], dim=self.dim,
-            grid=self.grid, snapshots=np.asarray(self.snapshots)[None],
+            grid=self.grid, snapshots=as_number_array(
+                self.snapshots, "snapshots", np.complex128)[None],
             jump_times=self.jump_times, jump_channels=self.jump_channels,
             offsets=[0, np.size(self.jump_times)])
         object.__setattr__(self, "dim", one.dim)
@@ -604,6 +624,15 @@ def _concat(parts: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
                                          for p in parts])))
 
 
+def _ensemble_inputs(state, model, seed, n_traj, workers):
+    """The checked start vector, seed, ensemble size and capped workers."""
+    psi0, seed = _check_trajectory_inputs(state, model, seed)
+    n_traj = as_integer(n_traj, "n_traj", ConfigurationError, least=1)
+    workers = _capped_workers(
+        as_integer(workers, "workers", ConfigurationError, least=1))
+    return psi0, seed, n_traj, workers
+
+
 def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                  n_traj: int, seed: int, workers: int = 1,
                  ) -> TrajectoryBatch:
@@ -613,10 +642,8 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     at most one per CPU; the batch holds its rows in stream order either
     way, so the result is independent of scheduling.
     """
-    psi0, seed = _check_trajectory_inputs(state, model, seed)
-    n_traj = as_integer(n_traj, "n_traj", ConfigurationError, least=1)
-    workers = _capped_workers(
-        as_integer(workers, "workers", ConfigurationError, least=1))
+    psi0, seed, n_traj, workers = _ensemble_inputs(state, model, seed,
+                                                   n_traj, workers)
     streams = np.arange(n_traj, dtype=np.uint64)
     if workers == 1 or n_traj < 2 * workers:
         return _run_streams(psi0, model, grid, seed, streams)
@@ -647,7 +674,8 @@ def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
     """Average an ensemble: a batch, or records of one seed, dim and grid.
 
     The reduction sorts by stream first, so the estimate is bit-identical
-    under any permutation of the input.
+    under any permutation of the input; it then reduces in blocks (see
+    "Ensemble reduction").
     """
     if len(records) == 0:
         raise DimensionError("cannot aggregate an empty record list")
@@ -663,17 +691,67 @@ def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
         streams = np.array([r.stream for r in records], dtype=np.uint64)
         snaps = np.stack([r.snapshots for r in records])
     snaps = snaps[np.argsort(streams, kind="stable")]
-    n = snaps.shape[0]
-    mean_rho = np.einsum("nsd,nse->sde", snaps, snaps.conj()) / n
-    pops = snaps.real ** 2 + snaps.imag ** 2  # (n, S, d)
-    if n > 1:
-        stderr = pops.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        stderr = np.zeros(pops.shape[1:])
+    return _fold(_block_moments(snaps, _BLOCK), records[0].grid)
+
+
+def _block_moments(snaps: np.ndarray, block: int):
+    """The moments of each run of *block* rows of (n, S, d) snapshots: its
+    count, the sum of its projectors per sample (S, d, d), and the mean
+    and M2 of its populations (S, d)."""
+    for a in range(0, len(snaps), block):
+        rows = snaps[a:a + block]
+        pops = rows.real ** 2 + rows.imag ** 2
+        mean = pops.mean(axis=0)
+        yield (len(rows), np.einsum("nsd,nse->sde", rows, rows.conj()),
+               mean, ((pops - mean) ** 2).sum(axis=0))
+
+
+def _fold(moments, grid: TimeGrid) -> EnsembleEstimate:
+    """The estimate of block moments folded left to right, in block order,
+    with the pairwise update of Chan, Golub & LeVeque."""
+    (n, rho, mean, m2), *rest = moments
+    for n_b, rho_b, mean_b, m2_b in rest:
+        delta = mean_b - mean
+        total = n + n_b
+        mean = mean + delta * (n_b / total)
+        m2 = m2 + m2_b + delta ** 2 * (n * n_b / total)
+        rho = rho + rho_b
+        n = total
     return EnsembleEstimate(
-        n_traj=n, times=records[0].grid.sample_times(),
-        mean_states=QuantumState._mixed_stack(mean_rho),
-        population_stderr=stderr)
+        n_traj=n, times=grid.sample_times(),
+        mean_states=QuantumState._mixed_stack(rho / n),
+        population_stderr=np.sqrt(m2 / max(n - 1, 1)) / math.sqrt(n))
+
+
+def _moments_worker(args) -> list[tuple]:
+    """The block moments of streams lo .. hi-1, run four blocks a call."""
+    psi0, model, grid, seed, lo, hi, block = args
+    step = 4 * block
+    return [m for a in range(lo, hi, step) for m in _block_moments(
+        _run_streams(psi0, model, grid, seed,
+                     np.arange(a, min(a + step, hi), dtype=np.uint64)
+                     ).snapshots, block)]
+
+
+def _streamed_estimate(state: QuantumState, model: LindbladModel,
+                       grid: TimeGrid, n_traj: int, seed: int,
+                       workers: int) -> EnsembleEstimate:
+    """``aggregate(run_ensemble(...))`` bit for bit, reduced as it runs:
+    each process takes a contiguous run of whole blocks and returns their
+    moments, never the snapshots."""
+    psi0, seed, n_traj, workers = _ensemble_inputs(state, model, seed,
+                                                   n_traj, workers)
+    blocks = -(-n_traj // _BLOCK)
+    workers = min(workers, blocks)
+    bounds = np.linspace(0, blocks, workers + 1).astype(int) * _BLOCK
+    tasks = [(psi0, model, grid, seed, a, min(b, n_traj), _BLOCK)
+             for a, b in zip(bounds[:-1], bounds[1:])]
+    if workers == 1:
+        parts = map(_moments_worker, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_moments_worker, tasks))
+    return _fold([m for part in parts for m in part], grid)
 
 
 @dataclass(frozen=True)
@@ -715,16 +793,15 @@ def unraveling_equivalence_report(
         threshold = as_real(threshold, "threshold")
         if not threshold > 0.0:
             raise DomainError(f"threshold must be positive, got {threshold}")
-    records = run_ensemble(state, model, grid, n_traj, seed, workers=workers)
-    estimate = aggregate(records)
+    estimate = _streamed_estimate(state, model, grid, n_traj, seed, workers)
     reference = integrate_master(state, model, grid)
     dists = np.array([
         trace_distance(est.data, ref.data)
         for est, ref in zip(estimate.mean_states, reference)])
     if threshold is None:
-        threshold = _sampling_threshold(len(records))
+        threshold = _sampling_threshold(estimate.n_traj)
     return EquivalenceReport(
-        n_traj=len(records), times=grid.sample_times(), trace_distances=dists,
+        n_traj=estimate.n_traj, times=estimate.times, trace_distances=dists,
         threshold=threshold, flagged=dists > threshold)
 
 

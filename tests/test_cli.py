@@ -140,6 +140,29 @@ def test_workers_env_changes_nothing_but_manifest(tmp_path, capsys,
     capsys.readouterr()
 
 
+def test_workers_env_runs_a_pool_of_block_runs(tmp_path, capsys,
+                                               monkeypatch):
+    table = unraveling_table(tmp_path)
+    table["estimator"]["n_traj"] = 2 * trajectories._BLOCK
+    path = write_config(tmp_path, table)
+    assert main(["run", str(path)]) == 0
+    serial = (tmp_path / "traj.csv").read_bytes()
+    pools = []
+
+    class Spy(trajectories.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(trajectories, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("DECOSIM_WORKERS", "2")
+    assert main(["run", str(path)]) == 0
+    assert pools == [2]
+    assert (tmp_path / "traj.csv").read_bytes() == serial
+    capsys.readouterr()
+
+
 def test_manifest_reports_the_capped_worker_count(tmp_path, capsys,
                                                   monkeypatch):
     def no_pool(*args, **kwargs):

@@ -421,16 +421,26 @@ def test_as_decimal_past_the_int_digit_limit_is_refused_not_raised():
 
 @pytest.mark.parametrize("vector", [
     ["1", "0"], [b"1", b"0"], np.array(["1", "0"]), [True, False],
-    np.array([1, True], dtype=object)])
+    np.array([1, True], dtype=object), [1.0, False]])
 def test_pure_state_refuses_strings_and_bools(vector):
     with pytest.raises(DomainError, match=r"^vector must be numbers, not "
                        r"bools or strings$"):
         QuantumState.pure(vector)
 
 
+def test_mixed_state_does_not_share_the_caller_array():
+    rho = np.diag([0.25, 0.75]).astype(complex)
+    state = QuantumState.mixed(rho)
+    rho[0, 0] = 1.0
+    assert state.data[0, 0] == 0.25
+
+
 def test_mixed_state_refuses_a_string_matrix():
     with pytest.raises(DomainError, match=r"^matrix must be numbers"):
         QuantumState.mixed([["0.5", "0"], ["0", "0.5"]])
+    # numpy alone would cast a bool among numbers to a number
+    with pytest.raises(DomainError, match=r"^matrix must be numbers"):
+        QuantumState.mixed([[1.0, 0.0], [0.0, False]])
     with pytest.raises(DomainError, match=r"^matrix must be numbers"):
         QuantumState._mixed_stack(np.array([[[0.5, 0], [0, "0.5"]]],
                                            dtype=object))

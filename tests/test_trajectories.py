@@ -1,5 +1,6 @@
 """Quantum-jump engine: randomness contract, reproducibility, statistics."""
 
+import math
 import os
 import pickle
 import re
@@ -1283,7 +1284,8 @@ def test_tiled_continuation_matches_the_einsum_oracle(case, monkeypatch):
 
 
 @pytest.mark.parametrize("times", [["0.5"], [True], np.array([0.5, "0.6"],
-                                                            dtype=object)])
+                                                            dtype=object),
+                                   [0.5, True]])
 def test_record_refuses_jump_times_that_are_strings_or_bools(times):
     with pytest.raises(DomainError, match=r"^jump times must be numbers, "
                        r"not bools or strings$"):
@@ -1295,3 +1297,98 @@ def test_record_refuses_string_snapshots():
     with pytest.raises(DomainError, match=r"^snapshots must be numbers"):
         TrajectoryRecord(**_record_fields(
             snapshots=[["0.6", "0.8j"]] * 3))
+    with pytest.raises(DomainError, match=r"^snapshots must be numbers"):
+        TrajectoryRecord(**_record_fields(snapshots=[[1.0, False]] * 3))
+
+
+def _same_estimate(a, b):
+    return (a.n_traj == b.n_traj and np.array_equal(a.times, b.times)
+            and all(np.array_equal(x.data, y.data)
+                    for x, y in zip(a.mean_states, b.mean_states))
+            and np.array_equal(a.population_stderr, b.population_stderr))
+
+
+def test_streamed_estimate_is_one_value(monkeypatch):
+    """The report's estimate, reduced in blocks as the ensemble runs, is
+    aggregate(run_ensemble(...)) bit for bit, under any worker count, pool
+    and chunk size."""
+    monkeypatch.setattr(tj, "_BLOCK", 16)    # 70 rows span 5 blocks
+    model = _driven_decay_model()
+    grid = TimeGrid(0.0, 2.0, 200, sample_every=40)
+    args = (_plus_state(), model, grid, 70, 6)
+    whole = aggregate(run_ensemble(*args))
+    for workers in (1, 2, 3):
+        assert _same_estimate(tj._streamed_estimate(*args, workers), whole)
+    monkeypatch.setattr(tj.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(tj, "ProcessPoolExecutor", _SerialPool)
+    for workers, seen in ((2, [2, 2]), (3, [3, 3])):
+        _SerialPool.seen = []
+        assert _same_estimate(tj._streamed_estimate(*args, workers), whole)
+        assert _SerialPool.seen == seen      # max_workers, block runs
+    monkeypatch.setattr(tj, "_CHUNK_BYTES", 1)
+    assert _same_estimate(tj._streamed_estimate(*args, 3), whole)
+
+
+@pytest.mark.parametrize("block", [16, tj._BLOCK])
+def test_aggregate_mean_is_close_to_an_exact_sum(monkeypatch, block):
+    monkeypatch.setattr(tj, "_BLOCK", block)
+    grid = TimeGrid(0.0, 1.0, 4, sample_every=1)
+    rng = np.random.default_rng(3)
+    snaps = rng.standard_normal((200, 5, 3)) + 1j * rng.standard_normal(
+        (200, 5, 3))
+    snaps /= np.linalg.norm(snaps, axis=2, keepdims=True)
+    batch = TrajectoryBatch(seed=0, streams=np.arange(200), dim=3, grid=grid,
+                            snapshots=snaps, jump_times=[], jump_channels=[],
+                            offsets=np.zeros(201, dtype=int))
+    est = aggregate(batch)
+    products = snaps[:, :, :, None] * snaps[:, :, None, :].conj()
+    for s, state in enumerate(est.mean_states):
+        for i, j in np.ndindex(3, 3):
+            terms = products[:, s, i, j]
+            exact = complex(math.fsum(terms.real), math.fsum(terms.imag)) / 200
+            assert abs(state.data[i, j] - exact) <= 1e-15
+
+
+def test_streamed_path_runs_at_most_four_blocks_a_call(monkeypatch):
+    monkeypatch.setattr(tj, "_BLOCK", 16)
+    sizes = []
+    run_streams = tj._run_streams
+
+    def spy(psi0, model, grid, seed, streams):
+        sizes.append(len(streams))
+        return run_streams(psi0, model, grid, seed, streams)
+
+    monkeypatch.setattr(tj, "_run_streams", spy)
+    monkeypatch.setattr(tj.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tj, "ProcessPoolExecutor", _SerialPool)
+    grid = TimeGrid(0.0, 1.0, 100, sample_every=50)
+    for workers in (1, 2):
+        sizes.clear()
+        tj._streamed_estimate(_plus_state(), _driven_decay_model(), grid,
+                              150, 2, workers)
+        assert sum(sizes) == 150
+        assert max(sizes) <= 4 * tj._BLOCK
+
+
+def test_worker_returns_moments_not_snapshots():
+    """A 3,000-row worker of the unravel-wide benchmark returns under 1 MB
+    (its snapshot batch pickles to 7.6 MB)."""
+    p = ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15)
+    grid = TimeGrid(0.0, 10.0, 1000, sample_every=20)
+    moments = tj._moments_worker((ground_state().data, three_level_model(p),
+                                  grid, 1, 0, 3000, tj._BLOCK))
+    assert sum(m[0] for m in moments) == 3000
+    assert len(pickle.dumps(moments)) < 1_000_000
+
+
+def test_equivalence_threshold_checked_before_the_streamed_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the threshold check")
+
+    monkeypatch.setattr(tj, "_streamed_estimate", no_run)
+    grid = TimeGrid(0.0, 1.0, 100)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="threshold"):
+            unraveling_equivalence_report(_plus_state(), _driven_decay_model(),
+                                          grid, n_traj=50, seed=1,
+                                          threshold=bad)
