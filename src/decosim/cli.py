@@ -26,7 +26,7 @@ into place, so a write that fails leaves the previous file intact.
 
 The environment variable DECOSIM_WORKERS, in ASCII decimal digits, sets the
 trajectory worker count (default 1); a run uses at most one worker per CPU,
-and the manifest records the count it used.
+and the manifest records the request after that cap.
 """
 
 from __future__ import annotations

@@ -90,11 +90,13 @@ seed, a ``streams`` array, ``snapshots`` of shape (n, n_samples, dim), and
 every row's jumps in flat ``jump_times``/``jump_channels`` arrays, row i
 owning the slice ``offsets[i]:offsets[i + 1]``.  The engine collects the
 jumps as one array per pass and validates the batch once, with vectorised
-checks that apply the ``TrajectoryRecord`` rules to every row.  Workers
-return batches and ``run_ensemble`` joins them in stream order, so the
-pool moves a few arrays instead of one object per trajectory.  The batch
-is a sequence: an item is a ``TrajectoryRecord`` view of its row (not
-checked again) and a slice is a batch, so code written for a list of
+checks that apply the ``TrajectoryRecord`` rules to every row.  Both
+ensembles cut streams 0 .. n-1 into at most min(workers, units) runs of
+whole units, in order, and pool only two or more runs.  ``run_ensemble``'s
+unit is one stream: its workers return batches, joined in stream order, so
+the pool moves a few arrays instead of one object per trajectory.  The
+batch is a sequence: an item is a ``TrajectoryRecord`` view of its row
+(not checked again) and a slice is a batch, so code written for a list of
 records keeps working.
 
 Ensemble reduction
@@ -107,9 +109,9 @@ are folded left to right in block order with the pairwise update of Chan,
 Golub & LeVeque (Am. Stat. 37, 242, 1983), so the estimate's bits depend
 on the ensemble and _BLOCK only, never on workers or chunks.
 ``aggregate`` applies this reduction to the rows it is given.  The
-unraveling report runs it as the ensemble runs: each process takes a
-contiguous run of whole blocks, runs at most four blocks per engine call
-and returns only their moments, so the pool moves O(blocks * S * d^2)
+unraveling report runs it as the ensemble runs, one block a unit: each
+process takes a run of whole blocks, runs at most four blocks per engine
+call and returns only their moments, so the pool moves O(blocks * S * d^2)
 bytes and no process holds every snapshot.  Its estimate equals
 ``aggregate(run_ensemble(...))`` bit for bit.
 
@@ -439,10 +441,9 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     # offset, so only a row with more than horizon + 1 jumps refills; its
     # offset then falls below 4, and its window holds >= horizon + 4 draws.
     window = -(-min(_RNG_WINDOW, n_steps + 2 * horizon + 1) // 4) * 4
-    # Chunk so uniform buffers, snapshots and the per-pass look-ahead
-    # temporaries stay within a modest footprint.
-    per_traj = (window * 8 + grid.n_samples * dim * 16
-                + (horizon + 1) * (dim * 16 + 64))
+    # Chunk so the uniform windows and look-ahead temporaries stay within a
+    # modest footprint; the snapshots are held for every stream anyway.
+    per_traj = window * 8 + (horizon + 1) * (dim * 16 + 64)
     chunk_size = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_traj))
     # One Philox serves every row: set to key (seed, s) at counter n it
     # yields stream s's uniforms from block n on.  Writing the counter word
@@ -584,18 +585,10 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         offsets=_offsets(np.bincount(owner, minlength=streams.size)))
 
 
-def _check_trajectory_inputs(state: QuantumState, model: LindbladModel,
-                             seed: int) -> tuple[np.ndarray, int]:
-    if state.kind != "pure":
-        raise StateError("trajectory evolution starts from a pure state")
-    check_dims(state.dim, model.dim, "state", "model")
-    return state.data, as_key(seed, "seed")
-
-
 def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                    seed: int, stream: int = 0) -> TrajectoryRecord:
     """Run the single trajectory keyed by (seed, stream)."""
-    psi0, seed = _check_trajectory_inputs(state, model, seed)
+    psi0, seed, _, _ = _ensemble_inputs(state, model, seed, 1, 1)
     stream = as_key(stream, "stream")
     return _run_streams(psi0, model, grid, seed, [stream])[0]
 
@@ -613,6 +606,8 @@ def _worker(args) -> TrajectoryBatch:
 def _concat(parts: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
     """The rows of batches that share seed, dim and grid, in order."""
     first = parts[0]
+    if len(parts) == 1:
+        return first
     return _unchecked(
         TrajectoryBatch, seed=first.seed,
         streams=np.concatenate([p.streams for p in parts]), dim=first.dim,
@@ -626,11 +621,28 @@ def _concat(parts: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
 
 def _ensemble_inputs(state, model, seed, n_traj, workers):
     """The checked start vector, seed, ensemble size and capped workers."""
-    psi0, seed = _check_trajectory_inputs(state, model, seed)
+    if state.kind != "pure":
+        raise StateError("trajectory evolution starts from a pure state")
+    check_dims(state.dim, model.dim, "state", "model")
+    seed = as_key(seed, "seed")
     n_traj = as_integer(n_traj, "n_traj", ConfigurationError, least=1)
     workers = _capped_workers(
         as_integer(workers, "workers", ConfigurationError, least=1))
-    return psi0, seed, n_traj, workers
+    return state.data, seed, n_traj, workers
+
+
+def _map_runs(fn, task, n_traj: int, unit: int, workers: int) -> list:
+    """``fn(task(lo, hi))`` for each run of streams lo .. hi-1 when streams
+    0 .. n_traj-1 are cut into at most min(workers, units) runs of whole
+    units of ``unit`` streams, in order; more than one run in a pool."""
+    units = -(-n_traj // unit)
+    runs = min(workers, units)
+    bounds = [min(i * units // runs * unit, n_traj) for i in range(runs + 1)]
+    tasks = [task(a, b) for a, b in zip(bounds, bounds[1:])]
+    if runs == 1:
+        return [fn(tasks[0])]
+    with ProcessPoolExecutor(max_workers=runs) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
@@ -638,21 +650,15 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
                  ) -> TrajectoryBatch:
     """Run trajectories for streams 0 .. n_traj-1 under one base seed.
 
-    ``workers > 1`` distributes contiguous stream ranges over processes,
-    at most one per CPU; the batch holds its rows in stream order either
-    way, so the result is independent of scheduling.
+    The streams run by the split of "Result layout", one stream a unit,
+    at most one process per CPU; the batch holds its rows in stream order
+    either way, so the result is independent of scheduling.
     """
     psi0, seed, n_traj, workers = _ensemble_inputs(state, model, seed,
                                                    n_traj, workers)
-    streams = np.arange(n_traj, dtype=np.uint64)
-    if workers == 1 or n_traj < 2 * workers:
-        return _run_streams(psi0, model, grid, seed, streams)
-
-    bounds = np.linspace(0, n_traj, workers + 1).astype(int)
-    tasks = [(psi0, model, grid, seed, streams[a:b])
-             for a, b in zip(bounds[:-1], bounds[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _concat(list(pool.map(_worker, tasks)))
+    return _concat(_map_runs(_worker, lambda a, b: (
+        psi0, model, grid, seed, np.arange(a, b, dtype=np.uint64)),
+        n_traj, 1, workers))
 
 
 @dataclass(frozen=True)
@@ -741,16 +747,8 @@ def _streamed_estimate(state: QuantumState, model: LindbladModel,
     moments, never the snapshots."""
     psi0, seed, n_traj, workers = _ensemble_inputs(state, model, seed,
                                                    n_traj, workers)
-    blocks = -(-n_traj // _BLOCK)
-    workers = min(workers, blocks)
-    bounds = np.linspace(0, blocks, workers + 1).astype(int) * _BLOCK
-    tasks = [(psi0, model, grid, seed, a, min(b, n_traj), _BLOCK)
-             for a, b in zip(bounds[:-1], bounds[1:])]
-    if workers == 1:
-        parts = map(_moments_worker, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_moments_worker, tasks))
+    parts = _map_runs(_moments_worker, lambda a, b: (
+        psi0, model, grid, seed, a, b, _BLOCK), n_traj, _BLOCK, workers)
     return _fold([m for part in parts for m in part], grid)
 
 

@@ -492,6 +492,44 @@ def test_workers_capped_at_cpu_count(monkeypatch):
         assert np.array_equal(a.snapshots, b.snapshots)
 
 
+def test_ensemble_pools_whenever_it_has_two_runs(monkeypatch):
+    """run_ensemble cuts its streams by the rule of the report, with a unit
+    of one stream: three streams on two workers run as two runs."""
+    model = _driven_decay_model()
+    grid = TimeGrid(0.0, 1.0, 100, sample_every=50)
+    serial = run_ensemble(_plus_state(), model, grid, 3, seed=5)
+    monkeypatch.setattr(tj.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(tj, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.seen = []
+    pooled = run_ensemble(_plus_state(), model, grid, 3, seed=5, workers=2)
+    assert _SerialPool.seen == [2, 2]      # max_workers, stream runs
+    assert np.array_equal(pooled.streams, serial.streams)
+    assert np.array_equal(pooled.snapshots, serial.snapshots)
+    assert np.array_equal(pooled.jump_times, serial.jump_times)
+    assert np.array_equal(pooled.jump_channels, serial.jump_channels)
+    assert np.array_equal(pooled.offsets, serial.offsets)
+    _SerialPool.seen = []
+    run_ensemble(_plus_state(), model, grid, 1, seed=5, workers=2)
+    assert _SerialPool.seen == []
+
+
+def test_chunk_size_ignores_the_snapshots(monkeypatch):
+    """The snapshots are held for every stream whatever the chunk, so they
+    do not shrink it: 60 rows sampled on each of 20,000 steps run as one
+    chunk, whose first pass sees every row."""
+    passes = []
+    continuation = tj._continuation
+
+    def spy(psi, stacked):
+        passes.append(len(psi))
+        return continuation(psi, stacked)
+
+    monkeypatch.setattr(tj, "_continuation", spy)
+    model = three_level_model(ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15))
+    grid = TimeGrid(0.0, 100.0, 20000, sample_every=1)
+    run_ensemble(ground_state(), model, grid, 60, seed=1)
+    assert passes[0] == 60
+
 def _oracle_step(model, grid):
     h_eff = model.h.astype(complex).copy()
     for op, rate in model.channels:
