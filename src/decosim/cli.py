@@ -76,6 +76,9 @@ def _read_config(path: str) -> ScenarioConfig:
     if not os.access(parent, os.W_OK):
         raise ConfigurationError(
             f"output.path: directory {parent} is not writable")
+    for target in (config.output_path, _manifest_path(config)):
+        if os.path.isdir(target):
+            raise ConfigurationError(f"output.path: {target} is a directory")
     return config
 
 

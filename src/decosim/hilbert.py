@@ -15,7 +15,9 @@ parameter: it must be a finite number) and ``as_complex`` (a number, not
 a bool or a string).  Two operands of unequal dimension are refused by
 ``check_dims``, whose message names both dimensions.  Arrays of numbers
 pass ``as_number_array``, which refuses bools and strings rather than
-casting them to numbers.
+casting them to numbers, and arrays of parameters (times, grids,
+densities, counts, matrices) pass ``as_finite_array``, which adds the
+finite test and an optional rank and square check.
 """
 
 from __future__ import annotations
@@ -118,25 +120,27 @@ def check_dims(dim: int, other: int, what: str, against: str) -> None:
                              f"{against} dimension {other}")
 
 
-def _as_complex_array(a, ndim: int, what: str, square: bool) -> np.ndarray:
-    """*a* as an *ndim*-D complex128 array of finite entries: DimensionError
-    for wrong rank or (if ``square``) non-square input, else DomainError."""
-    arr = as_number_array(a, what, np.complex128)
-    if arr.ndim != ndim:
-        raise DimensionError(f"expected a {ndim}-D {what}, got ndim={arr.ndim}")
+def as_finite_array(a, name: str, dtype=np.float64, ndim=None,
+                    square: bool = False) -> np.ndarray:
+    """*a* by ``as_number_array``, with finite entries and, if given, *ndim*
+    axes (square if ``square``): DimensionError for a wrong rank or shape,
+    else DomainError."""
+    arr = as_number_array(a, name, dtype)
+    if ndim is not None and arr.ndim != ndim:
+        raise DimensionError(f"expected a {ndim}-D {name}, got ndim={arr.ndim}")
     if square and arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise DomainError(f"{what} entries must be finite")
+        raise DimensionError(f"expected a square {name}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} entries must be finite")
     return arr
 
 
 def as_matrix(a, *, square: bool = False) -> np.ndarray:
-    return _as_complex_array(a, 2, "matrix", square)
+    return as_finite_array(a, "matrix", np.complex128, 2, square)
 
 
 def as_vector(v) -> np.ndarray:
-    return _as_complex_array(v, 1, "vector", False)
+    return as_finite_array(v, "vector", np.complex128, 1)
 
 
 def matmul(a, b) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, DomainError
-from ..hilbert import as_complex, as_real
+from ..hilbert import as_complex, as_finite_array, as_real
 
 __all__ = ["CentralSpinParams", "central_spin_coherence", "decoherence_time",
            "gaussian_envelope", "spin_echo_coherence"]
@@ -75,7 +75,7 @@ def decoherence_time(params: CentralSpinParams) -> float:
 def gaussian_envelope(params: CentralSpinParams, times) -> np.ndarray:
     """Short-time magnitude law |c1 c2| exp(-t^2 / (8 t_D^2)); constant when
     every coupling vanishes."""
-    t = np.asarray(times, dtype=np.float64)
+    t = as_finite_array(times, "times")
     amp = abs(params.c1 * np.conj(params.c2))
     s = float(np.sum(np.square(params.couplings)))
     return amp * np.exp(-s * t * t / 8.0)
@@ -83,7 +83,7 @@ def gaussian_envelope(params: CentralSpinParams, times) -> np.ndarray:
 
 def central_spin_coherence(params: CentralSpinParams, times) -> np.ndarray:
     """Closed-form off-diagonal element <up| rho_S(t) |down>."""
-    t = np.asarray(times, dtype=np.float64)
+    t = as_finite_array(times, "times")
     return _dephased(params.c1 * np.conj(params.c2), params, t)
 
 
@@ -105,7 +105,7 @@ def spin_echo_coherence(params: CentralSpinParams, t_e: float,
     t_e = as_real(t_e, "t_e")
     if not t_e > 0.0:
         raise DomainError(f"pulse time must be positive, got {t_e}")
-    t = np.asarray(times, dtype=np.float64)
+    t = as_finite_array(times, "times")
     if np.any(t < 0.0):
         raise DomainError("times must be >= 0")
     late = t > t_e

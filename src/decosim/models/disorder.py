@@ -39,7 +39,8 @@ from scipy.integrate import quad, quad_vec
 
 from ..errors import (ConfigurationError, DimensionError, DomainError,
                       QuadratureError)
-from ..hilbert import QuantumState, as_integer, as_key, as_matrix, as_real
+from ..hilbert import (QuantumState, as_finite_array, as_integer, as_key,
+                       as_matrix, as_real)
 
 __all__ = ["Distribution", "DisorderAverage", "DisorderSpec",
            "disorder_averaged_state", "disorder_gamma"]
@@ -252,7 +253,7 @@ def _gamma_table(spec: DisorderSpec, times, method: str):
     Each off-diagonal pair is computed above the diagonal and mirrored as
     its conjugate; the diagonal is exactly 1.
     """
-    t = np.asarray(times, dtype=np.float64).reshape(-1)
+    t = as_finite_array(times, "times").reshape(-1)
     m, n = np.triu_indices(spec.dim, 1)
     eps = np.asarray(spec.epsilon)
     slo = np.asarray(spec.slopes)
@@ -306,7 +307,7 @@ def disorder_averaged_state(spec: DisorderSpec, times,
     ``samples`` draws of w (``seed`` mandatory).  Both routes leave the
     populations bit-identical to the diagonal of r.
     """
-    t = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    t = np.atleast_1d(as_finite_array(times, "times"))
     if method == "closed-form":
         gamma, abserr = _gamma_table(spec, t, "auto")
         states = QuantumState._mixed_stack(spec.r * gamma)

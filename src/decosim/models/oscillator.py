@@ -22,7 +22,8 @@ import numpy as np
 
 from ..errors import ConfigurationError, DomainError, TruncationError
 from ..evolution import LindbladModel
-from ..hilbert import QuantumState, as_complex, as_integer, as_real
+from ..hilbert import (QuantumState, as_complex, as_finite_array, as_integer,
+                       as_real)
 
 __all__ = ["DampedOscillatorParams", "check_truncation", "coherent_vector",
            "destroy", "fringe_visibility", "hermite_functions",
@@ -136,7 +137,7 @@ def hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:
     phi_{n+1} = sqrt(2/(n+1)) xi phi_n - sqrt(n/(n+1)) phi_{n-1},
     which stays bounded where the raw Hermite polynomials overflow.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = as_finite_array(xs, "xs")
     if xs.ndim != 1:
         raise DomainError("xs must be a 1-D grid")
     n_max = as_integer(n_max, "n_max", DomainError, least=1)
@@ -168,8 +169,8 @@ def fringe_visibility(xs: np.ndarray, density: np.ndarray,
     fringes from overlapping components score near 1 when their nodes
     reach zero and less as decoherence fills them in.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    density = np.asarray(density, dtype=np.float64)
+    xs = as_finite_array(xs, "xs")
+    density = as_finite_array(density, "density")
     if xs.shape != density.shape or xs.ndim != 1:
         raise DomainError("xs and density must be matching 1-D arrays")
     sel = np.abs(xs) <= as_real(half_window, "half_window")

@@ -25,7 +25,7 @@ from scipy.special import chdtr
 
 from ..errors import ConfigurationError, DomainError
 from ..evolution import LindbladModel, TimeGrid
-from ..hilbert import QuantumState, as_integer, as_real
+from ..hilbert import QuantumState, as_finite_array, as_integer, as_real
 from ..trajectories import TrajectoryBatch, run_ensemble
 
 __all__ = ["STRONG", "SHELVE", "DESHELVE", "TelegraphStats",
@@ -244,7 +244,7 @@ def poisson_dispersion(counts) -> tuple[float, float]:
     Returns (dispersion index, two-sided p-value) using the chi-square
     distribution of (n-1) * variance / mean.
     """
-    k = np.asarray(counts, dtype=np.float64)
+    k = as_finite_array(counts, "counts")
     if k.ndim != 1 or k.size < 2:
         raise DomainError("need a 1-D record with at least two bins")
     mean = k.mean()

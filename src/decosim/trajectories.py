@@ -139,10 +139,11 @@ lines is an error, never the size of an array.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import operator
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -629,6 +630,17 @@ def _ensemble_inputs(state, model, seed, n_traj, workers):
     workers = _capped_workers(
         as_integer(workers, "workers", ConfigurationError, least=1))
     return state.data, seed, n_traj, workers
+
+
+class ProcessPoolExecutor(futures.ProcessPoolExecutor):
+    """The pool of ``_map_runs``: its workers fork where the platform can,
+    which costs a fraction of starting each by importing decosim anew (the
+    forkserver default on Linux from Python 3.14, and spawn)."""
+
+    def __init__(self, max_workers):
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        super().__init__(max_workers, mp_context=(
+            multiprocessing.get_context("fork") if fork else None))
 
 
 def _map_runs(fn, task, n_traj: int, unit: int, workers: int) -> list:

@@ -503,3 +503,16 @@ def test_undefined_statistics_are_null_in_a_strict_json_manifest(tmp_path,
         assert info[key] is None
     assert info["dark_period_count"] == info["bright_period_count"] == 0
     assert manifest["checks"] == [] and manifest["all_passed"] is True
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("target", ["out.csv", "out.csv.manifest.json"])
+def test_an_output_path_that_names_a_directory_exits_two(tmp_path, capsys,
+                                                         command, target):
+    (tmp_path / target).mkdir()
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(path)]) == 2
+    assert (f"output.path: {tmp_path / target} is a directory"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.iterdir()) == before

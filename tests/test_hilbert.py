@@ -17,6 +17,11 @@ from decosim.hilbert import (QuantumState, TensorFactorization, as_complex,
                              as_real, as_vector, check_dims, dagger,
                              eig_hermitian, expm_hermitian_prop, is_hermitian, is_unitary,
                              kron, matmul, partial_trace)
+from decosim.models import (CentralSpinParams, DisorderSpec, Distribution,
+                            central_spin_coherence, disorder_averaged_state,
+                            fringe_visibility, gaussian_envelope,
+                            hermite_functions, poisson_dispersion,
+                            position_density, spin_echo_coherence)
 
 from oracles import expm_series, kron_loops, matmul_loops, partial_trace_loops
 
@@ -456,3 +461,48 @@ def test_number_arrays_take_numbers_of_any_kind():
     assert as_number_array(same, "x", np.complex128) is same
     with pytest.raises(DomainError, match=r"^rho must be numbers"):
         as_number_array([np.True_], "rho", np.complex128)
+
+
+_SPIN = CentralSpinParams(1.0, (0.8, 0.6), 0.6, 0.8)
+_DISORDER = DisorderSpec(Distribution.gaussian(0.0, 1.0), (0.0, 1.0),
+                         (0.0, 1.0), np.full((2, 2), 0.5))
+_GRID = list(np.linspace(-2.0, 2.0, 41))
+_FRINGES = list(1.0 + np.cos(4.0 * np.array(_GRID)))
+
+# (name of the array argument, call with that argument, a valid value)
+_MODEL_ARRAYS = {
+    "gaussian_envelope": (
+        "times", lambda a: gaussian_envelope(_SPIN, a), [0.5, 1.0, 1.5]),
+    "central_spin_coherence": (
+        "times", lambda a: central_spin_coherence(_SPIN, a), [0.5, 1.0, 1.5]),
+    "spin_echo_coherence": (
+        "times", lambda a: spin_echo_coherence(_SPIN, 1.0, a),
+        [0.5, 1.0, 1.5]),
+    "disorder_averaged_state": (
+        "times", lambda a: disorder_averaged_state(_DISORDER, a),
+        [0.5, 1.0, 1.5]),
+    "hermite_functions": ("xs", lambda a: hermite_functions(a, 4), _GRID),
+    "position_density": (
+        "xs", lambda a: position_density(QuantumState.pure([1, 0, 0, 0]), a),
+        _GRID),
+    "fringe_visibility(xs)": (
+        "xs", lambda a: fringe_visibility(a, _FRINGES), _GRID),
+    "fringe_visibility(density)": (
+        "density", lambda a: fringe_visibility(_GRID, a), _FRINGES),
+    "poisson_dispersion": (
+        "counts", poisson_dispersion, [3.0, 5.0, 4.0, 6.0]),
+}
+
+
+@pytest.mark.parametrize("bad", ["1", True, math.nan, math.inf],
+                         ids=["string", "bool", "nan", "inf"])
+@pytest.mark.parametrize("case", list(_MODEL_ARRAYS))
+def test_model_arrays_refuse_what_is_not_a_finite_number(case, bad):
+    """Every array a model function takes passes as_finite_array: an entry
+    that is a string, a bool or not finite is refused by the argument's
+    name, not parsed, cast or carried into the result."""
+    name, call, good = _MODEL_ARRAYS[case]
+    call(good)
+    with pytest.raises(ValueError, match=rf"^{name} (must be numbers|"
+                       r"entries must be finite)"):
+        call(good[:1] + [bad] + good[2:])

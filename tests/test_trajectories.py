@@ -1,6 +1,7 @@
 """Quantum-jump engine: randomness contract, reproducibility, statistics."""
 
 import math
+import multiprocessing
 import os
 import pickle
 import re
@@ -1430,3 +1431,17 @@ def test_equivalence_threshold_checked_before_the_streamed_run(monkeypatch):
             unraveling_equivalence_report(_plus_state(), _driven_decay_model(),
                                           grid, n_traj=50, seed=1,
                                           threshold=bad)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="fork is the start method where the OS has it")
+def test_pool_workers_fork_whatever_the_default_start_method():
+    """The pool forks its workers under any default, such as forkserver on
+    Linux from Python 3.14: a fork skips each worker's import of decosim."""
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        with tj.ProcessPoolExecutor(1) as pool:
+            assert pool._mp_context.get_start_method() == "fork"
+    finally:
+        multiprocessing.set_start_method(default, force=True)
