@@ -105,7 +105,8 @@ def _write_csv(config: ScenarioConfig, columns, rows) -> None:
     head = (f"# decosim {__version__} scenario {config.scenario}\n"
             f"# config-sha256: {config_hash(config)}\n"
             + ",".join(columns) + "\n")
-    lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    # Python floats format faster than the numpy scalars a row yields
+    lines = (",".join(map(_fmt, row.tolist())) + "\n" for row in rows)
     _write_atomic(config.output_path, itertools.chain([head], lines))
 
 

@@ -21,8 +21,11 @@ Three ways to push a state forward in time:
   splits L into the blocks of rho's entries it leaves invariant (the
   connected components of its sparsity graph; 79 bands for the damped
   oscillator at n_fock = 40) and moves each block from sample to sample by
-  T_b^sample_every.  This reproduces the step-by-step RK4 values to
-  rounding, so RK4's truncation error and stability limit are unchanged.
+  T_b^sample_every.  The generator preserves hermiticity, so only one
+  block of each transpose pair is powered and its partner is written as
+  the conjugate: the entries of paired blocks come out exactly hermitian.
+  This reproduces the step-by-step RK4 values to rounding, so RK4's
+  truncation error and stability limit are unchanged.
   A model with a block too large to power (above MAX_POWERED_BLOCK
   entries, such as a dense d = 40 model) keeps the step-by-step loop over
   ``lindblad_rhs``.  Both routes run to t_end and return one array of the
@@ -294,18 +297,30 @@ def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
     from sample to sample by T_b^sample_every: one batched matvec per block
     size.  The sizes are done one after another, so only one size's
     powers are held at a time.
+
+    The generator preserves hermiticity, L(rho^dag) = L(rho)^dag, so the
+    transpose of a block's entries is again a block, moved by the
+    conjugate map.  Only one block of each transpose pair is powered, and
+    its partner is written as the conjugate, so the entries of paired
+    blocks come out exactly hermitian.
     """
     d = model.dim
     h_eff, h_conj = model._h_eff, model._h_eff.conj()
+    jumps = [(l, l.conj()) for _, l in model._jumps]
     out = np.empty((grid.n_samples - 1, d * d), dtype=np.complex128)
     for idx in groups:
+        # the transpose of a block is a block of the same size; keep the
+        # one of each pair with the smaller first index, and self-paired ones
+        tidx = idx % d * d + idx // d
+        keep = idx[:, 0] <= tidx.min(axis=1)
+        idx, tidx = idx[keep], tidx[keep]
         i, j = np.divmod(idx, d)
         ri, ci = i[:, :, None], i[:, None, :]
         rj, cj = j[:, :, None], j[:, None, :]
         gen = (-1j * h_eff[ri, ci] * (rj == cj)
                + 1j * (ri == ci) * h_conj[rj, cj])
-        for _, l in model._jumps:
-            gen += l[ri, ci] * l.conj()[rj, cj]
+        for l, l_conj in jumps:
+            gen += l[ri, ci] * l_conj[rj, cj]
         step = grid.dt * gen
         eye = np.eye(idx.shape[1])
         t = eye + step / 4.0
@@ -316,6 +331,8 @@ def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
         x[0, :, :, 0] = rho.ravel()[idx]
         for k in range(grid.n_samples - 1):
             np.matmul(power, x[k], out=x[k + 1])
+        # a self-paired block is written last, so it keeps its own values
+        out[:, tidx] = x[1:, :, :, 0].conj()
         out[:, idx] = x[1:, :, :, 0]
     return out.reshape(-1, d, d)
 

@@ -15,9 +15,10 @@ parameter: it must be a finite number) and ``as_complex`` (a number, not
 a bool or a string).  Two operands of unequal dimension are refused by
 ``check_dims``, whose message names both dimensions.  Arrays of numbers
 pass ``as_number_array``, which refuses bools and strings rather than
-casting them to numbers, and arrays of parameters (times, grids,
-densities, counts, matrices) pass ``as_finite_array``, which adds the
-finite test and an optional rank and square check.
+casting them to numbers, and complex entries where the numbers must be
+real rather than dropping their imaginary parts; arrays of parameters
+(times, grids, densities, counts, matrices) pass ``as_finite_array``,
+which adds the finite test and an optional rank and square check.
 """
 
 from __future__ import annotations
@@ -65,14 +66,21 @@ def as_integer(value, name: str, error=DimensionError, least=None) -> int:
 
 def as_number_array(values, name: str, dtype) -> np.ndarray:
     """*values* as an array of *dtype*; a bool, string or bytes entry
-    raises DomainError.  An ndarray is judged by its dtype; other input is
-    read as objects first, so a list that mixes numbers and bools is
-    refused rather than cast."""
+    raises DomainError, and so does a complex entry when *dtype* is real,
+    rather than losing its imaginary part.  An ndarray is judged by its
+    dtype; other input is read as objects first, so a list that mixes
+    numbers and bools is refused rather than cast."""
     arr = (values if isinstance(values, np.ndarray)
            else np.asarray(values, dtype=object))
-    if arr.dtype.kind in "bSU" or (arr.dtype.kind == "O" and any(
+    objects = arr.dtype.kind == "O"
+    if arr.dtype.kind in "bSU" or (objects and any(
             isinstance(v, (bool, np.bool_, str, bytes)) for v in arr.flat)):
         raise DomainError(f"{name} must be numbers, not bools or strings")
+    if np.dtype(dtype).kind != "c" and (arr.dtype.kind == "c" or (
+            objects and any(isinstance(v, numbers.Complex)
+                            and not isinstance(v, numbers.Real)
+                            for v in arr.flat))):
+        raise DomainError(f"{name} must be real numbers")
     return np.asarray(arr, dtype=dtype)
 
 

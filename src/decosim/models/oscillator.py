@@ -154,7 +154,12 @@ def hermite_functions(xs: np.ndarray, n_max: int) -> np.ndarray:
 def position_density(state: QuantumState, xs: np.ndarray) -> np.ndarray:
     """Quadrature probability density <xi|rho|xi> on the grid."""
     rho = state.density_matrix()
-    phi = hermite_functions(xs, rho.shape[0])
+    return _density_from_table(hermite_functions(xs, rho.shape[0]), rho)
+
+
+def _density_from_table(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<xi|rho|xi> from the Hermite table phi of ``hermite_functions``, so
+    a run of many states on one grid builds the table once."""
     # phi is real, so each term's real part is phi_xm Re(rho_mn) phi_xn
     return np.einsum("xn,xn->x", phi @ rho.real, phi)
 

@@ -31,12 +31,13 @@ from .models.central_spin import (
 from .models.disorder import QUAD_ABS_TOL, disorder_averaged_state
 from .models.oscillator import (
     TRUNCATION_TOL,
+    _density_from_table,
     check_truncation,
     fringe_visibility,
+    hermite_functions,
     mean_occupation,
     merge_times,
     oscillator_model,
-    position_density,
     position_grid,
     superposition_state,
 )
@@ -293,6 +294,7 @@ def run_damped_oscillator(config: ScenarioConfig,
     states = integrate_master(psi0, oscillator_model(p), config.grid)
     times = config.grid.sample_times()
     xs = position_grid(p)
+    phi = hermite_functions(xs, p.n_fock)
 
     top = 0.0
     densities = np.empty((times.size, xs.size))
@@ -300,7 +302,7 @@ def run_damped_oscillator(config: ScenarioConfig,
     occupations = np.empty(times.size)
     for k, s in enumerate(states):
         top = max(top, check_truncation(s))  # raises when inadequate
-        densities[k] = position_density(s, xs)
+        densities[k] = _density_from_table(phi, s.density_matrix())
         traces[k] = float(np.trace(s.data).real)
         occupations[k] = mean_occupation(s)
 

@@ -473,3 +473,26 @@ def test_lindblad_model_refuses_a_non_hermitian_hamiltonian():
                        match="^Hamiltonian is not hermitian within 1e-10$"):
         LindbladModel(h)
     LindbladModel(np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]]))
+
+
+def test_paired_blocks_come_out_exactly_hermitian():
+    """The block route powers one block of each transpose pair and writes
+    its partner as the conjugate, so outside the self-paired blocks every
+    entry is the conjugate of its transposed entry, bit for bit."""
+    p = DampedOscillatorParams(1.0, 0.2, 0.5, 12, (0.5 + 0.3j, -0.5))
+    model = oscillator_model(p)
+    psi0 = superposition_state([1.0, 1.0], p.alphas, p.n_fock)
+    grid = TimeGrid(0.0, 3.0, 300, sample_every=30)
+    d = p.n_fock
+    paired = np.zeros(d * d, dtype=bool)
+    for idx in evolution._invariant_blocks(model):
+        tidx = idx % d * d + idx // d
+        paired[idx[(np.sort(tidx, axis=1) != idx).any(axis=1)]] = True
+    paired = paired.reshape(d, d)
+    # every band rho_{m, m+k} but the diagonal has a partner
+    assert np.array_equal(paired, ~np.eye(d, dtype=bool))
+    states = integrate_master(psi0, model, grid)
+    assert len(states) == grid.n_samples
+    # the first sample is the initial state as given, not an engine output
+    for st in states[1:]:
+        assert np.array_equal(st.data[paired], st.data.conj().T[paired])

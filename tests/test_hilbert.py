@@ -506,3 +506,14 @@ def test_model_arrays_refuse_what_is_not_a_finite_number(case, bad):
     with pytest.raises(ValueError, match=rf"^{name} (must be numbers|"
                        r"entries must be finite)"):
         call(good[:1] + [bad] + good[2:])
+
+
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+@pytest.mark.parametrize("case", list(_MODEL_ARRAYS))
+def test_model_arrays_refuse_complex_entries(case, form):
+    """A complex entry in an array of real numbers is refused by the
+    argument's name: an ndarray is not cast with its imaginary part
+    dropped, and a list does not end in a bare TypeError from float()."""
+    name, call, good = _MODEL_ARRAYS[case]
+    with pytest.raises(DomainError, match=rf"^{name} must be real numbers$"):
+        call(form(good[:1] + [1.0 + 2.0j] + good[2:]))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from decosim import scenarios
 from decosim.config import parse_config_table
+from decosim.models import oscillator
 from decosim.models.disorder import _gamma_table
 from decosim.scenarios import Check, run_scenario
 
@@ -327,3 +329,37 @@ def test_damped_oscillator_merge_times_count_from_t_start():
         check, = (c for c in res.checks if c.name == "visibility-decreasing")
         details.add(check.detail)
     assert details == {"visibilities at sampled merge times: 0.8362, 0.6185"}
+
+
+def test_damped_oscillator_density_is_position_density_from_one_table(
+        monkeypatch):
+    # the master-fock40 benchmark model: seven samples on one position grid
+    states, tables = [], []
+    integrate, hermite = scenarios.integrate_master, oscillator.hermite_functions
+
+    def recorded(*args):
+        out = integrate(*args)
+        states.extend(out)
+        return out
+
+    def counted(*args):
+        tables.append(args)
+        return hermite(*args)
+
+    monkeypatch.setattr(scenarios, "integrate_master", recorded)
+    for module in (scenarios, oscillator):
+        monkeypatch.setattr(module, "hermite_functions", counted,
+                            raising=False)
+    res = run({
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "gamma": 0.01, "n_thermal": 0.5,
+                   "n_fock": 40, "alpha1": 2.0, "alpha2": -2.0},
+        "grid": {"t_end": 1.5 * math.pi, "n_steps": 1200,
+                 "sample_every": 200},
+        "output": {"path": "o.csv"},
+    })
+    assert len(states) == 7 and len(tables) == 1
+    density = res.rows[:, 2].reshape(len(states), -1)
+    xs = res.rows[:density.shape[1], 1]
+    for k, st in enumerate(states):
+        assert np.array_equal(density[k], oscillator.position_density(st, xs))
