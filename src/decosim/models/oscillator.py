@@ -158,10 +158,10 @@ def position_density(state: QuantumState, xs: np.ndarray) -> np.ndarray:
 
 
 def _density_from_table(phi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """<xi|rho|xi> from the Hermite table phi of ``hermite_functions``, so
-    a run of many states on one grid builds the table once."""
+    """<xi|rho|xi> for a matrix rho, or one row per matrix of a stack, from
+    the Hermite table phi of ``hermite_functions``, built once per grid."""
     # phi is real, so each term's real part is phi_xm Re(rho_mn) phi_xn
-    return np.einsum("xn,xn->x", phi @ rho.real, phi)
+    return np.einsum("...xn,xn->...x", phi @ rho.real, phi)
 
 
 def fringe_visibility(xs: np.ndarray, density: np.ndarray,

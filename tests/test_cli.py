@@ -442,6 +442,27 @@ def test_damped_oscillator_manifest_reports_fock_headroom(tmp_path, capsys):
             == manifest["info"]["max_top_population"])
 
 
+def test_truncation_failure_names_the_first_sample_over_the_limit(tmp_path,
+                                                                  capsys):
+    # the top Fock level first passes 1e-6 at 1.01e-06; later samples
+    # reach 1.38e-05, and the run stops at the first
+    table = {
+        "scenario": "damped-oscillator",
+        "params": {"omega": 2.0, "gamma": 0.3, "n_thermal": 1.0,
+                   "n_fock": 12, "alpha1": [0.5, 0.3], "alpha2": -0.5},
+        "grid": {"t_start": 0.5, "t_end": 3.0, "n_steps": 500,
+                 "sample_every": 5},
+        "output": {"path": str(tmp_path / "osc.csv")},
+    }
+    assert main(["run", str(write_config(tmp_path, table))]) == 1
+    assert "TruncationError" in capsys.readouterr().err
+    assert not (tmp_path / "osc.csv").exists()
+    manifest = json.loads((tmp_path / "osc.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["failure"]["type"] == "TruncationError"
+    assert "population 1.01e-06 >" in manifest["failure"]["message"]
+
+
 def test_worker_count_below_one_names_its_bound(tmp_path, capsys,
                                                 monkeypatch):
     monkeypatch.setenv("DECOSIM_WORKERS", "-2")
@@ -503,6 +524,29 @@ def test_undefined_statistics_are_null_in_a_strict_json_manifest(tmp_path,
         assert info[key] is None
     assert info["dark_period_count"] == info["bright_period_count"] == 0
     assert manifest["checks"] == [] and manifest["all_passed"] is True
+
+
+def test_telegraph_without_a_photon_has_null_dispersion(tmp_path, capsys):
+    # shelving at 100 against a strong-transition rate of 1 darkens the
+    # only row before its first photon, and nothing deshelves it
+    table = {
+        "scenario": "three-level-telegraph",
+        "params": {"rabi": 2.0, "gamma_strong": 1.0, "gamma_shelve": 100.0,
+                   "gamma_deshelve": 0.0, "bin_width": 12.5},
+        "grid": {"t_end": 50.0, "n_steps": 50000},
+        "estimator": {"kind": "trajectories", "n_traj": 1, "seed": 1},
+        "output": {"path": str(tmp_path / "zero.csv")},
+    }
+    with pytest.warns(UserWarning, match="gamma_shelve is not small"):
+        assert main(["run", str(write_config(tmp_path, table))]) == 0
+    capsys.readouterr()
+    _, header, data = read_csv(tmp_path / "zero.csv")
+    assert header[1] == "pooled_count"
+    assert data.shape == (4, 3) and not data[:, 1].any()
+    manifest = json.loads((tmp_path / "zero.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["info"]["pooled_dispersion_index"] is None
+    assert manifest["info"]["pooled_dispersion_p"] is None
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -7,6 +7,7 @@ import pytest
 
 from decosim import scenarios
 from decosim.config import parse_config_table
+from decosim.hilbert import QuantumState
 from decosim.models import oscillator
 from decosim.models.disorder import _gamma_table
 from decosim.scenarios import Check, run_scenario
@@ -363,3 +364,64 @@ def test_damped_oscillator_density_is_position_density_from_one_table(
     xs = res.rows[:density.shape[1], 1]
     for k, st in enumerate(states):
         assert np.array_equal(density[k], oscillator.position_density(st, xs))
+
+
+def test_damped_oscillator_copies_each_sample_matrix_once(monkeypatch):
+    # the master-fock40 benchmark model, seven samples: the runner reads
+    # the stack the integrator validated and copies each sample once, for
+    # its truncation check; the initial state and the two purities take
+    # the three other copies
+    calls = []
+    copy = QuantumState.density_matrix
+
+    def counted(self):
+        calls.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(QuantumState, "density_matrix", counted)
+    res = run({
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "gamma": 0.01, "n_thermal": 0.5,
+                   "n_fock": 40, "alpha1": 2.0, "alpha2": -2.0},
+        "grid": {"t_end": 1.5 * math.pi, "n_steps": 1200,
+                 "sample_every": 200},
+        "output": {"path": "o.csv"},
+    })
+    n_samples = np.unique(res.rows[:, 0]).size
+    assert n_samples == 7
+    assert len(calls) <= n_samples + 3
+
+
+def test_damped_oscillator_contracts_densities_in_bounded_blocks(
+        monkeypatch):
+    # 301 samples go through the position contraction 64 at a time, and
+    # the rows at each block edge are still position_density's bits
+    states, blocks = [], []
+    integrate = scenarios.integrate_master
+    contract = scenarios._density_from_table
+
+    def recorded(*args):
+        out = integrate(*args)
+        states.extend(out)
+        return out
+
+    def counted(phi, rho):
+        blocks.append(len(rho))
+        return contract(phi, rho)
+
+    monkeypatch.setattr(scenarios, "integrate_master", recorded)
+    monkeypatch.setattr(scenarios, "_density_from_table", counted)
+    res = run({
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "gamma": 0.2, "n_thermal": 0.5,
+                   "n_fock": 12, "alpha1": [0.5, 0.3], "alpha2": -0.5},
+        "grid": {"t_end": 3.0, "n_steps": 300},
+        "output": {"path": "o.csv"},
+    })
+    assert res.all_passed
+    assert blocks == [64, 64, 64, 64, 45]
+    density = res.rows[:, 2].reshape(len(states), -1)
+    xs = res.rows[:density.shape[1], 1]
+    for k in (0, 63, 64, 127, 128, 255, 256, 300):
+        assert np.array_equal(density[k],
+                              oscillator.position_density(states[k], xs))
