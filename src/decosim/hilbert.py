@@ -328,6 +328,15 @@ class QuantumState:
         n, d = m.shape[:2]
         if d < 2:
             raise StateError("state dimension must be at least 2")
+        if n == 1:
+            # the same checks in the same order on the one matrix, without
+            # the masks; a failure goes on to the loop, which words it
+            s = m[0]
+            if (np.isfinite(s).all()
+                    and np.max(np.abs(s - s.conj().T)) <= ATOL_HERMITIAN
+                    and abs(np.trace(s) - 1.0) <= ATOL_TRACE
+                    and np.linalg.eigvalsh(s)[0] >= EIG_FLOOR):
+                return (cls(cls._TOKEN, "mixed", s),)
         rows = max(1, STACK_SLAB_BYTES // (m.itemsize * d * d))
         for lo in range(0, n, rows):
             s = m[lo:lo + rows]

@@ -298,13 +298,16 @@ def run_damped_oscillator(config: ScenarioConfig,
     phi = hermite_functions(xs, p.n_fock)
 
     top = max(map(check_truncation, states))  # raises when inadequate
-    rho = np.stack([s.data for s in states])
-    # 64 samples at a time bound the (samples, grid, n_fock) product
-    densities = np.concatenate([_density_from_table(phi, block) for block
-                                in np.split(rho, range(64, len(rho), 64))])
-    traces = np.trace(rho, axis1=1, axis2=2).real
-    occupations = (np.diagonal(rho, axis1=1, axis2=2).real
-                   * np.arange(p.n_fock)).sum(axis=1)
+    # 64 samples at a time bound the copied stack and the (samples, grid,
+    # n_fock) product; the integrator already holds every sample once
+    parts = []
+    for lo in range(0, len(states), 64):
+        rho = np.stack([s.data for s in states[lo:lo + 64]])
+        parts.append((_density_from_table(phi, rho),
+                      np.trace(rho, axis1=1, axis2=2).real,
+                      (np.diagonal(rho, axis1=1, axis2=2).real
+                       * np.arange(p.n_fock)).sum(axis=1)))
+    densities, traces, occupations = map(np.concatenate, zip(*parts))
 
     t_rep = np.repeat(times, xs.size)
     x_rep = np.tile(xs, times.size)

@@ -424,6 +424,38 @@ def test_cli_import_leaves_scipy_stats_out():
     assert out.strip() == "False"
 
 
+def _fresh_python(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(decosim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=120).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate and the scipy.optimize it loads cost about 0.2 s and
+    # 16 MiB; the disorder quadrature carries its own quad_vec
+    code = ("import sys, decosim.cli; print(sorted(sys.modules.keys() & "
+            "{'scipy.integrate', 'scipy.optimize'}))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_disorder_quad_imports_scipy_integrate_when_called():
+    # only Lorentzian quadrature calls scipy's quad; quad_vec is decosim's
+    code = "\n".join([
+        "import sys",
+        "from decosim.models.disorder import (Distribution, DisorderSpec,",
+        "                                     disorder_gamma)",
+        "r = [[0.5, 0.5], [0.5, 0.5]]",
+        "for dist in (Distribution.uniform(-1.0, 1.0),",
+        "             Distribution.gaussian(0.0, 1.0),",
+        "             Distribution.lorentzian(0.0, 1.0)):",
+        "    spec = DisorderSpec(dist, (0.0, 0.4), (0.0, 1.0), r)",
+        "    disorder_gamma(spec, 0, 1, 1.0, method='quadrature')",
+        "    print('scipy.integrate' in sys.modules)"])
+    assert _fresh_python(code).split() == ["False", "False", "True"]
+
+
 def test_damped_oscillator_manifest_reports_fock_headroom(tmp_path, capsys):
     table = {
         "scenario": "damped-oscillator",

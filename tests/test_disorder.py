@@ -242,6 +242,64 @@ def test_headroom_is_the_largest_block_error(monkeypatch):
     assert abserr == max(errors)
 
 
+# stop -> (largest |s|, epsabs, limit, the status scipy's quad_vec gives)
+PORT_STOPS = {"converged": (25.0, 1e-10, 500, 0),
+              "limit": (1e3, 1e-10, 50, 1),
+              "rounding": (25.0, 1e-20, 500, 2)}
+
+
+@pytest.mark.parametrize("dist", [Distribution.uniform(-1.3, 2.1),
+                                  Distribution.gaussian(0.3, 0.8)],
+                         ids=["uniform", "gaussian"])
+@pytest.mark.parametrize("size", [1, 7, 1024])
+@pytest.mark.parametrize("stop", sorted(PORT_STOPS))
+def test_quad_vec_port_equals_scipy_bit_for_bit(dist, size, stop):
+    # the integrand of _quadrature_phases on one block of distinct |s|
+    top, epsabs, limit, status = PORT_STOPS[stop]
+    block = np.linspace(top / size, top, size)
+
+    def integrand(w):
+        sw = block * w
+        return dist.pdf(w) * np.concatenate((np.cos(sw), np.sin(sw)))
+
+    lo, hi = ((dist.a, dist.b) if dist.kind == "uniform"
+              else (dist.a - 12.0 * dist.b, dist.a + 12.0 * dist.b))
+    kwargs = dict(epsabs=epsabs, epsrel=0.0, norm="max", limit=limit,
+                  full_output=True)
+    want, want_err, want_info = quad_vec(integrand, lo, hi, **kwargs)
+    got, got_err, got_info = disorder.quad_vec(integrand, lo, hi, **kwargs)
+    assert want_info.status == status
+    assert got.tobytes() == want.tobytes()
+    assert got_err == want_err
+    assert (got_info.status, got_info.message) == (want_info.status,
+                                                   want_info.message)
+
+
+def test_quad_vec_port_stops_on_non_finite_values_as_scipy_does():
+    def integrand(w):
+        return np.array([np.inf if w > 0.9 else 1.0, 2.0])
+
+    kwargs = dict(epsabs=1e-10, epsrel=0.0, norm="max", limit=500,
+                  full_output=True)
+    with np.errstate(invalid="ignore"):
+        want, want_err, want_info = quad_vec(integrand, 0.0, 1.0, **kwargs)
+        got, got_err, got_info = disorder.quad_vec(integrand, 0.0, 1.0,
+                                                   **kwargs)
+    assert want_info.status == 3
+    assert got.tobytes() == want.tobytes()
+    assert np.float64(got_err).tobytes() == np.float64(want_err).tobytes()
+    assert (got_info.status, got_info.message) == (want_info.status,
+                                                   want_info.message)
+
+
+@pytest.mark.parametrize("b, norm", [(np.inf, "max"), (1.0, "2")])
+def test_quad_vec_port_refuses_what_it_does_not_carry(b, norm):
+    # an infinite interval and the 2-norm take other paths in scipy
+    with pytest.raises(ValueError):
+        disorder.quad_vec(lambda w: np.array([w, 1.0]), 0.0, b, epsabs=1e-10,
+                          epsrel=0.0, norm=norm, limit=500, full_output=True)
+
+
 @pytest.mark.parametrize("dist", [Distribution.gaussian(0.3, 0.8),
                                   Distribution.lorentzian(-0.2, 0.5),
                                   Distribution.uniform(-1.3, 2.1)],
