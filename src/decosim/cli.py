@@ -58,8 +58,7 @@ from .trajectories import _capped_workers
 WORKERS_ENV = "DECOSIM_WORKERS"
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+_fmt = "%.17g".__mod__
 
 
 def _read_config(path: str) -> ScenarioConfig:

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .hilbert import (ATOL_NORM, QuantumState, as_matrix, as_real, as_vector,
-                      check_dims, is_unitary)
+from .hilbert import (QuantumState, as_matrix, as_real, as_vector,
+                      check_dims, is_normalized, is_unitary)
 
 __all__ = ["MixtureSpec", "basis_change", "measurement_probability", "mix",
            "populations_coherences", "purity", "trace_distance"]
@@ -67,12 +67,13 @@ def basis_change(state: QuantumState, u) -> QuantumState:
 
 def measurement_probability(state: QuantumState, phi) -> float:
     """Probability <phi|rho|phi> of finding the state along the normalized
-    vector phi."""
+    vector phi: its squared norm must lie within 1e-10 of 1, the trace
+    bound of a density matrix, as for a pure state."""
     v = as_vector(phi)
     check_dims(v.shape[0], state.dim, "projector", "state")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > ATOL_NORM:
-        raise DomainError("measurement vector must be normalized within 1e-10")
+    if not is_normalized(np.vdot(v, v).real):
+        raise DomainError("measurement vector must have squared norm within "
+                          "1e-10 of 1")
     if state.kind == "pure":
         amp = np.vdot(v, state.data)
         return float((amp * amp.conjugate()).real)
@@ -95,7 +96,7 @@ class MixtureSpec:
                 "weights and states must be equally sized and non-empty")
         if any(x < 0.0 for x in w):
             raise DomainError("mixture weights must be non-negative")
-        if abs(sum(w) - 1.0) > 1e-10:
+        if not is_normalized(sum(w)):
             raise DomainError(
                 f"mixture weights sum to {sum(w):.17g}, not 1 within 1e-10")
         if any(st.kind != "pure" for st in s):

@@ -32,8 +32,9 @@ Three ways to push a state forward in time:
   samples after the first, validated once as a stack (hermiticity, trace,
   positivity).  An IntegrationError names the first bad sample by its
   ``time`` and by the stack's "matrix i of n: " message prefix, i counting
-  from the second sample.  So an unstable grid runs to the end, overflow
-  warnings and all, on either route.
+  from the second sample, and ends by naming the fix: the step dt is too
+  coarse for fixed-step RK4 here, so raise grid.n_steps.  So an unstable
+  grid runs to the end, overflow warnings and all, on either route.
 """
 
 from __future__ import annotations
@@ -374,6 +375,7 @@ def integrate_master(state: QuantumState, model: LindbladModel,
         rest = QuantumState._mixed_stack(samples)
     except (DomainError, StateError) as exc:
         raise IntegrationError(
-            f"integration produced an invalid state: {exc}",
-            time=grid.sample_times()[1 + exc.index]) from exc
+            f"integration produced an invalid state: {exc}; the step dt = "
+            f"{grid.dt:.6g} is too coarse for fixed-step RK4 here: raise "
+            "grid.n_steps", time=grid.sample_times()[1 + exc.index]) from exc
     return [first, *rest]

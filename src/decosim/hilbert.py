@@ -12,8 +12,12 @@ clamped or renormalized silently.  Scalars follow the same rule through
 or index: a bool, a float or a string is refused, not truncated; a count
 below its bound is refused as "<name> must be >= k"), ``as_real`` (a
 parameter: it must be a finite number) and ``as_complex`` (a number, not
-a bool or a string).  Two operands of unequal dimension are refused by
-``check_dims``, whose message names both dimensions.  Arrays of numbers
+a bool or a string).  Every "sums to one" test is ``is_normalized``: a
+squared norm, a weight sum or a trace must lie within 1e-10 of 1, the
+trace bound of a density matrix, so the projector of an accepted vector
+has a trace that ``QuantumState.mixed`` accepts.  Two operands of unequal
+dimension are refused by ``check_dims``, whose message names both
+dimensions.  Arrays of numbers
 pass ``as_number_array``, which refuses bools and strings rather than
 casting them to numbers, and complex entries where the numbers must be
 real rather than dropping their imaginary parts; arrays of parameters
@@ -40,7 +44,6 @@ __all__ = ["QuantumState", "TensorFactorization", "dagger", "eig_hermitian",
 # Construction-time tolerances for state and operator validation.
 ATOL_HERMITIAN = 1e-10
 ATOL_UNITARY = 1e-10
-ATOL_NORM = 1e-10
 ATOL_TRACE = 1e-10
 # Eigenvalues of a density matrix may dip this far below zero before the
 # state is rejected; small negatives are tolerated, never clipped.
@@ -118,6 +121,13 @@ def as_complex(value, name: str, error=DomainError) -> complex:
     if isinstance(value, numbers.Complex) and not isinstance(value, bool):
         return complex(value)
     raise error(f"{name} must be a number, got {value!r}")
+
+
+def is_normalized(total):
+    """Whether *total* (a squared norm, a weight sum or a trace, real or
+    complex; entry by entry for an array) is 1 within ATOL_TRACE; a NaN is
+    not."""
+    return abs(total - 1.0) <= ATOL_TRACE
 
 
 def check_dims(dim: int, other: int, what: str, against: str) -> None:
@@ -263,10 +273,11 @@ def expm_hermitian_prop(h, t: float) -> np.ndarray:
 class QuantumState:
     """A validated pure or mixed state.
 
-    Construct through :meth:`pure` (state vector, unit norm within 1e-10) or
-    :meth:`mixed` (density matrix: hermitian within 1e-10, unit trace within
-    1e-10, eigenvalues >= -1e-8).  Invalid data raises StateError; the input
-    is never repaired.
+    Construct through :meth:`pure` (state vector, squared norm within 1e-10
+    of 1, the trace bound of its projector) or :meth:`mixed` (density
+    matrix: hermitian within 1e-10, unit trace within 1e-10, eigenvalues
+    >= -1e-8).  Invalid data raises StateError; the input is never
+    repaired.
 
     Attributes
     ----------
@@ -294,10 +305,10 @@ class QuantumState:
         v = as_vector(vector)
         if v.shape[0] < 2:
             raise StateError("state dimension must be at least 2")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > ATOL_NORM:
-            raise StateError(
-                f"pure state norm {norm:.17g} deviates from 1 beyond 1e-10")
+        norm2 = np.vdot(v, v).real
+        if not is_normalized(norm2):
+            raise StateError(f"pure state squared norm {norm2:.17g} "
+                             "deviates from 1 beyond 1e-10")
         return cls(cls._TOKEN, "pure", v.copy())
 
     @classmethod
@@ -334,7 +345,7 @@ class QuantumState:
             s = m[0]
             if (np.isfinite(s).all()
                     and np.max(np.abs(s - s.conj().T)) <= ATOL_HERMITIAN
-                    and abs(np.trace(s) - 1.0) <= ATOL_TRACE
+                    and is_normalized(np.trace(s))
                     and np.linalg.eigvalsh(s)[0] >= EIG_FLOOR):
                 return (cls(cls._TOKEN, "mixed", s),)
         rows = max(1, STACK_SLAB_BYTES // (m.itemsize * d * d))
@@ -351,7 +362,7 @@ class QuantumState:
                 (np.max(np.abs(s - s.conj().swapaxes(1, 2)), axis=(1, 2))
                  > ATOL_HERMITIAN, "density matrix not hermitian within "
                  "1e-10"),
-                (np.abs(tr - 1.0) > ATOL_TRACE, "density matrix trace "
+                (~is_normalized(tr), "density matrix trace "
                  "{tr:.17g} deviates from 1 beyond 1e-10"),
                 (w < EIG_FLOOR, "density matrix has eigenvalue {w:.3e} below "
                  "-1e-8")]

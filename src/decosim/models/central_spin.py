@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DimensionError, DomainError
-from ..hilbert import as_complex, as_finite_array, as_real
+from ..hilbert import as_complex, as_finite_array, as_real, is_normalized
 
 __all__ = ["CentralSpinParams", "central_spin_coherence", "decoherence_time",
            "gaussian_envelope", "spin_echo_coherence"]
@@ -50,7 +50,7 @@ class CentralSpinParams:
             raise DimensionError("at least one bath coupling is required")
         c1, c2 = as_complex(c1, "c1"), as_complex(c2, "c2")
         norm2 = abs(c1) ** 2 + abs(c2) ** 2
-        if not abs(norm2 - 1.0) <= 1e-10:     # a NaN norm fails <=
+        if not is_normalized(norm2):
             raise DomainError(
                 f"|c1|^2 + |c2|^2 = {norm2:.17g} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "omega0", omega0)

@@ -155,7 +155,7 @@ from .errors import (ConfigurationError, DimensionError, DomainError,
                      StateError)
 from .evolution import LindbladModel, TimeGrid, integrate_master
 from .hilbert import (QuantumState, as_decimal, as_integer, as_key,
-                      as_number_array, as_real, check_dims)
+                      as_number_array, as_real, check_dims, is_normalized)
 
 __all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
            "TrajectoryRecord", "aggregate", "record_from_text",
@@ -190,9 +190,12 @@ class TrajectoryRecord:
     """One stochastic trajectory: jump history plus sampled states.
 
     ``snapshots[s]`` is the normalized state vector at sample instant s of
-    the grid (initial state included).  ``jump_times``/``jump_channels``
-    list every jump in time order; times lie in (t_start, t_end] and are
-    strictly increasing (at most one jump per step).
+    the grid (initial state included): its squared norm lies within 1e-10
+    of 1, the trace bound of a density matrix, so the mean of the
+    projectors has a trace that ``aggregate`` accepts.
+    ``jump_times``/``jump_channels`` list every jump in time order; times
+    lie in (t_start, t_end] and are strictly increasing (at most one jump
+    per step).
     """
 
     seed: int
@@ -250,9 +253,10 @@ class TrajectoryBatch(Sequence):
     Row i is stream ``streams[i]``: its snapshots are ``snapshots[i]``
     (shape (n_samples, dim)) and its jumps are ``jump_times[a:b]`` and
     ``jump_channels[a:b]`` with ``a, b = offsets[i], offsets[i + 1]``.
-    Every row obeys the rules of :class:`TrajectoryRecord`, checked once
-    over the whole batch; a failure in a batch of more than one names the
-    first bad row.  The batch is a sequence: items are record views of
+    Every row obeys the rules of :class:`TrajectoryRecord` (each
+    snapshot's squared norm within 1e-10 of 1), checked once over the
+    whole batch; a failure in a batch of more than one names the first bad
+    row.  The batch is a sequence: items are record views of
     its rows and slices are batches.
     """
 
@@ -315,13 +319,10 @@ class TrajectoryBatch(Sequence):
             raise DimensionError(
                 f"snapshots shape {sn.shape} does not match "
                 f"({n}, {g.n_samples}, {dim})")
-        norms = np.sqrt(np.einsum("nsd,nsd->ns", sn.real, sn.real)
-                        + np.einsum("nsd,nsd->ns", sn.imag, sn.imag))
-        # a NaN norm fails <=
-        bad = ~(np.abs(norms - 1.0) <= 1e-8).all(axis=1)
+        bad = ~is_normalized(_sq_norms(np.ascontiguousarray(sn))).all(axis=1)
         if bad.any():
             raise StateError(f"{where(int(np.argmax(bad)))}snapshots must "
-                             "be normalized within 1e-8")
+                             "have squared norm within 1e-10 of 1")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "streams", keys.astype(np.uint64))

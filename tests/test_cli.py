@@ -15,6 +15,8 @@ from decosim.config import (config_hash, config_table, emit_config,
                             parse_config, SCENARIOS)
 from decosim.scenarios import run_scenario
 
+from test_config import minimal_config
+
 
 def write_config(tmp_path, table, name="config.json"):
     path = tmp_path / name
@@ -493,6 +495,23 @@ def test_truncation_failure_names_the_first_sample_over_the_limit(tmp_path,
                           .read_text(encoding="utf-8"))
     assert manifest["failure"]["type"] == "TruncationError"
     assert "population 1.01e-06 >" in manifest["failure"]["message"]
+
+
+def test_too_coarse_rk4_grid_names_the_fix(tmp_path, capsys):
+    # the smallest damped-oscillator document: at dt = 0.01 RK4's
+    # truncation error drives an eigenvalue below -1e-8 at the fourth sample
+    table = minimal_config("damped-oscillator")
+    table["output"]["path"] = str(tmp_path / "osc.csv")
+    assert main(["run", str(write_config(tmp_path, table))]) == 1
+    assert "IntegrationError" in capsys.readouterr().err
+    assert not (tmp_path / "osc.csv").exists()
+    manifest = json.loads((tmp_path / "osc.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["failure"]["type"] == "IntegrationError"
+    message = manifest["failure"]["message"]
+    assert "matrix 3 of 100: " in message
+    assert "raise grid.n_steps" in message
+    assert "(t = 0.04" in message
 
 
 def test_worker_count_below_one_names_its_bound(tmp_path, capsys,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from decosim import hilbert
+from decosim.coherence import measurement_probability
 from decosim.errors import (ConfigurationError, DimensionError, DomainError,
                             StateError)
 from decosim.evolution import TimeGrid
@@ -261,6 +262,36 @@ def test_pure_state_validation():
         QuantumState.pure([np.nan, 0.0])
     with pytest.raises(TypeError):
         QuantumState(object(), "pure", v)      # ctor is factory-only
+
+
+def test_is_normalized_is_the_trace_rule():
+    assert hilbert.is_normalized(1.0 + 0.9e-10)
+    assert hilbert.is_normalized(complex(1.0 - 5e-11, 0.0))
+    assert hilbert.is_normalized(np.trace(np.eye(2) / 2.0 + 0j))
+    assert not hilbert.is_normalized(1.0 + 2e-10)
+    assert not hilbert.is_normalized(complex(1.0, 2e-10))
+    assert not hilbert.is_normalized(math.nan)
+    assert not hilbert.is_normalized(complex(math.nan, 0.0))
+    assert hilbert.is_normalized(np.array([1.0, math.nan, 0.9])).tolist() == [
+        True, False, False]
+    assert "is_normalized" not in hilbert.__all__
+
+
+def test_unit_vectors_follow_the_trace_rule():
+    # squared norm 1 + 1.5e-10: the norm is within 1e-10 of 1, the trace of
+    # the projector is not, so the vector is refused wherever it enters
+    v = np.array([math.sqrt(1.0 + 1.5e-10), 0.0])
+    with pytest.raises(StateError, match="squared norm 1.00000000015"):
+        QuantumState.pure(v)
+    with pytest.raises(StateError, match="trace 1.00000000015"):
+        QuantumState.mixed(np.outer(v, v))
+    with pytest.raises(DomainError, match="squared norm within 1e-10 of 1"):
+        measurement_probability(QuantumState.pure([1.0, 0.0]), v)
+    w = np.array([math.sqrt(1.0 - 0.9e-10), 0.0])
+    assert QuantumState.pure(w).dim == 2
+    assert QuantumState.mixed(np.outer(w, w)).dim == 2
+    up = QuantumState.pure([1.0, 0.0])
+    assert measurement_probability(up, w) == w[0] ** 2
 
 
 def test_mixed_state_validation():

@@ -17,7 +17,8 @@ import decosim.trajectories as tj
 from decosim.errors import (ConfigurationError, DimensionError, DomainError,
                             StateError)
 from decosim.evolution import LindbladModel, TimeGrid, two_level_decay_model
-from decosim.evolution import lindblad_rhs
+from decosim.evolution import (amplitude_damping_kraus, apply_kraus,
+                               integrate_master, lindblad_rhs)
 from decosim.hilbert import QuantumState
 from decosim.models.oscillator import (DampedOscillatorParams,
                                        oscillator_model, superposition_state)
@@ -1338,6 +1339,63 @@ def test_record_refuses_string_snapshots():
             snapshots=[["0.6", "0.8j"]] * 3))
     with pytest.raises(DomainError, match=r"^snapshots must be numbers"):
         TrajectoryRecord(**_record_fields(snapshots=[[1.0, False]] * 3))
+
+
+def _near_unit_vectors(rng, n, dim, offset):
+    """*n* random vectors whose squared norms are 1 + delta, with delta
+    uniform in [-offset, offset]."""
+    v = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    return v * np.sqrt(1.0 + rng.uniform(-offset, offset, (n, 1)))
+
+
+def test_every_accepted_pure_state_is_accepted_downstream():
+    # a vector is judged once by its squared norm, the trace of its
+    # projector; a state that QuantumState.pure takes must not be refused
+    # as a density matrix by the engines it is handed to
+    model = two_level_decay_model(1.0)
+    grid = TimeGrid(0.0, 1.0, 10, sample_every=5)
+    kraus = amplitude_damping_kraus(0.3)
+    accepted = 0
+    for seed, v in enumerate(_near_unit_vectors(np.random.default_rng(3),
+                                                240, 2, 1.2e-10)):
+        try:
+            st = QuantumState.pure(v)
+        except StateError:
+            continue
+        accepted += 1
+        integrate_master(st, model, grid)
+        apply_kraus(st, kraus)
+        aggregate(run_ensemble(st, model, grid, n_traj=2, seed=seed))
+    assert 150 <= accepted < 240
+
+
+def test_every_accepted_record_can_be_aggregated():
+    grid = TimeGrid(0.0, 1.0, 10, sample_every=5)
+    rng = np.random.default_rng(4)
+    records = []
+    for stream in range(200):
+        try:
+            records.append(TrajectoryRecord(
+                seed=1, stream=stream, dim=2, grid=grid,
+                jump_times=np.empty(0), jump_channels=np.empty(0),
+                snapshots=_near_unit_vectors(rng, 3, 2, 1.2e-10)))
+        except StateError:
+            pass
+    for rec in records:
+        aggregate([rec])
+    assert aggregate(records).n_traj == len(records)
+    assert 80 <= len(records) < 200
+
+
+def test_batch_names_the_row_of_a_snapshot_off_the_trace_rule():
+    snaps = np.tile([1.0 + 0j, 0.0], (3, 2, 1))
+    snaps[1, 1, 0] = math.sqrt(1.0 + 2e-10)
+    with pytest.raises(StateError, match=r"^row 1 of 3: snapshots must have "
+                       r"squared norm within 1e-10 of 1$"):
+        TrajectoryBatch(**_batch_fields(snapshots=snaps))
+    snaps[1, 1, 0] = math.sqrt(1.0 - 0.9e-10)
+    assert len(TrajectoryBatch(**_batch_fields(snapshots=snaps))) == 3
 
 
 def _same_estimate(a, b):
