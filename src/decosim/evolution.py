@@ -28,13 +28,15 @@ Three ways to push a state forward in time:
   truncation error and stability limit are unchanged.
   A model with a block too large to power (above MAX_POWERED_BLOCK
   entries, such as a dense d = 40 model) keeps the step-by-step loop over
-  ``lindblad_rhs``.  Both routes run to t_end and return one array of the
-  samples after the first, validated once as a stack (hermiticity, trace,
-  positivity).  An IntegrationError names the first bad sample by its
-  ``time`` and by the stack's "matrix i of n: " message prefix, i counting
-  from the second sample, and ends by naming the fix: the step dt is too
-  coarse for fixed-step RK4 here, so raise grid.n_steps.  So an unstable
-  grid runs to the end, overflow warnings and all, on either route.
+  ``lindblad_rhs``.  Both routes run to t_end and fill one (n_samples, d, d)
+  array, the initial state in row 0.  The initial state is checked alone
+  before the run, and the later rows once, as one stack (hermiticity,
+  trace, positivity); the array comes back as a ``StateSeries``.  An
+  IntegrationError names the first bad sample by its ``time`` and by the
+  stack's "matrix i of n: " message prefix, i counting from the second
+  sample, and ends by naming the fix: the step dt is too coarse for
+  fixed-step RK4 here, so raise grid.n_steps.  So an unstable grid runs to
+  the end, overflow warnings and all, on either route.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from scipy.sparse.csgraph import connected_components
 from .coherence import basis_change
 from .errors import (DimensionError, DomainError, IntegrationError,
                      ModelError, StateError)
-from .hilbert import (QuantumState, as_integer, as_matrix, as_real,
-                      check_dims, expm_hermitian_prop, is_hermitian)
+from .hilbert import (QuantumState, StateSeries, as_integer, as_matrix,
+                      as_real, check_dims, expm_hermitian_prop, is_hermitian)
 
 __all__ = ["KrausSet", "LindbladModel", "TimeGrid", "amplitude_damping_kraus",
            "apply_kraus", "evolve_unitary", "integrate_master", "lindblad_rhs",
@@ -291,7 +293,8 @@ MAX_POWERED_BLOCK = 256
 
 def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
                      rho: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The density matrices at the samples after the first, (n, d, d).
+    """The density matrices at every sample, (n_samples, d, d), *rho* in
+    row 0.
 
     One RK4 step of the linear, time-independent generator is exactly the
     map T = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so each block moves
@@ -308,7 +311,8 @@ def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
     d = model.dim
     h_eff, h_conj = model._h_eff, model._h_eff.conj()
     jumps = [(l, l.conj()) for _, l in model._jumps]
-    out = np.empty((grid.n_samples - 1, d * d), dtype=np.complex128)
+    out = np.empty((grid.n_samples, d * d), dtype=np.complex128)
+    out[0] = rho.ravel()
     for idx in groups:
         # the transpose of a block is a block of the same size; keep the
         # one of each pair with the smaller first index, and self-paired ones
@@ -333,17 +337,18 @@ def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
         for k in range(grid.n_samples - 1):
             np.matmul(power, x[k], out=x[k + 1])
         # a self-paired block is written last, so it keeps its own values
-        out[:, tidx] = x[1:, :, :, 0].conj()
-        out[:, idx] = x[1:, :, :, 0]
+        out[1:, tidx] = x[1:, :, :, 0].conj()
+        out[1:, idx] = x[1:, :, :, 0]
     return out.reshape(-1, d, d)
 
 
 def _rk4_samples(model: LindbladModel, rho: np.ndarray,
                  grid: TimeGrid) -> np.ndarray:
-    """The density matrices at the samples after the first, (n, d, d),
-    stepping the RK4 scheme one step at a time."""
+    """The density matrices at every sample, (n_samples, d, d), *rho* in
+    row 0, stepping the RK4 scheme one step at a time."""
     dt = grid.dt
-    out = np.empty((grid.n_samples - 1, *rho.shape), dtype=np.complex128)
+    out = np.empty((grid.n_samples, *rho.shape), dtype=np.complex128)
+    out[0] = rho
     for k in range(grid.n_steps):
         k1 = lindblad_rhs(model, rho)
         k2 = lindblad_rhs(model, rho + 0.5 * dt * k1)
@@ -351,31 +356,32 @@ def _rk4_samples(model: LindbladModel, rho: np.ndarray,
         k4 = lindblad_rhs(model, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (k + 1) % grid.sample_every == 0:
-            out[k // grid.sample_every] = rho
+            out[k // grid.sample_every + 1] = rho
     return out
 
 
 def integrate_master(state: QuantumState, model: LindbladModel,
-                     grid: TimeGrid) -> list[QuantumState]:
+                     grid: TimeGrid) -> StateSeries:
     """Integrate the master equation over *grid*.
 
-    Returns the validated state at each sample instant (initial state
-    included).  If a sampled matrix fails state validation the run aborts
-    with IntegrationError carrying the time of the first bad sample.
+    Returns the series of validated states at every sample instant, the
+    initial density matrix, as given, in row 0.  If a sampled matrix fails
+    state validation the run aborts with IntegrationError carrying the
+    time of the first bad sample.
     """
     check_dims(state.dim, model.dim, "state", "model")
     rho = state.density_matrix()
-    first = QuantumState.mixed(rho)
+    QuantumState.mixed(rho)  # the initial state, checked alone before the run
     groups = _invariant_blocks(model)
     if max(idx.shape[1] for idx in groups) <= MAX_POWERED_BLOCK:
         samples = _powered_samples(model, groups, rho, grid)
     else:
         samples = _rk4_samples(model, rho, grid)
     try:
-        rest = QuantumState._mixed_stack(samples)
+        QuantumState._mixed_stack(samples[1:])
     except (DomainError, StateError) as exc:
         raise IntegrationError(
             f"integration produced an invalid state: {exc}; the step dt = "
             f"{grid.dt:.6g} is too coarse for fixed-step RK4 here: raise "
             "grid.n_steps", time=grid.sample_times()[1 + exc.index]) from exc
-    return [first, *rest]
+    return StateSeries(QuantumState._TOKEN, samples)

@@ -30,16 +30,16 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError, StateError
 
-__all__ = ["QuantumState", "TensorFactorization", "dagger", "eig_hermitian",
-           "expm_hermitian_prop", "is_hermitian", "is_unitary", "kron",
-           "partial_trace"]
+__all__ = ["QuantumState", "StateSeries", "TensorFactorization", "dagger",
+           "eig_hermitian", "expm_hermitian_prop", "is_hermitian",
+           "is_unitary", "kron", "partial_trace"]
 
 # Construction-time tolerances for state and operator validation.
 ATOL_HERMITIAN = 1e-10
@@ -318,16 +318,16 @@ class QuantumState:
         return cls._mixed_stack(np.array([m]))[0]
 
     @classmethod
-    def _mixed_stack(cls, matrices) -> tuple["QuantumState", ...]:
-        """Mixed states from an (n, d, d) stack, validated in one pass.
+    def _mixed_stack(cls, matrices) -> "StateSeries":
+        """The StateSeries of an (n, d, d) stack, validated in one pass.
 
         Each matrix gets the checks of :meth:`mixed` in their order (finite
         entries, hermiticity, unit trace, eigenvalues), one slab of about
         STACK_SLAB_BYTES at a time.  A failure reports the first bad matrix
         and the first check it fails; in a stack of more than one the
         message starts "matrix i of n: ".  The error's ``index`` is i.
-        The states are views of a complex128 array passed in, which the
-        caller hands over; a list is copied.
+        The series keeps a complex128 array passed in as its ``data``,
+        which the caller hands over; other input is copied.
         """
         m = as_number_array(matrices, "matrix", np.complex128)
         if m.ndim != 3:
@@ -347,7 +347,7 @@ class QuantumState:
                     and np.max(np.abs(s - s.conj().T)) <= ATOL_HERMITIAN
                     and is_normalized(np.trace(s))
                     and np.linalg.eigvalsh(s)[0] >= EIG_FLOOR):
-                return (cls(cls._TOKEN, "mixed", s),)
+                return StateSeries(cls._TOKEN, m)
         rows = max(1, STACK_SLAB_BYTES // (m.itemsize * d * d))
         for lo in range(0, n, rows):
             s = m[lo:lo + rows]
@@ -375,7 +375,7 @@ class QuantumState:
                     f"matrix {lo + i} of {n}: {text}" if n > 1 else text)
                 err.index = lo + i
                 raise err
-        return tuple(cls(cls._TOKEN, "mixed", x) for x in m)
+        return StateSeries(cls._TOKEN, m)
 
     def density_matrix(self) -> np.ndarray:
         """Density-matrix form: the outer product for pure states, the
@@ -386,3 +386,26 @@ class QuantumState:
 
     def __repr__(self) -> str:
         return f"QuantumState(kind={self.kind!r}, dim={self.dim})"
+
+
+class StateSeries(Sequence):
+    """Mixed states held as one validated (n, d, d) complex128 array,
+    ``data``, as the engines return them.  An item is a
+    :class:`QuantumState` view of one row, not checked again; a slice is
+    a series."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, token, data: np.ndarray):
+        if token is not QuantumState._TOKEN:
+            raise TypeError("a StateSeries comes from the engines")
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return StateSeries(QuantumState._TOKEN, self.data[key])
+        return QuantumState(QuantumState._TOKEN, "mixed",
+                            self.data[operator.index(key)])

@@ -44,8 +44,8 @@ import numpy as np
 
 from ..errors import (ConfigurationError, DimensionError, DomainError,
                       QuadratureError)
-from ..hilbert import (QuantumState, as_finite_array, as_integer, as_key,
-                       as_matrix, as_real)
+from ..hilbert import (QuantumState, StateSeries, as_finite_array,
+                       as_integer, as_key, as_matrix, as_real)
 
 __all__ = ["Distribution", "DisorderAverage", "DisorderSpec",
            "disorder_averaged_state", "disorder_gamma"]
@@ -413,16 +413,19 @@ def _gamma_table(spec: DisorderSpec, times, method: str):
 class DisorderAverage:
     """Ensemble-averaged state series.
 
-    For the Monte Carlo route, ``stderr_real``/``stderr_imag`` hold the
-    per-entry standard errors of the averaged matrix (zero on the diagonal,
-    where every member is identical); they are None for the closed form.
+    ``states`` is a ``StateSeries``: ``states.data`` is the validated
+    (n_t, d, d) array of averaged matrices, one per entry of ``times``,
+    and ``states[k]`` is the state at ``times[k]``.  For the Monte Carlo
+    route, ``stderr_real``/``stderr_imag`` hold the per-entry standard
+    errors of the averaged matrix (zero on the diagonal, where every
+    member is identical); they are None for the closed form.
     ``max_quadrature_abserr`` is the largest certified quadrature error
     behind the closed-form states, None when no quadrature ran.
     """
 
     method: str
     times: np.ndarray
-    states: tuple[QuantumState, ...]
+    states: StateSeries
     samples: Optional[int] = None
     seed: Optional[int] = None
     stderr_real: Optional[np.ndarray] = None

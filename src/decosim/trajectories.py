@@ -154,8 +154,9 @@ from .coherence import trace_distance
 from .errors import (ConfigurationError, DimensionError, DomainError,
                      StateError)
 from .evolution import LindbladModel, TimeGrid, integrate_master
-from .hilbert import (QuantumState, as_decimal, as_integer, as_key,
-                      as_number_array, as_real, check_dims, is_normalized)
+from .hilbert import (QuantumState, StateSeries, as_decimal, as_integer,
+                      as_key, as_number_array, as_real, check_dims,
+                      is_normalized)
 
 __all__ = ["EnsembleEstimate", "EquivalenceReport", "TrajectoryBatch",
            "TrajectoryRecord", "aggregate", "record_from_text",
@@ -678,14 +679,16 @@ def run_ensemble(state: QuantumState, model: LindbladModel, grid: TimeGrid,
 class EnsembleEstimate:
     """Trajectory-averaged state series with sampling uncertainty.
 
-    ``mean_states[s]`` averages the snapshot projectors of all records at
-    sample s; ``population_stderr[s, d]`` is the standard error of the
-    population of basis state d at that sample (zero for a single record).
+    ``mean_states`` is a ``StateSeries``: ``mean_states.data[s]`` averages
+    the snapshot projectors of all records at sample s, and
+    ``mean_states[s]`` is that state.  ``population_stderr[s, d]`` is the
+    standard error of the population of basis state d at that sample (zero
+    for a single record).
     """
 
     n_traj: int
     times: np.ndarray
-    mean_states: tuple[QuantumState, ...]
+    mean_states: StateSeries
     population_stderr: np.ndarray
 
 

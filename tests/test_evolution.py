@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from decosim import evolution
+from decosim import evolution, hilbert
 from decosim.errors import (DimensionError, DomainError, IntegrationError,
                             ModelError)
 from decosim.evolution import (KrausSet, LindbladModel, TimeGrid,
@@ -12,9 +12,12 @@ from decosim.evolution import (KrausSet, LindbladModel, TimeGrid,
                                evolve_unitary, integrate_master, lindblad_rhs,
                                phase_damping_kraus, two_level_decay_model)
 from decosim.hilbert import QuantumState
+from decosim.models.disorder import (Distribution, DisorderSpec,
+                                     disorder_averaged_state)
 from decosim.models.oscillator import (DampedOscillatorParams,
                                        oscillator_model, superposition_state)
 from decosim.models.three_level import ThreeLevelParams, three_level_model
+from decosim.trajectories import aggregate, run_ensemble
 
 from oracles import expm_series, lindblad_rhs_loops, master_rk4
 
@@ -496,3 +499,47 @@ def test_paired_blocks_come_out_exactly_hermitian():
     # the first sample is the initial state as given, not an engine output
     for st in states[1:]:
         assert np.array_equal(st.data[paired], st.data.conj().T[paired])
+
+
+def _assert_series(series, n_samples, dim):
+    assert isinstance(series, hilbert.StateSeries)
+    data = series.data
+    assert data.shape == (n_samples, dim, dim)
+    assert data.dtype == np.complex128
+    assert len(series) == n_samples
+    # items are views of the validated array; slices are series
+    for k in (0, n_samples - 1, -1):
+        assert np.shares_memory(series[k].data, data)
+        assert np.array_equal(series[k].data, data[k])
+    tail = series[1:]
+    assert isinstance(tail, hilbert.StateSeries) and len(tail) == n_samples - 1
+    assert np.shares_memory(tail.data, data)
+
+
+@pytest.mark.parametrize("loop", [False, True])
+def test_every_engine_returns_the_array_it_checked(loop, monkeypatch):
+    if loop:
+        monkeypatch.setattr(evolution, "MAX_POWERED_BLOCK", 0)
+    h, ops, rho0, grid = _route_cases()["fock-12"]
+    # a mixed initial matrix that is hermitian only within tolerance, so a
+    # row 0 written from the engine's transpose pairs would differ
+    rho0 = rho0 + 1e-14j * np.triu(np.ones_like(rho0), 1)
+    states = integrate_master(QuantumState.mixed(rho0), LindbladModel(h, ops),
+                              grid)
+    _assert_series(states, grid.n_samples, 12)
+    assert np.array_equal(states.data[0], rho0)
+    assert np.array_equal(states[0].data, rho0)
+
+    spec = DisorderSpec(Distribution.gaussian(0.0, 0.4), [0.0, 1.0, 2.5],
+                        [0.0, 1.0, -0.5], np.full((3, 3), 1.0 / 3.0))
+    times = np.linspace(0.0, 2.0, 5)
+    for avg in (disorder_averaged_state(spec, times),
+                disorder_averaged_state(spec, times, method="monte-carlo",
+                                        samples=50, seed=3)):
+        _assert_series(avg.states, times.size, 3)
+
+    decay = two_level_decay_model(1.0)
+    small = TimeGrid(0.0, 1.0, 40, sample_every=10)
+    est = aggregate(run_ensemble(QuantumState.pure([0.0, 1.0]), decay, small,
+                                 20, seed=5))
+    _assert_series(est.mean_states, small.n_samples, 2)

@@ -73,6 +73,24 @@ def test_spin_echo_run():
     assert res.rows[-1, 3] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_spin_echo_counts_the_pulse_time_from_t_start():
+    c1, c2 = 0.6, 0.8
+    res = run({
+        "scenario": "spin-echo",
+        "params": {"couplings": [1.0, 0.5], "t_e": 1.0, "c1": c1, "c2": c2},
+        "grid": {"t_start": -1.0, "t_end": 3.0, "n_steps": 40},
+        "output": {"path": "o.csv"},
+    })
+    assert res.all_passed
+    # the t column stays absolute; the revival comes 2 t_e after t_start
+    assert res.rows[0, 0] == -1.0
+    assert res.info["revival_time"] == pytest.approx(1.0)
+    k = int(np.argmin(np.abs(res.rows[:, 0] - 1.0)))
+    assert res.rows[k, 0] == pytest.approx(1.0, abs=1e-12)
+    assert res.rows[k, 3] == pytest.approx(c1 * c2, abs=1e-12)
+    assert res.rows[0, 1] == pytest.approx(c1 * c2, abs=1e-12)
+
+
 DISORDER_BASE = {
     "scenario": "disorder",
     "params": {
@@ -425,3 +443,34 @@ def test_damped_oscillator_contracts_densities_in_bounded_blocks(
     for k in (0, 63, 64, 127, 128, 255, 256, 300):
         assert np.array_equal(density[k],
                               oscillator.position_density(states[k], xs))
+
+
+def test_damped_oscillator_contracts_views_of_the_integrated_series(
+        monkeypatch):
+    # every block the position contraction reads is a view of the array
+    # the integrator validated, so the run stacks no copy of the samples
+    series, blocks = [], []
+    integrate = scenarios.integrate_master
+    contract = scenarios._density_from_table
+
+    def recorded(*args):
+        series.append(integrate(*args))
+        return series[-1]
+
+    def counted(phi, rho):
+        blocks.append(rho)
+        return contract(phi, rho)
+
+    monkeypatch.setattr(scenarios, "integrate_master", recorded)
+    monkeypatch.setattr(scenarios, "_density_from_table", counted)
+    res = run({
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "gamma": 0.2, "n_thermal": 0.5,
+                   "n_fock": 12, "alpha1": 0.5, "alpha2": -0.5},
+        "grid": {"t_end": 2.0, "n_steps": 200},
+        "output": {"path": "o.csv"},
+    })
+    assert res.all_passed
+    data = series[0].data
+    assert [len(b) for b in blocks] == [64, 64, 64, 9]
+    assert all(np.shares_memory(b, data) for b in blocks)
