@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, StateError
-from .hilbert import (QuantumState, as_matrix, as_real, as_vector,
-                      check_dims, is_normalized, is_unitary)
+from .hilbert import (QuantumState, as_finite_array, as_matrix, as_real,
+                      as_vector, check_dims, is_normalized, is_unitary)
 
 __all__ = ["MixtureSpec", "basis_change", "measurement_probability", "mix",
            "populations_coherences", "purity", "trace_distance"]
@@ -117,15 +117,18 @@ def mix(spec: MixtureSpec) -> QuantumState:
     return QuantumState.mixed(rho)
 
 
-def trace_distance(rho_a, rho_b) -> float:
-    """(1/2) ||a - b||_1 for two density matrices (hermitian inputs)."""
-    a = as_matrix(rho_a, square=True)
-    b = as_matrix(rho_b, square=True)
+def trace_distance(rho_a, rho_b):
+    """(1/2) ||a - b||_1 for two density matrices (hermitian inputs), or
+    one value per pair of rows for two (n, d, d) stacks of them."""
+    a, b = (as_finite_array(m, "matrix", np.complex128,
+                            3 if np.ndim(m) == 3 else 2, square=True)
+            for m in (rho_a, rho_b))
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     diff = a - b
-    if np.max(np.abs(diff - diff.conj().T)) > 1e-8:
+    if np.max(np.abs(diff - diff.conj().mT)) > 1e-8:
         raise DomainError("trace distance requires hermitian inputs")
     # Hermitize to kill rounding-level asymmetry before the eigensolve.
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    diff = 0.5 * (diff + diff.conj().mT)
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return dist if dist.ndim else float(dist)

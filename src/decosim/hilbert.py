@@ -141,12 +141,12 @@ def check_dims(dim: int, other: int, what: str, against: str) -> None:
 def as_finite_array(a, name: str, dtype=np.float64, ndim=None,
                     square: bool = False) -> np.ndarray:
     """*a* by ``as_number_array``, with finite entries and, if given, *ndim*
-    axes (square if ``square``): DimensionError for a wrong rank or shape,
-    else DomainError."""
+    axes (the last two square if ``square``): DimensionError for a wrong
+    rank or shape, else DomainError."""
     arr = as_number_array(a, name, dtype)
     if ndim is not None and arr.ndim != ndim:
         raise DimensionError(f"expected a {ndim}-D {name}, got ndim={arr.ndim}")
-    if square and arr.shape[0] != arr.shape[1]:
+    if square and arr.shape[-2] != arr.shape[-1]:
         raise DimensionError(f"expected a square {name}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} entries must be finite")

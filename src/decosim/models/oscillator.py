@@ -205,18 +205,25 @@ def merge_times(params: DampedOscillatorParams, t_end: float) -> np.ndarray:
     return quarter * (2.0 * np.arange(k_max + 1) + 1.0)
 
 
-def check_truncation(state: QuantumState) -> float:
-    """Population of the top Fock level; raises TruncationError above
-    TRUNCATION_TOL."""
-    top = float(state.density_matrix()[-1, -1].real)
-    if top > TRUNCATION_TOL:
+def check_truncation(states) -> float:
+    """Top Fock population of a state, or the largest of a StateSeries;
+    raises TruncationError above TRUNCATION_TOL, naming the first sample."""
+    tops = (states.density_matrix()[None] if isinstance(states, QuantumState)
+            else states.data)[:, -1, -1].real
+    i = int(np.argmax(tops > TRUNCATION_TOL))
+    if tops[i] > TRUNCATION_TOL:
+        where = f"sample {i} of {len(tops)}: " if len(tops) > 1 else ""
         raise TruncationError(
-            f"top Fock level holds population {top:.3g} > "
+            f"{where}top Fock level holds population {tops[i]:.3g} > "
             f"{TRUNCATION_TOL:.3g}; "
             "the truncation is too small for this evolution")
-    return top
+    return float(tops.max())
 
 
-def mean_occupation(state: QuantumState) -> float:
-    rho = state.density_matrix()
-    return float(np.sum(np.diag(rho).real * np.arange(rho.shape[0])))
+def mean_occupation(states):
+    """<n> of a state, or one value per sample of a StateSeries."""
+    single = isinstance(states, QuantumState)
+    rho = states.density_matrix()[None] if single else states.data
+    occ = (np.diagonal(rho, axis1=1, axis2=2).real
+           * np.arange(rho.shape[1])).sum(axis=1)
+    return float(occ[0]) if single else occ

@@ -9,7 +9,9 @@ Each runner returns a ScenarioResult whose ``rows`` align with ``columns``
 detail; the CLI copies them into the run manifest and derives its exit
 status from them.  Which checks run can depend on the configuration (for
 example, telegraph period statistics need resolvable dark periods), and the
-manifest lists exactly the checks that ran.
+manifest lists exactly the checks that ran.  Every scenario prepares its
+state at the grid's ``t_start``: models see the time elapsed since then,
+and the ``t`` column holds the absolute sample times.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .models.oscillator import (
     check_truncation,
     fringe_visibility,
     hermite_functions,
+    mean_occupation,
     merge_times,
     oscillator_model,
     position_grid,
@@ -105,44 +108,50 @@ class ScenarioResult:
         return all(c.passed for c in self.checks)
 
 
-def _coherence_checks(p: CentralSpinParams, coherence_fn) -> list[Check]:
-    initial = complex(coherence_fn(np.array([0.0]))[0])
-    target = p.c1 * np.conj(p.c2)
-    dev0 = abs(initial - target)
+def _sample_times(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The absolute sample times (the t column) and the time since t_start."""
+    times = grid.sample_times()
+    return times, times - times[0]
+
+
+def _decoherence_time(p: CentralSpinParams) -> float | None:
+    try:
+        return decoherence_time(p)
+    except ValueError:      # every coupling vanishes
+        return None
+
+
+def _coherence_checks(p: CentralSpinParams, coh: np.ndarray) -> list[Check]:
+    dev0 = abs(complex(coh[0]) - p.c1 * np.conj(p.c2))
     return [Check("initial-coherence", dev0 <= 1e-12,
                   f"|coherence(0) - c1 c2*| = {dev0:.3g} (tol 1e-12)")]
 
 
 def run_central_spin(config: ScenarioConfig, workers: int) -> ScenarioResult:
     p = config.model
-    times = config.grid.sample_times()
-    coh = central_spin_coherence(p, times)
-    env = gaussian_envelope(p, times)
-    checks = _coherence_checks(p, lambda t: central_spin_coherence(p, t))
+    times, elapsed = _sample_times(config.grid)
+    coh = central_spin_coherence(p, elapsed)
+    env = gaussian_envelope(p, elapsed)
+    checks = _coherence_checks(p, coh)
     bound = abs(p.c1 * np.conj(p.c2)) + 1e-12
     worst = float(np.max(np.abs(coh)))
     checks.append(Check("coherence-bounded", worst <= bound,
                         f"max |coherence| = {worst:.12g}, initial "
                         f"{bound - 1e-12:.12g} (tol 1e-12)"))
-    try:
-        t_d = decoherence_time(p)
-    except ValueError:
-        t_d = None
     rows = np.column_stack([times, coh.real, coh.imag, np.abs(coh), env])
     return ScenarioResult(
         columns=("t", "coherence_re", "coherence_im", "coherence_abs",
                  "gaussian_envelope"),
         rows=rows, checks=tuple(checks),
-        info={"t_D": t_d, "n_bath": p.n_bath})
+        info={"t_D": _decoherence_time(p), "n_bath": p.n_bath})
 
 
 def run_spin_echo(config: ScenarioConfig, workers: int) -> ScenarioResult:
     p = config.model
     t_e = config.params["t_e"]
-    times = config.grid.sample_times()
-    # the pulse time counts from t_start; the t column stays absolute
-    coh = spin_echo_coherence(p, t_e, times - times[0])
-    checks = _coherence_checks(p, lambda t: spin_echo_coherence(p, t_e, t))
+    times, elapsed = _sample_times(config.grid)
+    coh = spin_echo_coherence(p, t_e, elapsed)
+    checks = _coherence_checks(p, coh)
     revival = complex(spin_echo_coherence(p, t_e, np.array([2.0 * t_e]))[0])
     target = abs(p.c1 * np.conj(p.c2))
     dev = abs(abs(revival) - target)
@@ -153,29 +162,24 @@ def run_spin_echo(config: ScenarioConfig, workers: int) -> ScenarioResult:
     checks.append(Check("coherence-bounded", worst <= target + 1e-12,
                         f"max |coherence| = {worst:.12g} vs initial "
                         f"{target:.12g} (tol 1e-12)"))
-    try:
-        t_d = decoherence_time(p)
-    except ValueError:
-        t_d = None
     rows = np.column_stack([times, coh.real, coh.imag, np.abs(coh)])
     return ScenarioResult(
         columns=("t", "coherence_re", "coherence_im", "coherence_abs"),
         rows=rows, checks=tuple(checks),
-        info={"t_D": t_d, "t_e": t_e,
+        info={"t_D": _decoherence_time(p), "t_e": t_e,
               "revival_time": float(times[0] + 2.0 * t_e),
               "revival_magnitude": abs(revival), "n_bath": p.n_bath})
 
 
 def run_disorder(config: ScenarioConfig, workers: int) -> ScenarioResult:
     spec = config.model
-    times = config.grid.sample_times()
+    times, elapsed = _sample_times(config.grid)
     est = config.estimator
     monte_carlo = est.kind == TRAJECTORIES
+    avg = closed = disorder_averaged_state(spec, elapsed, method="closed-form")
     if monte_carlo:
-        avg = disorder_averaged_state(spec, times, method="monte-carlo",
+        avg = disorder_averaged_state(spec, elapsed, method="monte-carlo",
                                       samples=est.n_traj, seed=est.seed)
-    else:
-        avg = disorder_averaged_state(spec, times, method="closed-form")
     d = spec.dim
     mats = avg.states.data  # (n_t, d, d)
     pops = np.diagonal(mats, axis1=1, axis2=2)
@@ -202,9 +206,7 @@ def run_disorder(config: ScenarioConfig, workers: int) -> ScenarioResult:
 
     info = {"dim": d, "method": avg.method,
             "distribution": config.params["distribution"]["kind"]}
-    closed = avg
     if monte_carlo:
-        closed = disorder_averaged_state(spec, times, method="closed-form")
         dev = np.abs(mats - closed.states.data)
         # per-entry CLT bound on the sampled mean phase, scaled by |r_mn|
         bound = (4.0 * np.abs(spec.r)[None, :, :]
@@ -294,15 +296,14 @@ def run_damped_oscillator(config: ScenarioConfig,
     p = config.model
     psi0 = superposition_state([1.0, 1.0], p.alphas, p.n_fock)
     states = integrate_master(psi0, oscillator_model(p), config.grid)
-    times = config.grid.sample_times()
+    times, elapsed = _sample_times(config.grid)
     xs = position_grid(p)
     phi = hermite_functions(xs, p.n_fock)
 
-    top = max(map(check_truncation, states))  # raises when inadequate
+    top = check_truncation(states)  # raises when inadequate
     rho = states.data
     traces = np.trace(rho, axis1=1, axis2=2).real
-    occupations = (np.diagonal(rho, axis1=1, axis2=2).real
-                   * np.arange(p.n_fock)).sum(axis=1)
+    occupations = mean_occupation(states)
     # 64 samples at a time bound the (samples, grid, n_fock) product
     densities = np.concatenate([_density_from_table(phi, rho[lo:lo + 64])
                                 for lo in range(0, len(rho), 64)])
@@ -322,7 +323,6 @@ def run_damped_oscillator(config: ScenarioConfig,
     checks.append(Check("truncation-adequate", True,
                         f"max top-level population = {top:.3g} (tol 1e-6)"))
 
-    elapsed = times - times[0]      # the motion starts at t_start
     merges = merge_times(p, elapsed[-1]) if p.omega != 0.0 else []
     merge_samples, vis = [], []
     for m in merges:

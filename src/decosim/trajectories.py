@@ -809,9 +809,7 @@ def unraveling_equivalence_report(
             raise DomainError(f"threshold must be positive, got {threshold}")
     estimate = _streamed_estimate(state, model, grid, n_traj, seed, workers)
     reference = integrate_master(state, model, grid)
-    dists = np.array([
-        trace_distance(est.data, ref.data)
-        for est, ref in zip(estimate.mean_states, reference)])
+    dists = trace_distance(estimate.mean_states.data, reference.data)
     if threshold is None:
         threshold = _sampling_threshold(estimate.n_traj)
     return EquivalenceReport(

@@ -181,6 +181,43 @@ def test_trace_distance_validation():
         trace_distance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2.0)
 
 
+def test_trace_distance_reads_stacks_and_keeps_the_matrix_errors():
+    rng = np.random.default_rng(29)
+    a = np.array([_random_density(rng, 4) for _ in range(5)])
+    b = np.array([_random_density(rng, 4) for _ in range(5)])
+    dists = trace_distance(a, b)
+    assert dists.shape == (5,)
+    assert np.array_equal(dists, [trace_distance(x, y) for x, y in zip(a, b)])
+    assert isinstance(trace_distance(a[0], b[0]), float)
+    with pytest.raises(DimensionError, match=r"shape mismatch: \(5, 4, 4\) "
+                       r"vs \(4, 4, 4\)"):
+        trace_distance(a, b[1:])
+    skew = b.copy()
+    skew[3, 0, 1] += 1e-3
+    with pytest.raises(DomainError, match="requires hermitian inputs"):
+        trace_distance(a, skew)
+    # a matrix is refused with the words it always had
+    cases = [
+        ((np.eye(2), np.eye(3)), DimensionError,
+         r"shape mismatch: \(2, 2\) vs \(3, 3\)"),
+        ((np.ones((2, 3)), np.ones((2, 3))), DimensionError,
+         r"expected a square matrix, got shape \(2, 3\)"),
+        ((np.ones(2), np.ones(2)), DimensionError,
+         "expected a 2-D matrix, got ndim=1"),
+        ((np.ones((1, 2, 2, 2)), np.ones((1, 2, 2, 2))), DimensionError,
+         "expected a 2-D matrix, got ndim=4"),
+        ((np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)), DomainError,
+         "matrix entries must be finite"),
+        (([[True, False], [False, True]], np.eye(2)), DomainError,
+         "matrix must be numbers, not bools or strings"),
+        ((np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2) / 2.0), DomainError,
+         "trace distance requires hermitian inputs"),
+    ]
+    for args, error, text in cases:
+        with pytest.raises(error, match=f"^{text}$"):
+            trace_distance(*args)
+
+
 def test_mixture_weights_must_be_finite_numbers():
     a = QuantumState.pure([1.0, 0.0])
     b = QuantumState.pure([0.0, 1.0])

@@ -248,6 +248,36 @@ def test_check_truncation():
         check_truncation(QuantumState.pure(top_heavy))
 
 
+def test_series_reads_equal_the_per_state_values():
+    # one call on the whole integrated series gives each state's bits
+    params = DampedOscillatorParams(1.0, 0.3, 0.4, 12, (0.7, -0.7))
+    st = superposition_state([1.0, 1.0], params.alphas, params.n_fock)
+    grid = TimeGrid(0.0, 2.0, 400, sample_every=20)
+    states = integrate_master(st, oscillator_model(params), grid)
+    assert check_truncation(states) == max(map(check_truncation, states))
+    occupations = mean_occupation(states)
+    assert occupations.shape == (grid.n_samples,)
+    assert np.array_equal(occupations,
+                          [mean_occupation(s) for s in states])
+
+
+def test_check_truncation_names_the_first_sample_over_the_limit():
+    tops = [1e-9, 1e-7, 2e-6, 5e-6]
+    stack = np.zeros((len(tops), 12, 12), dtype=complex)
+    for k, top in enumerate(tops):
+        stack[k, 0, 0] = 1.0 - top
+        stack[k, -1, -1] = top
+    states = QuantumState._mixed_stack(stack)
+    assert check_truncation(states[:2]) == 1e-7
+    with pytest.raises(TruncationError, match=r"^sample 2 of 4: top Fock "
+                       r"level holds population 2e-06 > 1e-06;"):
+        check_truncation(states)
+    # a single state, or a series of one, is not named
+    with pytest.raises(TruncationError, match=r"^top Fock level holds "
+                       r"population 5e-06"):
+        check_truncation(states[3:])
+
+
 def test_model_channels():
     params = _cat_params(gamma=0.2, n_thermal=0.5)
     model = oscillator_model(params)

@@ -162,6 +162,47 @@ def test_disorder_monte_carlo_run():
     assert np.all(res.rows[:, 1] == 0.5)    # diagonal untouched by sampling
 
 
+CENTRAL_SPIN_PAIR = {
+    "scenario": "central-spin",
+    "params": {"couplings": [1.0, 0.5], "omega0": 0.7},
+    "output": {"path": "o.csv"},
+}
+
+
+@pytest.mark.parametrize("table", [
+    CENTRAL_SPIN_PAIR, DISORDER_BASE,
+    {**DISORDER_BASE, "estimator": {"kind": "trajectories", "n_traj": 500,
+                                    "seed": 12}},
+], ids=["central-spin", "disorder-closed-form", "disorder-monte-carlo"])
+def test_state_is_prepared_at_t_start(table):
+    # 40 steps of 0.1 from t_start -1 and from 0; the run from 0 holds the
+    # model at k dt.  Apart from t, the first rows are the same bits and
+    # every other row agrees to rounding.
+    late = run({**table, "grid": {"t_start": -1.0, "t_end": 3.0,
+                                  "n_steps": 40}})
+    early = run({**table, "grid": {"t_end": 4.0, "n_steps": 40}})
+    assert late.all_passed and early.all_passed
+    assert check_names(late) == check_names(early)
+    assert np.array_equal(late.rows[:, 0], -1.0 + early.rows[:, 0])
+    assert np.array_equal(late.rows[0, 1:], early.rows[0, 1:])
+    assert np.allclose(late.rows[:, 1:], early.rows[:, 1:], rtol=0.0,
+                       atol=1e-12)
+
+
+def test_central_spin_first_row_is_the_prepared_coherence():
+    res = run({**CENTRAL_SPIN_PAIR, "params": {"couplings": [1.0, 0.5],
+                                               "c1": 0.6, "c2": 0.8},
+               "grid": {"t_start": -1.0, "t_end": 3.0, "n_steps": 40}})
+    assert check_names(res)[0] == "initial-coherence" and res.all_passed
+    assert res.rows[0, 0] == -1.0
+    assert res.rows[0, 1:4].tolist() == [0.6 * 0.8, 0.0, 0.6 * 0.8]
+    assert res.rows[0, 4] == 0.6 * 0.8      # the envelope starts there too
+    dt = 0.1
+    k = np.arange(41)
+    coh = 0.48 * np.cos(0.5 * k * dt) * np.cos(0.25 * k * dt)
+    assert np.allclose(res.rows[:, 1], coh, rtol=0.0, atol=1e-12)
+
+
 def test_telegraph_resolvable_dark_periods():
     res = run({
         "scenario": "three-level-telegraph",
@@ -408,6 +449,32 @@ def test_damped_oscillator_copies_each_sample_matrix_once(monkeypatch):
     n_samples = np.unique(res.rows[:, 0]).size
     assert n_samples == 7
     assert len(calls) <= n_samples + 3
+
+
+def test_damped_oscillator_reads_its_series_without_copying_samples(
+        monkeypatch):
+    # 1,201 samples of the master-fock40 model: truncation and occupation
+    # are read from the integrated series in one call each, so only the
+    # initial state and the two purities copy a matrix
+    calls = []
+    copy = QuantumState.density_matrix
+
+    def counted(self):
+        calls.append(self)
+        return copy(self)
+
+    monkeypatch.setattr(QuantumState, "density_matrix", counted)
+    res = run({
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "gamma": 0.01, "n_thermal": 0.5,
+                   "n_fock": 40, "alpha1": 2.0, "alpha2": -2.0},
+        "grid": {"t_end": 1.5 * math.pi, "n_steps": 1200,
+                 "sample_every": 1},
+        "output": {"path": "o.csv"},
+    })
+    assert np.unique(res.rows[:, 0]).size == 1201
+    assert res.all_passed
+    assert len(calls) <= 3
 
 
 def test_damped_oscillator_contracts_densities_in_bounded_blocks(
