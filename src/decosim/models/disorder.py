@@ -33,6 +33,7 @@ grid are bit-identical.  Lorentzian quadrature, which only
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import sys
@@ -46,6 +47,7 @@ from ..errors import (ConfigurationError, DimensionError, DomainError,
                       QuadratureError)
 from ..hilbert import (QuantumState, StateSeries, as_finite_array,
                        as_integer, as_key, as_matrix, as_real)
+from ..trajectories import _BLOCK, _chan, _moments
 
 __all__ = ["Distribution", "DisorderAverage", "DisorderSpec",
            "disorder_averaged_state", "disorder_gamma"]
@@ -397,9 +399,7 @@ def _gamma_table(spec: DisorderSpec, times, method: str):
     if phase is None:
         phase, abserr = _quadrature_phases(spec.distribution, s)
     upper = np.exp(-1j * np.outer(t, eps[m] - eps[n])) * phase
-    gamma = np.ones((t.size, spec.dim, spec.dim), dtype=np.complex128)
-    gamma[:, m, n] = upper
-    gamma[:, n, m] = upper.conj()
+    gamma = _pair_table(upper, spec.dim, 1.0)
     size = np.abs(upper)
     if size.max(initial=0.0) > 1.0 + 1e-10:
         k, p = np.unravel_index(np.argmax(size), size.shape)
@@ -407,6 +407,15 @@ def _gamma_table(spec: DisorderSpec, times, method: str):
             f"|gamma_{m[p]}{n[p]}(t={t[k]:.17g})| = {size[k, p]:.17g} "
             "exceeds 1", abserr=float(size[k, p]) - 1.0)
     return gamma, abserr
+
+
+def _pair_table(upper: np.ndarray, dim: int, diagonal: float) -> np.ndarray:
+    """The (..., d, d) tables of pair values ``upper`` (..., d(d-1)/2 in
+    np.triu_indices order), mirrored as conjugates, ``diagonal`` between."""
+    table = np.full((*upper.shape[:-1], dim, dim), diagonal, upper.dtype)
+    m, n = np.triu_indices(dim, 1)
+    table[..., m, n], table[..., n, m] = upper, upper.conj()
+    return table
 
 
 @dataclass(frozen=True)
@@ -440,9 +449,10 @@ def disorder_averaged_state(spec: DisorderSpec, times,
     """Ensemble-averaged density matrix at each requested time.
 
     ``method="closed-form"`` multiplies r entrywise by the gamma matrix;
-    ``method="monte-carlo"`` averages explicit phase evolutions over
-    ``samples`` draws of w (``seed`` mandatory).  Both routes leave the
-    populations bit-identical to the diagonal of r.
+    ``method="monte-carlo"`` averages the pairs' phases over ``samples``
+    draws of w (``seed`` mandatory) in blocks of _BLOCK = 256, folded in
+    draw order as a trajectory ensemble is ("Ensemble reduction" in
+    ``trajectories``).  Both leave the populations r's diagonal exactly.
     """
     t = np.atleast_1d(as_finite_array(times, "times"))
     if method == "closed-form":
@@ -458,26 +468,22 @@ def disorder_averaged_state(spec: DisorderSpec, times,
     if seed is None:
         raise ConfigurationError("monte-carlo requires an explicit seed")
     seed = as_key(seed, "seed")
-    rng = np.random.default_rng(seed)
-    draws = spec.distribution.sample(rng, samples)
+    draws = spec.distribution.sample(np.random.default_rng(seed), samples)
 
-    eps = np.asarray(spec.epsilon)
-    slo = np.asarray(spec.slopes)
-    static_gap = eps[:, None] - eps[None, :]
-    slope_gap = slo[:, None] - slo[None, :]
-
-    rho = np.empty((t.size, spec.dim, spec.dim), dtype=np.complex128)
-    se_re = np.empty((t.size, spec.dim, spec.dim))
-    se_im = np.empty_like(se_re)
-    root = np.sqrt(samples)
+    m, n = np.triu_indices(spec.dim, 1)
+    slope_gap = np.asarray(spec.slopes)[m] - np.asarray(spec.slopes)[n]
+    mean, m2 = np.empty((2, t.size, 2 * m.size))
     for i, ti in enumerate(t):
-        # (samples, d, d) member phases; diagonal is exactly 1 everywhere.
-        phases = np.exp(-1j * (slope_gap[None, :, :] * draws[:, None, None]) * ti)
-        mean_phase = phases.mean(axis=0)
-        se_re[i] = phases.real.std(axis=0, ddof=1) / root
-        se_im[i] = phases.imag.std(axis=0, ddof=1) / root
-        rho[i] = spec.r * (np.exp(-1j * static_gap * ti) * mean_phase)
-    return DisorderAverage(method=method, times=t,
-                           states=QuantumState._mixed_stack(rho),
-                           samples=samples, seed=seed,
-                           stderr_real=se_re, stderr_imag=se_im)
+        # the pairs' member phases as (re, im) floats, one block at a time
+        _, mean[i], m2[i] = functools.reduce(_chan, (
+            _moments(np.exp(-1j * (slope_gap * draws[a:a + _BLOCK, None])
+                            * ti).view(np.float64))
+            for a in range(0, samples, _BLOCK)))
+    se = np.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    eps = np.asarray(spec.epsilon)
+    upper = np.exp(-1j * np.outer(t, eps[m] - eps[n])) * mean.view(complex)
+    rho = spec.r * _pair_table(upper, spec.dim, 1.0)
+    return DisorderAverage(method=method, times=t, samples=samples,
+                           seed=seed, states=QuantumState._mixed_stack(rho),
+                           stderr_real=_pair_table(se[:, ::2], spec.dim, 0.0),
+                           stderr_imag=_pair_table(se[:, 1::2], spec.dim, 0.0))

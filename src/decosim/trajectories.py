@@ -102,12 +102,14 @@ records keeps working.
 Ensemble reduction
 ------------------
 An estimate is reduced in fixed blocks of _BLOCK = 256 rows of the
-stream-sorted ensemble.  A block's moments are its count, the sum of its
-projectors psi psi^dag per sample (one ``einsum`` over the block), and the
-mean and M2 (sum of squared deviations) of its populations.  The blocks
-are folded left to right in block order with the pairwise update of Chan,
-Golub & LeVeque (Am. Stat. 37, 242, 1983), so the estimate's bits depend
-on the ensemble and _BLOCK only, never on workers or chunks.
+stream-sorted ensemble.  A block's moments (``_moments``) are its count
+and the mean and M2 (sum of squared deviations) of its populations, plus
+the sum of its projectors psi psi^dag per sample (one ``einsum``).  The
+blocks are folded left to right in block order with the pairwise update
+of Chan, Golub & LeVeque (Am. Stat. 37, 242, 1983; ``_chan``), so the
+estimate's bits depend on the ensemble and _BLOCK only, never on workers
+or chunks.  The disorder Monte Carlo (``models.disorder``) is the rule's
+other user: it folds its draws' phases the same way, _BLOCK draws a block.
 ``aggregate`` applies this reduction to the rows it is given.  The
 unraveling report runs it as the ensemble runs, one block a unit: each
 process takes a run of whole blocks, runs at most four blocks per engine
@@ -138,6 +140,7 @@ lines is an error, never the size of an array.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import operator
@@ -400,10 +403,10 @@ def _continuation(psi: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 def _check_cap(p_jump: np.ndarray, taken: np.ndarray, start: np.ndarray,
                grid: TimeGrid) -> None:
     """Raise on the earliest grid step, over all rows, that a row took with
-    a jump probability above the cap; columns past a row's taken steps
+    a jump probability above the cap or NaN; columns past a row's taken steps
     (the continuation past its jump) are not held against the cap."""
     took = np.arange(p_jump.shape[1]) < taken[:, None]
-    over = took & (p_jump > JUMP_PROBABILITY_CAP)
+    over = took & ~(p_jump <= JUMP_PROBABILITY_CAP)
     if over.any():
         r, j = np.nonzero(over)
         first = np.argmin(start[r] + j)
@@ -512,10 +515,10 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
             hit = fired[rows, k]
             taken = np.where(hit, k + 1, steps)
 
-            # Column 0 is finite, so no row's maximum is NaN; the exact
-            # check runs only when some probability passes the cap.
+            # A NaN (E not finite) fails the cap like a probability above
+            # it; the exact check runs only when some probability fails.
             pmax = np.fmax.reduce(p_jump, axis=1)
-            if pmax.max() > JUMP_PROBABILITY_CAP:
+            if not pmax.max() <= JUMP_PROBABILITY_CAP:
                 _check_cap(p_jump, taken, done, grid)
 
             start = done
@@ -716,29 +719,35 @@ def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
     return _fold(_block_moments(snaps, _BLOCK), records[0].grid)
 
 
+def _moments(rows: np.ndarray):
+    """The count, mean and M2 (sum of squared deviations) of each column."""
+    mean = rows.mean(axis=0)
+    return len(rows), mean, ((rows - mean) ** 2).sum(axis=0)
+
+
+def _chan(a, b):
+    """Blocks a and b joined (Chan, Golub & LeVeque); further sums add."""
+    (n, mean, m2, *sums), (n_b, mean_b, m2_b, *sums_b) = a, b
+    delta = mean_b - mean
+    total = n + n_b
+    return (total, mean + delta * (n_b / total),
+            m2 + m2_b + delta ** 2 * (n * n_b / total),
+            *map(operator.add, sums, sums_b))
+
+
 def _block_moments(snaps: np.ndarray, block: int):
     """The moments of each run of *block* rows of (n, S, d) snapshots: its
-    count, the sum of its projectors per sample (S, d, d), and the mean
-    and M2 of its populations (S, d)."""
+    count and the mean and M2 of its populations (S, d), and the sum of
+    its projectors per sample (S, d, d)."""
     for a in range(0, len(snaps), block):
         rows = snaps[a:a + block]
-        pops = rows.real ** 2 + rows.imag ** 2
-        mean = pops.mean(axis=0)
-        yield (len(rows), np.einsum("nsd,nse->sde", rows, rows.conj()),
-               mean, ((pops - mean) ** 2).sum(axis=0))
+        yield (*_moments(rows.real ** 2 + rows.imag ** 2),
+               np.einsum("nsd,nse->sde", rows, rows.conj()))
 
 
 def _fold(moments, grid: TimeGrid) -> EnsembleEstimate:
-    """The estimate of block moments folded left to right, in block order,
-    with the pairwise update of Chan, Golub & LeVeque."""
-    (n, rho, mean, m2), *rest = moments
-    for n_b, rho_b, mean_b, m2_b in rest:
-        delta = mean_b - mean
-        total = n + n_b
-        mean = mean + delta * (n_b / total)
-        m2 = m2 + m2_b + delta ** 2 * (n * n_b / total)
-        rho = rho + rho_b
-        n = total
+    """The estimate of block moments folded left to right, in block order."""
+    n, mean, m2, rho = functools.reduce(_chan, moments)
     return EnsembleEstimate(
         n_traj=n, times=grid.sample_times(),
         mean_states=QuantumState._mixed_stack(rho / n),

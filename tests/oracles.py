@@ -134,6 +134,30 @@ def uniform_char(low, high, s):
     return np.exp(-1j * 0.5 * (low + high) * s) * np.sin(half) / half
 
 
+def disorder_monte_carlo_full(r, epsilon, slopes, draws, times):
+    """Static-disorder Monte Carlo on full d x d member phase matrices,
+    every draw at once: the averaged states and the standard errors of
+    their real and imaginary parts, each (n_t, d, d)."""
+    r = np.asarray(r, dtype=np.complex128)
+    eps = np.asarray(epsilon, dtype=np.float64)
+    slo = np.asarray(slopes, dtype=np.float64)
+    draws = np.asarray(draws, dtype=np.float64)
+    static_gap = eps[:, None] - eps[None, :]
+    slope_gap = slo[:, None] - slo[None, :]
+    d = eps.size
+    rho = np.empty((len(times), d, d), dtype=np.complex128)
+    se_re = np.empty((len(times), d, d))
+    se_im = np.empty_like(se_re)
+    root = np.sqrt(draws.size)
+    for i, ti in enumerate(times):
+        phases = np.exp(-1j * (slope_gap[None, :, :] * draws[:, None, None])
+                        * ti)
+        se_re[i] = phases.real.std(axis=0, ddof=1) / root
+        se_im[i] = phases.imag.std(axis=0, ddof=1) / root
+        rho[i] = r * (np.exp(-1j * static_gap * ti) * phases.mean(axis=0))
+    return rho, se_re, se_im
+
+
 def central_spin_brute(params, times, t_e=None):
     """<up| rho_S(t) |down> of the central spin by full evolution of the
     2^(M+1)-dimensional register, then a trace over the bath.

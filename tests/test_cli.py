@@ -218,6 +218,24 @@ def test_midrun_failure_writes_failure_manifest(tmp_path, capsys):
     assert manifest["checks"] == []
 
 
+def test_non_finite_propagator_trips_the_jump_probability_cap(tmp_path,
+                                                             capsys):
+    """gamma_deshelve 1e200 passes validation; the run then fails on the
+    0.1 cap (every jump probability is NaN), not on a state check."""
+    table = minimal_config("three-level-telegraph")
+    table["params"]["gamma_deshelve"] = 1e200
+    table["output"]["path"] = str(tmp_path / "tele.csv")
+    path = write_config(tmp_path, table)
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 1
+    assert "the grid step is too coarse" in capsys.readouterr().err
+    assert not (tmp_path / "tele.csv").exists()
+    manifest = json.loads((tmp_path / "tele.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["failure"]["type"] == "ConfigurationError"
+    assert "jump probability nan" in manifest["failure"]["message"]
+
+
 def test_unexpected_run_error_writes_failure_manifest(tmp_path, capsys,
                                                       monkeypatch):
     def singular(config, workers):

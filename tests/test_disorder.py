@@ -1,5 +1,7 @@
 """Static-disorder dephasing: closed forms, quadrature, Monte Carlo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, quad_vec
@@ -10,7 +12,8 @@ from decosim.models import disorder
 from decosim.models.disorder import (Distribution, DisorderSpec, _gamma_table,
                                      disorder_averaged_state, disorder_gamma)
 
-from oracles import gaussian_char, lorentzian_char, uniform_char
+from oracles import (disorder_monte_carlo_full, gaussian_char,
+                     lorentzian_char, uniform_char)
 
 
 def _qubit_spec(dist, slopes=(0.0, 1.0), epsilon=(0.0, 0.4)):
@@ -402,3 +405,72 @@ def test_monte_carlo_samples_have_a_lower_bound(samples, message):
         disorder_averaged_state(spec, [1.0], method="monte-carlo",
                                 samples=samples, seed=0)
     assert str(exc.value) == message
+
+
+_DISTRIBUTIONS = [Distribution.gaussian(0.2, 0.7),
+                  Distribution.lorentzian(-0.1, 0.4),
+                  Distribution.uniform(-0.5, 1.0)]
+
+
+def _level_spec(dist, d, seed=0):
+    """A d-level spec with distinct gaps and a full-rank, exactly hermitian
+    complex r."""
+    a = np.random.default_rng(seed).standard_normal((2, d, d))
+    r = (a[0] + 1j * a[1]) @ (a[0] + 1j * a[1]).conj().T
+    r = (r + r.conj().T) / (2.0 * np.trace(r).real)
+    return DisorderSpec(dist, np.linspace(0.0, 1.3, d),
+                        np.linspace(0.0, 0.9, d) ** 1.5, r)
+
+
+@pytest.mark.parametrize("dist", _DISTRIBUTIONS, ids=lambda x: x.kind)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_monte_carlo_matches_the_full_matrix_reference(dist, d):
+    """Folded in blocks of _BLOCK draws over the pairs above the diagonal,
+    the estimate is the all-draws full-matrix one to rounding: within
+    1e-15 in one block, 1e-13 over many."""
+    spec = _level_spec(dist, d)
+    times = np.linspace(-1.0, 7.0, 9)
+    for samples in (2, 100, 256, 257, 600, 5_000):
+        draws = dist.sample(np.random.default_rng(17), samples)
+        want = disorder_monte_carlo_full(spec.r, spec.epsilon, spec.slopes,
+                                         draws, times)
+        avg = disorder_averaged_state(spec, times, method="monte-carlo",
+                                      samples=samples, seed=17)
+        got = (avg.states.data, avg.stderr_real, avg.stderr_imag)
+        tol = 1e-15 if samples <= 256 else 1e-13
+        for x, y in zip(got, want):
+            assert np.max(np.abs(x - y)) <= tol
+
+
+@pytest.mark.parametrize("samples", [2, 600])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_monte_carlo_tables_mirror_the_pairs(d, samples):
+    """Populations are r's diagonal exactly, the error tables are exactly
+    0 there, and below the diagonal each table is the exact mirror of
+    the pairs above it: the conjugate for states, the value for errors."""
+    spec = _level_spec(Distribution.gaussian(0.3, 1.1), d, seed=d)
+    avg = disorder_averaged_state(spec, np.linspace(0.0, 5.0, 11),
+                                  method="monte-carlo", samples=samples,
+                                  seed=4)
+    rho = avg.states.data
+    assert np.array_equal(np.diagonal(rho, axis1=1, axis2=2),
+                          np.broadcast_to(np.diagonal(spec.r), (11, d)))
+    assert np.array_equal(rho.transpose(0, 2, 1), rho.conj())
+    for se in (avg.stderr_real, avg.stderr_imag):
+        assert np.all(np.diagonal(se, axis1=1, axis2=2) == 0.0)
+        assert np.array_equal(se.transpose(0, 2, 1), se)
+
+
+def test_monte_carlo_memory_is_one_block_of_pairs_per_time():
+    """20,000 draws at d = 4 over 51 times: the draws themselves (160 kB)
+    and one block of phases per time, never (samples, d, d) arrays."""
+    spec = _level_spec(Distribution.gaussian(0.2, 0.7), 4)
+    times = np.linspace(0.0, 5.0, 51)
+    tracemalloc.start()
+    try:
+        disorder_averaged_state(spec, times, method="monte-carlo",
+                                samples=20_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

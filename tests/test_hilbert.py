@@ -264,6 +264,18 @@ def test_pure_state_validation():
         QuantumState(object(), "pure", v)      # ctor is factory-only
 
 
+def test_state_repr_names_kind_and_dim():
+    assert repr(QuantumState.pure([0.0, 1.0])) == \
+        "QuantumState(kind='pure', dim=2)"
+    assert repr(QuantumState.mixed(np.eye(3) / 3.0)) == \
+        "QuantumState(kind='mixed', dim=3)"
+
+
+def test_state_series_ctor_is_factory_only():
+    with pytest.raises(TypeError, match="comes from the engines"):
+        hilbert.StateSeries(object(), np.eye(2)[None] / 2.0)
+
+
 def test_is_normalized_is_the_trace_rule():
     assert hilbert.is_normalized(1.0 + 0.9e-10)
     assert hilbert.is_normalized(complex(1.0 - 5e-11, 0.0))

@@ -276,6 +276,24 @@ def test_jump_probability_cap_rejects_coarse_grid():
         run_trajectory(QuantumState.pure([0.0, 1.0]), model, grid, seed=0)
 
 
+@pytest.mark.filterwarnings("ignore:gamma_shelve is not small")
+@pytest.mark.parametrize("rate", ["gamma_strong", "gamma_shelve",
+                                  "gamma_deshelve"])
+def test_jump_probability_cap_rejects_a_non_finite_propagator(rate):
+    """At a rate of 1e200, exp(-i dt H_eff) is not finite and every jump
+    probability is NaN: the cap refuses the grid, as it does p > 0.1."""
+    rates = {"gamma_strong": 8.0, "gamma_shelve": 0.05,
+             "gamma_deshelve": 0.1, rate: 1e200}
+    model = three_level_model(ThreeLevelParams(rabi=8.0, detuning=0.0,
+                                               **rates))
+    grid = TimeGrid(0.0, 1.0, 400)
+    with pytest.raises(ConfigurationError, match=r"probability nan .* "
+                       r"at t = 0\.0025.* too coarse"):
+        run_trajectory(ground_state(), model, grid, seed=0)
+    with pytest.raises(ConfigurationError, match="too coarse"):
+        run_ensemble(ground_state(), model, grid, n_traj=20, seed=0)
+
+
 def test_waiting_time_distribution():
     """First-jump times of pure decay follow the exponential law."""
     gamma = 1.0
