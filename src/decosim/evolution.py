@@ -17,26 +17,26 @@ Three ways to push a state forward in time:
   accuracy is controlled by the grid alone.
 
   The generator is linear and time-independent, so one RK4 step is exactly
-  the matrix T = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24.  The integrator
-  splits L into the blocks of rho's entries it leaves invariant (the
-  connected components of its sparsity graph; 79 bands for the damped
-  oscillator at n_fock = 40) and moves each block from sample to sample by
-  T_b^sample_every.  The generator preserves hermiticity, so only one
-  block of each transpose pair is powered and its partner is written as
-  the conjugate: the entries of paired blocks come out exactly hermitian.
-  This reproduces the step-by-step RK4 values to rounding, so RK4's
-  truncation error and stability limit are unchanged.
-  A model with a block too large to power (above MAX_POWERED_BLOCK
-  entries, such as a dense d = 40 model) keeps the step-by-step loop over
-  ``lindblad_rhs``.  Both routes run to t_end and fill one (n_samples, d, d)
-  array, the initial state in row 0.  The initial state is checked alone
-  before the run, and the later rows once, as one stack (hermiticity,
-  trace, positivity); the array comes back as a ``StateSeries``.  An
-  IntegrationError names the first bad sample by its ``time`` and by the
-  stack's "matrix i of n: " message prefix, i counting from the second
-  sample, and ends by naming the fix: the step dt is too coarse for
-  fixed-step RK4 here, so raise grid.n_steps.  So an unstable grid runs to
-  the end, overflow warnings and all, on either route.
+  T = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, applied on both routes in
+  one Horner form, x <- rho + (h/c) L x for c = 4, 3, 2, 1.
+  ``integrate_master`` allocates one (n_samples, d, d) array, the initial
+  state in row 0, and a route fills the later rows in place up to t_end.
+  The block route builds T_b by that recursion for each block of rho's
+  entries that L leaves invariant (the connected components of its
+  sparsity graph; 79 bands for the damped oscillator at n_fock = 40) and
+  moves the block from sample to sample by T_b^sample_every, writing the
+  partner of each transpose pair of blocks as the conjugate, so paired
+  entries come out exactly hermitian.  A model with a block above
+  MAX_POWERED_BLOCK entries, such as a dense d = 40 model, applies the
+  recursion to rho itself, four ``lindblad_rhs`` calls per step.  The two
+  routes agree to rounding, with RK4's truncation error and stability
+  limit.  The initial state is checked alone before the run, and the later
+  rows once, as one stack (hermiticity, trace, positivity); the array
+  comes back as a ``StateSeries``.  An IntegrationError names the first
+  bad sample by its ``time`` and by the stack's "matrix i of n: " message
+  prefix, i counting from the second sample, and ends by naming the fix:
+  the step dt is too coarse for fixed-step RK4 here, so raise
+  grid.n_steps.  So an unstable grid runs to the end on either route.
 """
 
 from __future__ import annotations
@@ -292,13 +292,13 @@ MAX_POWERED_BLOCK = 256
 
 
 def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
-                     rho: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The density matrices at every sample, (n_samples, d, d), *rho* in
-    row 0.
+                     out: np.ndarray, grid: TimeGrid) -> None:
+    """Fill rows 1... of the (n_samples, d, d) array *out* from the state
+    in its row 0.
 
-    One RK4 step of the linear, time-independent generator is exactly the
-    map T = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so each block moves
-    from sample to sample by T_b^sample_every: one batched matvec per block
+    Each block's RK4 map T_b is built by the Horner recursion
+    T <- I + (hL_b / c) T for c = 4, 3, 2, 1, and moves the block from
+    sample to sample as T_b^sample_every: one batched matvec per block
     size.  The sizes are done one after another, so only one size's
     powers are held at a time.
 
@@ -311,8 +311,7 @@ def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
     d = model.dim
     h_eff, h_conj = model._h_eff, model._h_eff.conj()
     jumps = [(l, l.conj()) for _, l in model._jumps]
-    out = np.empty((grid.n_samples, d * d), dtype=np.complex128)
-    out[0] = rho.ravel()
+    flat = out.reshape(grid.n_samples, d * d)
     for idx in groups:
         # the transpose of a block is a block of the same size; keep the
         # one of each pair with the smaller first index, and self-paired ones
@@ -333,31 +332,26 @@ def _powered_samples(model: LindbladModel, groups: list[np.ndarray],
             t = eye + (step @ t) / c
         power = np.linalg.matrix_power(t, grid.sample_every)
         x = np.empty((grid.n_samples, *idx.shape, 1), dtype=np.complex128)
-        x[0, :, :, 0] = rho.ravel()[idx]
+        x[0, :, :, 0] = flat[0, idx]
         for k in range(grid.n_samples - 1):
             np.matmul(power, x[k], out=x[k + 1])
         # a self-paired block is written last, so it keeps its own values
-        out[1:, tidx] = x[1:, :, :, 0].conj()
-        out[1:, idx] = x[1:, :, :, 0]
-    return out.reshape(-1, d, d)
+        flat[1:, tidx] = x[1:, :, :, 0].conj()
+        flat[1:, idx] = x[1:, :, :, 0]
 
 
-def _rk4_samples(model: LindbladModel, rho: np.ndarray,
-                 grid: TimeGrid) -> np.ndarray:
-    """The density matrices at every sample, (n_samples, d, d), *rho* in
-    row 0, stepping the RK4 scheme one step at a time."""
-    dt = grid.dt
-    out = np.empty((grid.n_samples, *rho.shape), dtype=np.complex128)
-    out[0] = rho
-    for k in range(grid.n_steps):
-        k1 = lindblad_rhs(model, rho)
-        k2 = lindblad_rhs(model, rho + 0.5 * dt * k1)
-        k3 = lindblad_rhs(model, rho + 0.5 * dt * k2)
-        k4 = lindblad_rhs(model, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % grid.sample_every == 0:
-            out[k // grid.sample_every + 1] = rho
-    return out
+def _rk4_samples(model: LindbladModel, out: np.ndarray,
+                 grid: TimeGrid) -> None:
+    """Fill rows 1... of *out* from its row 0, stepping rho by the Horner
+    form of T, four ``lindblad_rhs`` calls per step."""
+    rho = out[0]
+    for k in range(1, grid.n_steps + 1):
+        x = rho
+        for c in (4.0, 3.0, 2.0, 1.0):
+            x = rho + (grid.dt / c) * lindblad_rhs(model, x)
+        rho = x
+        if k % grid.sample_every == 0:
+            out[k // grid.sample_every] = rho
 
 
 def integrate_master(state: QuantumState, model: LindbladModel,
@@ -372,11 +366,13 @@ def integrate_master(state: QuantumState, model: LindbladModel,
     check_dims(state.dim, model.dim, "state", "model")
     rho = state.density_matrix()
     QuantumState.mixed(rho)  # the initial state, checked alone before the run
+    samples = np.empty((grid.n_samples, *rho.shape), dtype=np.complex128)
+    samples[0] = rho
     groups = _invariant_blocks(model)
     if max(idx.shape[1] for idx in groups) <= MAX_POWERED_BLOCK:
-        samples = _powered_samples(model, groups, rho, grid)
+        _powered_samples(model, groups, samples, grid)
     else:
-        samples = _rk4_samples(model, rho, grid)
+        _rk4_samples(model, samples, grid)
     try:
         QuantumState._mixed_stack(samples[1:])
     except (DomainError, StateError) as exc:

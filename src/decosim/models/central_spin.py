@@ -36,7 +36,8 @@ __all__ = ["CentralSpinParams", "central_spin_coherence", "decoherence_time",
 @dataclass(frozen=True)
 class CentralSpinParams:
     """Splitting w0, bath couplings A_k, and the initial central-spin
-    amplitudes c1, c2 (|c1|^2 + |c2|^2 = 1 within 1e-10)."""
+    amplitudes c1, c2 (|c1|^2 + |c2|^2 = 1 within 1e-10).  Couplings whose
+    sum of squares overflows the float range raise OverflowError."""
 
     omega0: float
     couplings: tuple[float, ...]
@@ -48,6 +49,13 @@ class CentralSpinParams:
         couplings = tuple(as_real(a, "couplings") for a in couplings)
         if len(couplings) < 1:
             raise DimensionError("at least one bath coupling is required")
+        with np.errstate(over="ignore"):
+            squared_sum = float(np.sum(np.square(couplings)))
+        if not np.isfinite(squared_sum):
+            raise OverflowError(
+                "couplings: sum_k A_k^2 overflows the float range (largest "
+                f"|A_k| = {max(map(abs, couplings)):.3g}); measure the "
+                "couplings and times in another unit")
         c1, c2 = as_complex(c1, "c1"), as_complex(c2, "c2")
         norm2 = abs(c1) ** 2 + abs(c2) ** 2
         if not is_normalized(norm2):
@@ -57,6 +65,7 @@ class CentralSpinParams:
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "_squared_sum", squared_sum)
 
     @property
     def n_bath(self) -> int:
@@ -65,7 +74,7 @@ class CentralSpinParams:
 
 def decoherence_time(params: CentralSpinParams) -> float:
     """t_D = (sum_k A_k^2)^(-1/2); undefined when every coupling is zero."""
-    s = float(np.sum(np.square(params.couplings)))
+    s = params._squared_sum
     if s == 0.0:
         raise DomainError(
             "decoherence time is undefined when all couplings vanish")
@@ -77,8 +86,7 @@ def gaussian_envelope(params: CentralSpinParams, times) -> np.ndarray:
     every coupling vanishes."""
     t = as_finite_array(times, "times")
     amp = abs(params.c1 * np.conj(params.c2))
-    s = float(np.sum(np.square(params.couplings)))
-    return amp * np.exp(-s * t * t / 8.0)
+    return amp * np.exp(-params._squared_sum * t * t / 8.0)
 
 
 def central_spin_coherence(params: CentralSpinParams, times) -> np.ndarray:

@@ -60,8 +60,14 @@ class DampedOscillatorParams:
             raise DomainError("at least one coherent amplitude is required")
         if not np.isfinite(self.alphas).all():
             raise DomainError("coherent amplitudes must be finite")
-        needed = int(np.ceil(
-            FOCK_LEVELS_PER_UNIT * (self.max_alpha ** 2 + 1.0)))
+        try:
+            needed = int(np.ceil(
+                FOCK_LEVELS_PER_UNIT * (self.max_alpha ** 2 + 1.0)))
+        except OverflowError as exc:
+            raise OverflowError(
+                "alphas: the Fock levels needed for max |alpha|, "
+                f"{FOCK_LEVELS_PER_UNIT:g} (|alpha|^2 + 1), overflow the "
+                "float range; use smaller coherent amplitudes") from exc
         if self.n_fock < needed:
             raise ConfigurationError(
                 f"n_fock={self.n_fock} is too small for max |alpha| "

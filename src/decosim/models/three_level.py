@@ -87,10 +87,21 @@ def ground_state() -> QuantumState:
 
 def bright_excited_population(params: ThreeLevelParams) -> float:
     """Steady-state excited population of the driven g-e manifold with the
-    shelf turned off (saturation formula)."""
-    om2 = params.rabi ** 2
-    return (om2 / 4.0) / (params.detuning ** 2 + om2 / 2.0
-                          + params.gamma_strong ** 2 / 4.0)
+    shelf turned off (saturation formula).  A parameter whose square
+    overflows the float range raises OverflowError naming it."""
+    om2, det2, gamma2 = (_squared(params, name)
+                         for name in ("rabi", "detuning", "gamma_strong"))
+    return (om2 / 4.0) / (det2 + om2 / 2.0 + gamma2 / 4.0)
+
+
+def _squared(params: ThreeLevelParams, name: str) -> float:
+    value = getattr(params, name)
+    try:
+        return value ** 2
+    except OverflowError as exc:
+        raise OverflowError(
+            f"{name} = {value:.3g} squared overflows the float range; "
+            "measure the rates and times in another unit") from exc
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,26 @@ def test_params_validation():
     assert p.n_bath == 2
 
 
+@pytest.mark.parametrize("couplings", [[1e300, 1e300], [1e154, 1e154]])
+def test_couplings_whose_squared_sum_overflows_are_refused(couplings):
+    # an infinite sum would make t_D 0 and the envelope NaN at t = 0
+    with pytest.raises(OverflowError,
+                       match=r"^couplings: sum_k A_k\^2 overflows the float "
+                             r"range \(largest \|A_k\| = 1e\+(300|154)\)"):
+        CentralSpinParams(0.0, couplings, HALF, HALF)
+
+
+def test_couplings_inside_the_float_range_keep_their_bits():
+    # the refusal is at the overflow itself: a sum near 1e300 still runs
+    couplings = [0.8, 0.6, 1e150, 0.1]
+    p = CentralSpinParams(0.0, couplings, HALF, HALF)
+    s = float(np.sum(np.square(couplings)))
+    assert decoherence_time(p) == float(1.0 / np.sqrt(s))
+    t = np.linspace(0.0, 2e-150, 7)
+    assert np.array_equal(gaussian_envelope(p, t),
+                          abs(p.c1 * np.conj(p.c2)) * np.exp(-s * t * t / 8.0))
+
+
 def test_frozen_coherence_value():
     # omega0 = 2, one coupling A = 1, c1 = c2 = sqrt(1/2), t = 0.7:
     # coherence = 0.5 exp(-0.7i) cos(0.35)

@@ -324,6 +324,24 @@ def test_numbers_the_numerics_cannot_take_exit_two(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv*"))
 
 
+def test_couplings_whose_squares_overflow_exit_two(tmp_path, capsys):
+    # an infinite sum of squares would run to exit 0, with NaN in the
+    # envelope column and t_D 0.0
+    spin = central_spin_table(tmp_path)
+    spin["params"]["couplings"] = [1e300, 1e300]
+    echo = central_spin_table(tmp_path)
+    echo["scenario"] = "spin-echo"
+    echo["params"] = {"couplings": [1e300, 1e300], "t_e": 1.0}
+    for table in (spin, echo):
+        path = write_config(tmp_path, table)
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert ("configuration error: params: OverflowError: couplings: "
+                    in err)
+    assert not list(tmp_path.glob("*.csv*"))
+
+
 def test_failed_csv_write_keeps_the_old_files(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, central_spin_table(tmp_path))
     assert main(["run", str(path)]) == 0

@@ -321,6 +321,19 @@ def test_overflow_in_model_constructors_is_a_configuration_error():
             parse_config_table(doc)
 
 
+@pytest.mark.parametrize("scenario, key, name", [
+    ("three-level-telegraph", "rabi", "rabi"),
+    ("three-level-telegraph", "detuning", "detuning"),
+    ("three-level-telegraph", "gamma_strong", "gamma_strong"),
+    ("damped-oscillator", "alpha1", "alphas")])
+def test_overflow_refusals_name_the_parameter(scenario, key, name):
+    doc = minimal_config(scenario)
+    doc["params"][key] = 1e200
+    with pytest.raises(ConfigurationError,
+                       match=f"^params: OverflowError: {name}\\b"):
+        parse_config_table(doc)
+
+
 @pytest.mark.parametrize("scenario", ["three-level-telegraph",
                                       "unraveling-check", "disorder"])
 def test_seed_must_fit_in_64_bits(scenario):

@@ -40,6 +40,15 @@ def test_params_validation():
         DampedOscillatorParams(1.0, 0.0, 0.0, 20, ())
 
 
+@pytest.mark.parametrize("alpha", [1e200, 1e154, 1.5e308 + 1.5e308j])
+def test_amplitude_overflow_names_alphas(alpha):
+    # |alpha|^2, 8 (|alpha|^2 + 1) and |alpha| itself each overflow once
+    with pytest.raises(OverflowError,
+                       match="^alphas: .* overflow the float range; use "
+                             "smaller coherent amplitudes$"):
+        DampedOscillatorParams(1.0, 0.0, 0.0, 40, (2.0, alpha))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: DampedOscillatorParams(1.0, 0.0, 0.0, 40.7, (1.0,)),
      "n_fock must be an integer, got 40.7"),

@@ -68,6 +68,17 @@ def test_bright_population_matches_steady_state():
     assert abs(final.data[2, 2].real) < 1e-12     # shelf never populated
 
 
+@pytest.mark.parametrize("name", ["rabi", "detuning", "gamma_strong"])
+def test_bright_population_overflow_names_the_parameter(name):
+    values = dict(rabi=2.0, detuning=0.5, gamma_strong=1.0, gamma_shelve=0.0,
+                  gamma_deshelve=0.0)
+    values[name] = 1e200
+    with pytest.raises(OverflowError,
+                       match=f"^{name} = 1e\\+200 squared overflows the float "
+                             "range; measure the rates and times in"):
+        bright_excited_population(ThreeLevelParams(**values))
+
+
 def test_ground_state_stationary_without_drive():
     p = ThreeLevelParams(0.0, 0.3, 1.0, 0.02, 0.01)
     model = three_level_model(p)
