@@ -279,8 +279,12 @@ SCENARIOS = {
                  "t_e > 0 (required), omega0=0, c1=c2=sqrt(1/2)"),
         estimators=(CLOSED_FORM,),
         fields=_CENTRAL_SPIN_FIELDS + (
-            ("t_e", _checked(_as_float, lambda t: t > 0.0,
-                             "echo time must be positive, got {}")),),
+            ("t_e", _checked(
+                _checked(_as_float, lambda t: t > 0.0,
+                         "echo time must be positive, got {}"),
+                lambda t: math.isfinite(2.0 * t),
+                "echo time {} is too large: the revival time 2 t_e "
+                "overflows the float range")),),
         build=_central_spin, run=run_spin_echo),
     "disorder": Scenario(
         summary=("static-disorder ensemble average: params distribution, "

@@ -17,6 +17,7 @@ pooled count record against Poisson statistics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -88,10 +89,17 @@ def ground_state() -> QuantumState:
 def bright_excited_population(params: ThreeLevelParams) -> float:
     """Steady-state excited population of the driven g-e manifold with the
     shelf turned off (saturation formula).  A parameter whose square
-    overflows the float range raises OverflowError naming it."""
+    overflows the float range, or squares whose sum does, raises
+    OverflowError naming them."""
     om2, det2, gamma2 = (_squared(params, name)
                          for name in ("rabi", "detuning", "gamma_strong"))
-    return (om2 / 4.0) / (det2 + om2 / 2.0 + gamma2 / 4.0)
+    denominator = det2 + om2 / 2.0 + gamma2 / 4.0
+    if not math.isfinite(denominator):
+        raise OverflowError(
+            "rabi, detuning and gamma_strong: detuning^2 + rabi^2/2 + "
+            "gamma_strong^2/4 overflows the float range; measure the rates "
+            "and times in another unit")
+    return (om2 / 4.0) / denominator
 
 
 def _squared(params: ThreeLevelParams, name: str) -> float:

@@ -39,9 +39,13 @@ draw ties its probability to within rounding.
 A pass holds only the unfinished rows of a chunk, compacted: each row's
 chunk position, state, next unread uniform and steps taken; a row leaves
 on the pass it finishes.  A row's window of uniforms starts empty, so the
-refill at the head of a pass also fills it first.  One writer stores a
-pass's samples: the one at step s in (start, done], normalized, from
-continuation column (s - start - 1) mod K + 1.  A row whose pass had
+refill at the head of a pass also fills it first.  A pass keeps its
+states in one table, the continuation and its squared norms: a fired row
+writes its jump L_j psi and squared norm over the column of its jump
+step, once the jump test and the cap have read it.  One normalizing
+gather then reads every state the pass keeps: a row's next psi from the
+column of its last step and, by one writer, the sample at each step s in
+(start, done] from column (s - start - 1) mod K + 1.  A row whose pass had
 p <= 0 on every step and left psi bitwise unchanged is absorbed: every
 later pass would repeat it exactly and no draw could fire, so done jumps
 to the last step before the writer runs, which then fills the remaining
@@ -357,7 +361,7 @@ class TrajectoryBatch(Sequence):
         lo = self.offsets[rows]
         counts = self.offsets[rows + 1] - lo
         offsets = _offsets(counts)
-        flat = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+        flat = _runs(lo, counts)[1]
         return _unchecked(
             TrajectoryBatch, seed=self.seed, streams=self.streams[rows],
             dim=self.dim, grid=self.grid, snapshots=self.snapshots[rows],
@@ -472,7 +476,7 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
     jump_rows, jump_steps, jump_channels = [none], [none], [none]
 
     def unit(r, col):
-        """This pass's continuation of rows ``r`` at ``col``, normalized."""
+        """Rows ``r`` of this pass's table at ``col``, normalized."""
         return phi[r, col] / np.sqrt(nrm2[r, col])[:, None]
 
     for lo in range(0, streams.size, chunk_size):
@@ -524,8 +528,33 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
             start = done
             done = start + taken
             offset += taken
-            # the state after a row's last step, or before it if it fired
-            psi_next = unit(rows, taken - hit)
+            # A fired row collapses from its pre-step state into the column
+            # of its jump step; zero total weight is no jump.
+            hr = hit.nonzero()[0]
+            if hr.size:
+                v = np.einsum("cij,bj->bci", ops, unit(hr, taken[hr] - 1))
+                weights = _sq_norms(v)
+                total = weights.sum(axis=1)
+                if not total.min() > 0.0:
+                    live = total > 0.0
+                    hr, v, weights, total = (hr[live], v[live], weights[live],
+                                             total[live])
+                r = row[hr]
+                o = offset[hr]
+                target = block[r, o] * total
+                offset[hr] = o + 1
+                cum = weights.cumsum(axis=1)
+                choice = np.minimum((cum < target[:, None]).sum(axis=1),
+                                    n_ch - 1)
+                pick = np.arange(hr.size), choice
+                col = taken[hr]
+                phi[hr, col], nrm2[hr, col] = v[pick], weights[pick]
+                jump_rows.append(lo + r)
+                jump_steps.append(done[hr])
+                jump_channels.append(channel_index[choice])
+
+            # every row's state after its last step, jumped or not
+            psi_next = unit(rows, taken)
             # A row whose pass had p <= 0 throughout and left psi bitwise
             # as it was would repeat that pass to the end, never jumping:
             # it finishes now (a pass short of horizon steps is its last).
@@ -542,37 +571,6 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                 col = (idx * sample_every - start[r] - 1) % horizon + 1
                 snaps[row[r], idx] = unit(r, col)
             psi = psi_next
-
-            # Fired rows collapse from their normalized pre-step state.
-            hr = hit.nonzero()[0]
-            if hr.size:
-                v = np.einsum("cij,bj->bci", ops, psi[hr])
-                weights = _sq_norms(v)
-                total = weights.sum(axis=1)
-                if not total.min() > 0.0:
-                    live = total > 0.0
-                    # zero total weight: no jump, the no-jump state stands
-                    j = hr[~live]
-                    psi[j] = unit(j, taken[j])
-                    hr, v, weights, total = (hr[live], v[live], weights[live],
-                                             total[live])
-                r = row[hr]
-                o = offset[hr]
-                target = block[r, o] * total
-                offset[hr] = o + 1
-                cum = weights.cumsum(axis=1)
-                choice = np.minimum((cum < target[:, None]).sum(axis=1),
-                                    n_ch - 1)
-                pick = np.arange(hr.size), choice
-                jumped = v[pick] / np.sqrt(weights[pick])[:, None]
-                psi[hr] = jumped
-                step = done[hr]
-                i = (step % sample_every == 0).nonzero()[0]
-                if i.size:
-                    snaps[r[i], step[i] // sample_every] = jumped[i]
-                jump_rows.append(lo + r)
-                jump_steps.append(step)
-                jump_channels.append(channel_index[choice])
 
             # rows leave on the pass they finish
             if done.max() == n_steps:

@@ -342,6 +342,21 @@ def test_couplings_whose_squares_overflow_exit_two(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv*"))
 
 
+def test_echo_time_whose_revival_overflows_exits_two(tmp_path, capsys):
+    # validate used to accept t_e = 1e308, and run then failed at the
+    # revival time 2 t_e = inf
+    echo = central_spin_table(tmp_path)
+    echo["scenario"] = "spin-echo"
+    echo["params"] = {"couplings": [0.8, 0.6], "t_e": 1e308}
+    path = write_config(tmp_path, echo)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("configuration error: params.t_e: echo time 1e+308 is too "
+                "large" in err)
+    assert not list(tmp_path.glob("*.csv*"))
+
+
 def test_failed_csv_write_keeps_the_old_files(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, central_spin_table(tmp_path))
     assert main(["run", str(path)]) == 0

@@ -334,6 +334,16 @@ def test_overflow_refusals_name_the_parameter(scenario, key, name):
         parse_config_table(doc)
 
 
+def test_saturation_denominator_overflow_is_an_overflow_error():
+    # rather than a bright-bin count of 0 that blames the bin width
+    doc = minimal_config("three-level-telegraph")
+    doc["params"]["rabi"] = doc["params"]["detuning"] = 1.3e154
+    with pytest.raises(ConfigurationError,
+                       match="^params: OverflowError: rabi, detuning and "
+                             "gamma_strong: "):
+        parse_config_table(doc)
+
+
 @pytest.mark.parametrize("scenario", ["three-level-telegraph",
                                       "unraveling-check", "disorder"])
 def test_seed_must_fit_in_64_bits(scenario):

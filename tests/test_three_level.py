@@ -79,6 +79,21 @@ def test_bright_population_overflow_names_the_parameter(name):
         bright_excited_population(ThreeLevelParams(**values))
 
 
+def test_bright_population_refuses_a_denominator_that_overflows():
+    # each square is finite, but detuning^2 + rabi^2/2 is not; the
+    # population would come out 0
+    p = ThreeLevelParams(1.3e154, 1.3e154, 1.0, 0.0, 0.0)
+    with pytest.raises(OverflowError,
+                       match="^rabi, detuning and gamma_strong: detuning\\^2 "
+                             ".* overflows the float range; measure the "
+                             "rates and times in"):
+        bright_excited_population(p)
+    # a sum just inside the float range still has its value
+    p = ThreeLevelParams(1e154, 1e154, 1.0, 0.0, 0.0)
+    sq = 1e154 ** 2
+    assert bright_excited_population(p) == (sq / 4.0) / (sq + sq / 2.0 + 0.25)
+
+
 def test_ground_state_stationary_without_drive():
     p = ThreeLevelParams(0.0, 0.3, 1.0, 0.02, 0.01)
     model = three_level_model(p)
