@@ -241,6 +241,14 @@ def _check_disorder(params, spec, grid, estimator):
                 "disorder monte carlo requires n_traj ≥ 2 for error bars")
 
 
+def _check_echo(params, model, grid, estimator):
+    # the runner reports the revival at t_start + 2 t_e
+    t_e = params["t_e"]
+    if not math.isfinite(grid.t_start + 2.0 * t_e):
+        return ("params.t_e", f"echo time {t_e} is too large: the revival "
+                "time t_start + 2 t_e overflows the float range")
+
+
 def _check_telegraph(params, model, grid, estimator):
     # an overflow in the rate arithmetic propagates and is reported at params
     try:
@@ -279,13 +287,9 @@ SCENARIOS = {
                  "t_e > 0 (required), omega0=0, c1=c2=sqrt(1/2)"),
         estimators=(CLOSED_FORM,),
         fields=_CENTRAL_SPIN_FIELDS + (
-            ("t_e", _checked(
-                _checked(_as_float, lambda t: t > 0.0,
-                         "echo time must be positive, got {}"),
-                lambda t: math.isfinite(2.0 * t),
-                "echo time {} is too large: the revival time 2 t_e "
-                "overflows the float range")),),
-        build=_central_spin, run=run_spin_echo),
+            ("t_e", _checked(_as_float, lambda t: t > 0.0,
+                             "echo time must be positive, got {}")),),
+        build=_central_spin, run=run_spin_echo, check=_check_echo),
     "disorder": Scenario(
         summary=("static-disorder ensemble average: params distribution, "
                  "epsilon, slopes, r (all required); trajectories estimator "

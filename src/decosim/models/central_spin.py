@@ -86,7 +86,9 @@ def gaussian_envelope(params: CentralSpinParams, times) -> np.ndarray:
     every coupling vanishes."""
     t = as_finite_array(times, "times")
     amp = abs(params.c1 * np.conj(params.c2))
-    return amp * np.exp(-params._squared_sum * t * t / 8.0)
+    # a late t overflows the exponent to -inf, whose exp is the exact 0
+    with np.errstate(over="ignore"):
+        return amp * np.exp(-params._squared_sum * t * t / 8.0)
 
 
 def central_spin_coherence(params: CentralSpinParams, times) -> np.ndarray:

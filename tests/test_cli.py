@@ -15,7 +15,7 @@ from decosim.config import (config_hash, config_table, emit_config,
                             parse_config, SCENARIOS)
 from decosim.scenarios import run_scenario
 
-from test_config import minimal_config
+from cli_cases import CASES, check, minimal_config
 
 
 def write_config(tmp_path, table, name="config.json"):
@@ -194,48 +194,6 @@ def test_failing_check_exits_one_but_writes_everything(tmp_path, capsys):
     assert manifest["checks"][0]["passed"] is False
 
 
-def test_midrun_failure_writes_failure_manifest(tmp_path, capsys):
-    # parses cleanly, but dt = 1 with gamma_strong = 8 trips the jump
-    # probability cap once trajectories start
-    table = {
-        "scenario": "three-level-telegraph",
-        "params": {"rabi": 8.0, "gamma_strong": 8.0, "gamma_shelve": 0.05,
-                   "gamma_deshelve": 0.1, "bin_width": 5.0},
-        "grid": {"t_end": 20.0, "n_steps": 20},
-        "estimator": {"kind": "trajectories", "n_traj": 2, "seed": 0},
-        "output": {"path": str(tmp_path / "tele.csv")},
-    }
-    path = write_config(tmp_path, table)
-    assert main(["run", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "scenario three-level-telegraph failed" in err
-    assert not (tmp_path / "tele.csv").exists()
-    manifest = json.loads((tmp_path / "tele.csv.manifest.json")
-                          .read_text(encoding="utf-8"))
-    assert manifest["all_passed"] is False
-    assert manifest["failure"]["type"] == "ConfigurationError"
-    assert "jump probability" in manifest["failure"]["message"]
-    assert manifest["checks"] == []
-
-
-def test_non_finite_propagator_trips_the_jump_probability_cap(tmp_path,
-                                                             capsys):
-    """gamma_deshelve 1e200 passes validation; the run then fails on the
-    0.1 cap (every jump probability is NaN), not on a state check."""
-    table = minimal_config("three-level-telegraph")
-    table["params"]["gamma_deshelve"] = 1e200
-    table["output"]["path"] = str(tmp_path / "tele.csv")
-    path = write_config(tmp_path, table)
-    assert main(["validate", str(path)]) == 0
-    assert main(["run", str(path)]) == 1
-    assert "the grid step is too coarse" in capsys.readouterr().err
-    assert not (tmp_path / "tele.csv").exists()
-    manifest = json.loads((tmp_path / "tele.csv.manifest.json")
-                          .read_text(encoding="utf-8"))
-    assert manifest["failure"]["type"] == "ConfigurationError"
-    assert "jump probability nan" in manifest["failure"]["message"]
-
-
 def test_unexpected_run_error_writes_failure_manifest(tmp_path, capsys,
                                                       monkeypatch):
     def singular(config, workers):
@@ -281,15 +239,6 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch):
     assert "DECOSIM_WORKERS" in capsys.readouterr().err
 
 
-def test_non_integer_workers_env_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DECOSIM_WORKERS", "abc")
-    path = write_config(tmp_path, central_spin_table(tmp_path))
-    assert main(["run", str(path)]) == 2
-    assert ("DECOSIM_WORKERS must be an integer, got 'abc'"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out.csv").exists()
-
-
 def test_argparse_rejects_bad_invocations(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -298,63 +247,6 @@ def test_argparse_rejects_bad_invocations(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
-
-
-def test_numbers_the_numerics_cannot_take_exit_two(tmp_path, capsys):
-    oscillator = {
-        "scenario": "damped-oscillator",
-        "params": {"omega": 1.0, "n_fock": 40, "alpha1": 2.0,
-                   "alpha2": 7.9e264},
-        "grid": {"t_end": 1.0, "n_steps": 10},
-        "output": {"path": str(tmp_path / "osc.csv")},
-    }
-    infinite_grid = central_spin_table(tmp_path)
-    infinite_grid["grid"]["t_end"] = float("inf")
-    infinite_rate = unraveling_table(tmp_path)
-    infinite_rate["params"]["model"]["gamma"] = float("inf")
-    for table, message in ((oscillator, "params: OverflowError"),
-                           (infinite_grid, "grid.t_end: expected a finite"),
-                           (infinite_rate,
-                            "params.model.gamma: expected a finite")):
-        path = write_config(tmp_path, table)
-        for command in ("validate", "run"):
-            assert main([command, str(path)]) == 2
-            err = capsys.readouterr().err
-            assert f"configuration error: {message}" in err
-    assert not list(tmp_path.glob("*.csv*"))
-
-
-def test_couplings_whose_squares_overflow_exit_two(tmp_path, capsys):
-    # an infinite sum of squares would run to exit 0, with NaN in the
-    # envelope column and t_D 0.0
-    spin = central_spin_table(tmp_path)
-    spin["params"]["couplings"] = [1e300, 1e300]
-    echo = central_spin_table(tmp_path)
-    echo["scenario"] = "spin-echo"
-    echo["params"] = {"couplings": [1e300, 1e300], "t_e": 1.0}
-    for table in (spin, echo):
-        path = write_config(tmp_path, table)
-        for command in ("validate", "run"):
-            assert main([command, str(path)]) == 2
-            err = capsys.readouterr().err
-            assert ("configuration error: params: OverflowError: couplings: "
-                    in err)
-    assert not list(tmp_path.glob("*.csv*"))
-
-
-def test_echo_time_whose_revival_overflows_exits_two(tmp_path, capsys):
-    # validate used to accept t_e = 1e308, and run then failed at the
-    # revival time 2 t_e = inf
-    echo = central_spin_table(tmp_path)
-    echo["scenario"] = "spin-echo"
-    echo["params"] = {"couplings": [0.8, 0.6], "t_e": 1e308}
-    path = write_config(tmp_path, echo)
-    for command in ("validate", "run"):
-        assert main([command, str(path)]) == 2
-        err = capsys.readouterr().err
-        assert ("configuration error: params.t_e: echo time 1e+308 is too "
-                "large" in err)
-    assert not list(tmp_path.glob("*.csv*"))
 
 
 def test_failed_csv_write_keeps_the_old_files(tmp_path, capsys, monkeypatch):
@@ -565,15 +457,6 @@ def test_too_coarse_rk4_grid_names_the_fix(tmp_path, capsys):
     assert "(t = 0.04" in message
 
 
-def test_worker_count_below_one_names_its_bound(tmp_path, capsys,
-                                                monkeypatch):
-    monkeypatch.setenv("DECOSIM_WORKERS", "-2")
-    path = write_config(tmp_path, central_spin_table(tmp_path))
-    assert main(["run", str(path)]) == 2
-    assert "DECOSIM_WORKERS must be >= 1, got -2" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
-
-
 def test_run_into_an_unwritable_directory_exits_two(tmp_path, capsys,
                                                     monkeypatch):
     # root may write anywhere, so the permission answer is stubbed
@@ -584,17 +467,6 @@ def test_run_into_an_unwritable_directory_exits_two(tmp_path, capsys,
     path = write_config(tmp_path, central_spin_table(tmp_path))
     assert main(["run", str(path)]) == 2
     assert (f"output.path: directory {tmp_path} is not writable"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("raw", ["1_0", "+1", " 1 ", "١"])
-def test_workers_env_takes_plain_decimal_digits_only(tmp_path, capsys,
-                                                     monkeypatch, raw):
-    monkeypatch.setenv("DECOSIM_WORKERS", raw)
-    path = write_config(tmp_path, central_spin_table(tmp_path))
-    assert main(["run", str(path)]) == 2
-    assert (f"DECOSIM_WORKERS must be an integer, got {raw!r}"
             in capsys.readouterr().err)
     assert not (tmp_path / "out.csv").exists()
 
@@ -651,14 +523,15 @@ def test_telegraph_without_a_photon_has_null_dispersion(tmp_path, capsys):
     assert manifest["info"]["pooled_dispersion_p"] is None
 
 
-@pytest.mark.parametrize("command", ["run", "validate"])
-@pytest.mark.parametrize("target", ["out.csv", "out.csv.manifest.json"])
-def test_an_output_path_that_names_a_directory_exits_two(tmp_path, capsys,
-                                                         command, target):
-    (tmp_path / target).mkdir()
-    path = write_config(tmp_path, central_spin_table(tmp_path))
-    before = sorted(tmp_path.iterdir())
-    assert main([command, str(path)]) == 2
-    assert (f"output.path: {tmp_path / target} is a directory"
-            in capsys.readouterr().err)
-    assert sorted(tmp_path.iterdir()) == before
+@pytest.mark.parametrize("name", CASES)
+def test_cli_case(name, tmp_path, capsys, monkeypatch):
+    """One case of cli_cases.CASES, through ``main`` in this process."""
+    def run(argv, env):
+        with monkeypatch.context() as patch:
+            for key, value in env.items():
+                patch.setenv(key, value)
+            code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    check(CASES[name], run, str(tmp_path))

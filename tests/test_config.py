@@ -12,38 +12,7 @@ from decosim.config import (ScenarioConfig, SCENARIOS, config_hash,
                             emit_config, parse_config, parse_config_table)
 from decosim.errors import ConfigurationError
 
-
-def minimal_config(scenario):
-    """Smallest valid document per scenario."""
-    base = {
-        "scenario": scenario,
-        "grid": {"t_end": 1.0, "n_steps": 100},
-        "output": {"path": "out.csv"},
-    }
-    if scenario == "central-spin":
-        base["params"] = {"couplings": [1.0, 1.0, 1.0, 1.0]}
-    elif scenario == "spin-echo":
-        base["params"] = {"couplings": [0.5, 0.8], "t_e": 5.0}
-    elif scenario == "disorder":
-        base["params"] = {
-            "distribution": {"kind": "gaussian", "sigma": 0.5},
-            "epsilon": [0.0, 1.0],
-            "slopes": [0.0, 1.0],
-            "r": [[0.5, 0.5], [0.5, 0.5]],
-        }
-    elif scenario == "three-level-telegraph":
-        base["params"] = {"rabi": 8.0, "gamma_strong": 8.0,
-                          "gamma_shelve": 0.05, "gamma_deshelve": 0.1,
-                          "bin_width": 3.0}
-        base["grid"] = {"t_end": 60.0, "n_steps": 24000}
-        base["estimator"] = {"kind": "trajectories", "n_traj": 2, "seed": 0}
-    elif scenario == "damped-oscillator":
-        base["params"] = {"omega": 1.0, "n_fock": 40,
-                          "alpha1": 2.0, "alpha2": -2.0}
-    elif scenario == "unraveling-check":
-        base["params"] = {"model": {"kind": "two-level-decay", "gamma": 1.0}}
-        base["estimator"] = {"kind": "trajectories", "n_traj": 100, "seed": 7}
-    return base
+from cli_cases import minimal_config
 
 
 def parse_minimal(scenario) -> ScenarioConfig:

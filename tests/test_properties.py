@@ -21,7 +21,7 @@ from decosim.evolution import LindbladModel, TimeGrid
 from decosim.hilbert import QuantumState
 from decosim.trajectories import (TrajectoryRecord, record_from_text,
                                   record_to_text, run_ensemble, run_trajectory)
-from test_config import minimal_config
+from cli_cases import minimal_config
 
 PINNED = settings(derandomize=True, database=None, deadline=None,
                   max_examples=40)
