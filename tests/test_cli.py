@@ -471,6 +471,19 @@ def test_run_into_an_unwritable_directory_exits_two(tmp_path, capsys,
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("target", ["out.csv", "out.csv.manifest.json"])
+def test_an_output_path_that_names_a_directory_exits_two(tmp_path, capsys,
+                                                         command, target):
+    (tmp_path / target).mkdir()
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(path)]) == 2
+    assert (f"output.path: {tmp_path / target} is a directory"
+            in capsys.readouterr().err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_undefined_statistics_are_null_in_a_strict_json_manifest(tmp_path,
                                                                  capsys):
     # without deshelving, a shelved row stays dark to the end, so no
