@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .coherence import basis_change
 from .errors import (DimensionError, DomainError, IntegrationError,
@@ -235,18 +233,44 @@ def evolve_unitary(state: QuantumState, h, t: float) -> QuantumState:
     return basis_change(state, expm_hermitian_prop(h, t))
 
 
+def _component_labels(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Label each of n nodes by the smallest node of its connected component
+    in the undirected graph with edges (a[k], b[k]).
+
+    Root hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3,
+    57 (1982)): each node points at a node no larger than itself, and the
+    roots point at themselves.  Each round hooks every root that an edge
+    joins to a smaller root onto the smallest such root, then jumps every
+    label to its root.  A root that neither hooks nor is hooked in one
+    round has only larger neighbouring roots, which all hook onto smaller
+    ones, so it hooks in the next round; the roots of a component at least
+    halve every two rounds, which bounds the rounds by about 2 log2(n).
+    """
+    labels = np.arange(n)
+    while True:
+        ra, rb = labels[a], labels[b]
+        split = ra != rb
+        if not split.any():
+            return labels
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+
+
 def _invariant_blocks(model: LindbladModel) -> list[np.ndarray]:
     """Split the generator into the blocks it leaves invariant.
 
     The entries of rho are the nodes i*d + j of the generator's sparsity
-    graph; each block is one connected component (scipy's
-    ``connected_components`` labels them).  A jump term couples
-    (i, j) to (k, l) whenever L_ik and L_jl are both nonzero, which would
-    take up to d^4 edges.  Routing it through the entries of rho L^dag as
-    extra nodes keeps the edge count at 2 d nnz(L): rho_kl feeds
-    (rho L^dag)_kj when L_jl != 0, which feeds (L rho L^dag)_ij when
-    L_ik != 0.  An extra node is wired only when it has neighbours on both
-    sides, so it joins exactly the entries the jump term couples.
+    graph; each block is one connected component, which
+    ``_component_labels`` labels.  A jump term couples (i, j) to (k, l)
+    whenever L_ik and L_jl are both nonzero, which would take up to d^4
+    edges.  Routing it through the entries of rho L^dag as extra nodes
+    keeps the edge count at 2 d nnz(L): rho_kl feeds (rho L^dag)_kj when
+    L_jl != 0, which feeds (L rho L^dag)_ij when L_ik != 0.  An extra node
+    is wired only when it has neighbours on both sides, so it joins exactly
+    the entries the jump term couples.
 
     Returns one (m, n) array of flat indices per block size n, each row one
     block, rows ordered by their smallest index and indices ascending
@@ -269,15 +293,13 @@ def _invariant_blocks(model: LindbladModel) -> list[np.ndarray]:
         b += [(base + lk[:, None] * d + rows).ravel(),
               (cols[:, None] * d + lk).ravel()]
     n_nodes = d * d * (1 + len(model._jumps))
-    a, b = np.concatenate(a), np.concatenate(b)
-    graph = coo_array((np.ones(a.size), (a, b)), shape=(n_nodes, n_nodes))
-    labels = connected_components(graph, directed=False)[1]
-    _, first, comp = np.unique(labels[:d * d], return_index=True,
-                               return_inverse=True)
-    sizes = np.bincount(comp)
-    size = sizes[comp]
-    order = np.lexsort((first[comp], size))
-    return [order[size[order] == n].reshape(-1, n) for n in np.unique(sizes)]
+    # the extra nodes come after the entries of rho, so each entry's label
+    # is the smallest entry of its block
+    labels = _component_labels(np.concatenate(a), np.concatenate(b),
+                               n_nodes)[:d * d]
+    size = np.bincount(labels)[labels]
+    order = np.lexsort((labels, size))
+    return [order[size[order] == n].reshape(-1, n) for n in np.unique(size)]
 
 
 # Largest invariant block that integrate_master raises to a power; a model

@@ -126,12 +126,15 @@ class Distribution:
 
         A scalar ``s`` gives a complex, an array gives a complex array.
         """
-        if self.kind == GAUSSIAN:
-            value = np.exp(-1j * self.a * s) * np.exp(-0.5 * (self.b * s) ** 2)
-        elif self.kind == LORENTZIAN:
-            value = np.exp(-1j * self.a * s) * np.exp(-self.b * np.abs(s))
-        else:
+        if self.kind == UNIFORM:
             return None
+        # a late s overflows the exponent to -inf, whose exp is the exact 0
+        with np.errstate(over="ignore"):
+            if self.kind == GAUSSIAN:
+                decay = np.exp(-0.5 * (self.b * s) ** 2)
+            else:
+                decay = np.exp(-self.b * np.abs(s))
+        value = np.exp(-1j * self.a * s) * decay
         return complex(value) if np.ndim(value) == 0 else value
 
 

@@ -144,8 +144,11 @@ row("mc3", {"scenario": "disorder",
             "grid": {"t_end": 2.0, "n_steps": 20},
             "estimator": {"kind": "trajectories", "n_traj": 600,
                           "seed": 5}})
-# exp(-inf) = 0 is the envelope's exact limit, not an overflow warning
+# exp(-inf) = 0 is the exact limit of the envelope and of the Gaussian
+# phase average, not an overflow warning
 row("late-envelope", over(SPIN, grid={"t_end": 1.3e154}), warnings=[])
+row("late-phase", over(minimal_config("disorder"), grid={"t_end": 1e308}),
+    warnings=[])
 
 # a propagator that is not finite fails on the jump-probability cap
 row("nan", over(DARK, params={"gamma_deshelve": 1e200}), 1,

@@ -7,6 +7,8 @@ two is evidence rather than tautology.
 """
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 
 def matmul_loops(a, b):
@@ -319,3 +321,32 @@ def continuation_einsum(powers, psi):
     (rows, K + 1, d), from the powers (K + 1, d, d): one row-local einsum,
     the engine's route before it took BLAS products over fixed tiles."""
     return np.einsum("kij,bj->bki", np.asarray(powers), np.asarray(psi))
+
+
+def invariant_blocks_csgraph(model):
+    """``evolution._invariant_blocks`` with scipy's ``connected_components``
+    labelling the same sparsity graph: the entries of rho, then the entries
+    of rho L^dag for each live jump operator L, as extra nodes."""
+    d = model.dim
+    r = np.arange(d)
+    hi, hk = np.nonzero(model._h_eff)
+    a = [(hi[:, None] * d + r).ravel(), (r[:, None] * d + hi).ravel()]
+    b = [(hk[:, None] * d + r).ravel(), (r[:, None] * d + hk).ravel()]
+    for c, (_, l) in enumerate(model._jumps):
+        base = (c + 1) * d * d
+        li, lk = np.nonzero(l)
+        rows, cols = np.unique(li), np.unique(lk)
+        a += [(li[:, None] * d + rows).ravel(),
+              (base + cols[:, None] * d + li).ravel()]
+        b += [(base + lk[:, None] * d + rows).ravel(),
+              (cols[:, None] * d + lk).ravel()]
+    n_nodes = d * d * (1 + len(model._jumps))
+    a, b = np.concatenate(a), np.concatenate(b)
+    graph = coo_array((np.ones(a.size), (a, b)), shape=(n_nodes, n_nodes))
+    labels = connected_components(graph, directed=False)[1]
+    _, first, comp = np.unique(labels[:d * d], return_index=True,
+                               return_inverse=True)
+    sizes = np.bincount(comp)
+    size = sizes[comp]
+    order = np.lexsort((first[comp], size))
+    return [order[size[order] == n].reshape(-1, n) for n in np.unique(sizes)]

@@ -385,6 +385,18 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert _fresh_python(code) == "[]"
 
 
+def test_cli_import_leaves_scipy_sparse_out():
+    # the master integrator labels its invariant blocks in numpy; only a
+    # scipy whose own scipy.linalg imports scipy.sparse (before scipy's
+    # gh-23420) may load it, and then no more of it than scipy.linalg and
+    # scipy.special do
+    listed = ("; print(sorted(m for m in sys.modules "
+              "if m.startswith('scipy.sparse')))")
+    got = _fresh_python("import sys, decosim.cli" + listed)
+    assert got == _fresh_python("import sys, scipy.linalg, scipy.special"
+                                + listed)
+
+
 def test_disorder_quad_imports_scipy_integrate_when_called():
     # only Lorentzian quadrature calls scipy's quad; quad_vec is decosim's
     code = "\n".join([

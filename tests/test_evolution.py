@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from decosim import evolution, hilbert
@@ -20,7 +21,8 @@ from decosim.models.oscillator import (DampedOscillatorParams,
 from decosim.models.three_level import ThreeLevelParams, three_level_model
 from decosim.trajectories import aggregate, run_ensemble
 
-from oracles import expm_series, lindblad_rhs_loops, master_rk4
+from oracles import (expm_series, invariant_blocks_csgraph, lindblad_rhs_loops,
+                     master_rk4)
 
 
 def _random_complex(rng, *shape):
@@ -348,6 +350,64 @@ def test_invariant_blocks_match_the_dense_generator_graph():
                 row for g in evolution._invariant_blocks(model) for row in g):
             got[idx] = k
         assert _partition(got) == _partition(want)
+
+
+def test_component_labels_match_scipy_on_random_graphs():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        n = int(rng.integers(1, 401))
+        m = int(rng.integers(0, 2 * n + 1))
+        a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+        got = evolution._component_labels(a, b, n)
+        _, want = connected_components(
+            coo_array((np.ones(m), (a, b)), shape=(n, n)), directed=False)
+        # each label is the smallest node of its component
+        first = {v: np.flatnonzero(want == v)[0] for v in np.unique(want)}
+        assert np.array_equal(got, [first[v] for v in want])
+
+
+def test_component_labels_join_a_randomly_numbered_path():
+    # a path numbered at random is where min-label propagation needs
+    # thousands of rounds
+    n = 50_000
+    path = np.random.default_rng(38).permutation(n)
+    labels = evolution._component_labels(path[:-1], path[1:], n)
+    assert np.array_equal(labels, np.zeros(n, dtype=labels.dtype))
+
+
+def _block_models():
+    rng = np.random.default_rng(39)
+    fock = oscillator_model(
+        DampedOscillatorParams(1.0, 0.01, 0.5, 40, (2.0, -2.0)))
+    three = three_level_model(ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15))
+    # the zero-rate channel would join every entry if it were live
+    lower = np.diag([1.0, 1.0], k=-1)
+    idle = LindbladModel(np.diag([0.0, 1.0, 3.0]),
+                         [(lower, 0.5), (np.ones((3, 3)), 0.0)])
+
+    def dense(d):
+        h = _random_complex(rng, d, d)
+        return LindbladModel(h + h.conj().T,
+                             [(_random_complex(rng, d, d), 0.3)])
+
+    return {"fock-40": fock, "three-level": three,
+            "two-level-decay": two_level_decay_model(1.0),
+            "zero-rate": idle, "dense-d6": dense(6), "dense-d40": dense(40)}
+
+
+@pytest.mark.parametrize("case", ["fock-40", "three-level", "two-level-decay",
+                                  "zero-rate", "dense-d6", "dense-d40"])
+def test_invariant_blocks_match_the_csgraph_route(case):
+    model = _block_models()[case]
+    got = evolution._invariant_blocks(model)
+    want = invariant_blocks_csgraph(model)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    if case == "dense-d40":
+        # one block past MAX_POWERED_BLOCK: integrate_master loops RK4
+        assert [g.shape for g in got] == [(1, 1600)]
+        assert evolution.MAX_POWERED_BLOCK < 1600
 
 
 def test_unstable_strided_grid_fails_at_the_first_sample():
