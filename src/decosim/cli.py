@@ -22,7 +22,9 @@ disorder run against 1e-8), and the warnings raised while parsing and
 running (category and message; each is still shown on stderr).  It is
 strict JSON: a statistic the run could not define is null.  Both files
 are streamed to a temporary file in the output directory and then moved
-into place, so a write that fails leaves the previous file intact.
+into place, so a write that fails leaves the previous file intact.  The
+CSV is streamed in blocks of at most 2**14 values, cut in whole rows, and
+each distinct value of a block is formatted once.
 
 The environment variable DECOSIM_WORKERS, in ASCII decimal digits, sets the
 trajectory worker count (default 1); a run uses at most one worker per CPU,
@@ -40,6 +42,8 @@ import os
 import sys
 import time
 import warnings
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -59,6 +63,7 @@ WORKERS_ENV = "DECOSIM_WORKERS"
 
 
 _fmt = "%.17g".__mod__
+_BLOCK = 2 ** 14        # values per CSV block, cut in whole rows
 
 
 def _read_config(path: str) -> ScenarioConfig:
@@ -100,13 +105,28 @@ def _write_atomic(path: str, chunks) -> None:
         raise
 
 
+def _lines(rows):
+    """The CSV lines of the 2-D float array *rows*, in blocks of at most
+    ``_BLOCK`` values (one row if it is wider).  Each distinct value of a
+    block is formatted once; values are told apart by their bits, so -0.0
+    is never written as 0.0."""
+    n_rows, width = rows.shape
+    step = max(1, _BLOCK // width)
+    line = ",".join(["%s"] * width) + "\n"
+    for start in range(0, n_rows, step):
+        block = np.asarray(rows[start:start + step], dtype=np.float64)
+        bits, inv = np.unique(block.ravel().view(np.uint64),
+                              return_inverse=True)
+        text = np.array([_fmt(x) for x in bits.view(np.float64).tolist()],
+                        dtype=object)
+        yield (line * len(block)) % tuple(text[inv].tolist())
+
+
 def _write_csv(config: ScenarioConfig, columns, rows) -> None:
     head = (f"# decosim {__version__} scenario {config.scenario}\n"
             f"# config-sha256: {config_hash(config)}\n"
             + ",".join(columns) + "\n")
-    # Python floats format faster than the numpy scalars a row yields
-    lines = (",".join(map(_fmt, row.tolist())) + "\n" for row in rows)
-    _write_atomic(config.output_path, itertools.chain([head], lines))
+    _write_atomic(config.output_path, itertools.chain([head], _lines(rows)))
 
 
 def _manifest_path(config: ScenarioConfig) -> str:

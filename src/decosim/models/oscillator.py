@@ -54,6 +54,11 @@ class DampedOscillatorParams:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n_fock",
                            as_integer(self.n_fock, "n_fock", DomainError))
+        if not np.isfinite(abs(self.omega) * (self.n_fock - 1)):
+            raise OverflowError(
+                "omega: |omega| (n_fock - 1), the largest entry of H, "
+                f"overflows the float range at omega = {self.omega:.3g}; "
+                "measure the frequency in another unit")
         object.__setattr__(self, "alphas",
                            tuple(as_complex(a, "alphas") for a in self.alphas))
         if not self.alphas:

@@ -183,6 +183,10 @@ for name, config, message in (
         ("alphas", over(minimal_config("damped-oscillator"),
                         params={"alpha2": 7.9e264}, grid={"n_steps": 10}),
          "params: OverflowError"),
+        # omega N, the Hamiltonian, has an entry past the float range
+        ("omega", over(minimal_config("damped-oscillator"),
+                       params={"omega": 1e308}, grid={"n_steps": 10}),
+         "params: OverflowError: omega: "),
         ("infinite-grid", over(SPIN, grid={"t_end": float("inf")}),
          "grid.t_end: expected a finite"),
         ("infinite-rate",

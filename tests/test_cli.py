@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import decosim
-from decosim import trajectories
+from decosim import cli, trajectories
 from decosim.cli import main
 from decosim.config import (config_hash, config_table, emit_config,
                             parse_config, SCENARIOS)
@@ -274,6 +278,97 @@ def test_failed_csv_write_keeps_the_old_files(tmp_path, capsys, monkeypatch):
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     assert manifest["failure"]["type"] == "OSError"
     assert manifest["all_passed"] is False
+
+
+def test_failure_after_the_first_block_keeps_the_old_csv(tmp_path, capsys,
+                                                        monkeypatch):
+    table = central_spin_table(tmp_path)
+    table["grid"] = {"t_end": 2.0, "n_steps": 8000}     # 8001 x 5 values
+    path = write_config(tmp_path, table)
+    assert main(["run", str(path)]) == 0
+    csv_path = tmp_path / "out.csv"
+    old_csv = csv_path.read_bytes()
+    assert old_csv.count(b"\n") - 3 > cli._BLOCK // 5   # more than a block
+    blocks, tmp_sizes = [], []
+    lines = cli._lines
+
+    def counted_lines(rows):
+        for block in lines(rows):
+            yield block
+            blocks.append(block)        # the file has taken it
+
+    def failing_fmt(x):
+        if blocks:
+            tmp_sizes.extend(p.stat().st_size for p in tmp_path.glob("*.tmp"))
+            raise OSError("No space left on device")
+        return "%.17g" % x
+
+    monkeypatch.setattr(cli, "_lines", counted_lines)
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 1
+    assert "OSError: No space left on device" in capsys.readouterr().err
+    assert len(blocks) == 1 and len(tmp_sizes) == 1 and tmp_sizes[0] > 0
+    assert csv_path.read_bytes() == old_csv
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "out.csv", "out.csv.manifest.json"]
+    manifest = json.loads((tmp_path / "out.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["failure"]["type"] == "OSError"
+
+
+SPECIAL = (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+           1e308, 0.1)
+
+
+@st.composite
+def blocked_tables(draw):
+    """A number of values per block and a table whose row count sits at or
+    next to a block boundary, filled from a few values that repeat."""
+    block = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 2 * block + 1))
+    step = max(1, block // width)
+    n_rows = max(1, draw(st.integers(0, 4)) * step + draw(st.integers(-1, 1)))
+    pool = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1,
+                         max_size=6))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n_rows * width,
+                           max_size=n_rows * width))
+    return block, np.array(values).reshape(n_rows, width)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=blocked_tables())
+@example(case=(3, np.array([[0.0, -0.0, 0.0]])))
+@example(case=(2, np.array([[-0.0], [0.0], [np.nan], [-np.nan], [0.0]])))
+@example(case=(3, np.array([SPECIAL])))
+@example(case=(cli._BLOCK, np.resize(SPECIAL, (cli._BLOCK // 3 + 1, 3))))
+@example(case=(cli._BLOCK, np.resize(SPECIAL, (2, cli._BLOCK + 1))))
+def test_lines_are_the_rows_formatted_one_by_one(case):
+    block, rows = case
+    want = "".join(",".join(map("%.17g".__mod__, row.tolist())) + "\n"
+                   for row in rows).encode()
+    width = rows.shape[1]
+    for table in (rows, np.asfortranarray(rows)):
+        with mock.patch.object(cli, "_BLOCK", block):
+            got = list(cli._lines(table))
+        assert "".join(got).encode() == want
+        # whole rows, at most a block of values unless one row is wider
+        assert all(b.endswith("\n") for b in got)
+        assert max(b.count("\n") for b in got) * width <= max(block, width)
+
+
+def test_lines_memory_is_bounded_by_the_block():
+    def peak(n_rows):
+        rows = np.random.default_rng(1).integers(0, 4096, (n_rows, 3)) / 7
+        tracemalloc.start()
+        try:
+            for _ in cli._lines(rows):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200_000) <= 2 * peak(20_000)
 
 
 def test_warnings_reach_the_manifest(tmp_path, capsys):
