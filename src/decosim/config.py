@@ -45,6 +45,10 @@ from .scenarios import (CLOSED_FORM, MASTER_EQUATION, TRAJECTORIES,
 from .trajectories import _sampling_threshold
 
 DEFAULT_AMPLITUDE = math.sqrt(0.5)
+# Bytes of the sample series a config may ask for: the damped-oscillator
+# run fills an (n_samples, n_fock, n_fock) complex array.  Parsing refuses
+# a config beyond it, so no run starts an allocation it cannot hold.
+MAX_SERIES_BYTES = 2**31
 
 
 def _fail(path: str, message: str):
@@ -235,6 +239,33 @@ def disorder_spec_from_params(params: dict) -> DisorderSpec:
                         np.array(params["r"], dtype=np.complex128))
 
 
+def _series_bytes(n_samples: int, n_fock: int) -> int:
+    return n_samples * n_fock * n_fock * 16
+
+
+def _as_n_fock(value, path: str) -> int:
+    # checked before any arithmetic in the model: every grid has two samples
+    n_fock = _as_int(value, path)
+    if _series_bytes(2, n_fock) > MAX_SERIES_BYTES:
+        _fail(path, "n_fock is too large: two samples of n_fock x n_fock "
+              f"density matrices exceed the {MAX_SERIES_BYTES / 2**30:g} GiB "
+              "sample budget; lower n_fock")
+    return n_fock
+
+
+def _check_series(params, model, grid, estimator):
+    size = _series_bytes(grid.n_samples, params["n_fock"])
+    if size > MAX_SERIES_BYTES:
+        most = MAX_SERIES_BYTES // _series_bytes(1, params["n_fock"])
+        return ("grid.sample_every",
+                f"{grid.n_samples} samples of {params['n_fock']} x "
+                f"{params['n_fock']} density matrices take "
+                f"{size / 2**30:.3g} GiB, beyond the "
+                f"{MAX_SERIES_BYTES / 2**30:g} GiB sample budget; raise "
+                f"grid.sample_every so that at most {most} samples remain, "
+                "or lower params.n_fock")
+
+
 def _check_disorder(params, spec, grid, estimator):
     if estimator.kind == TRAJECTORIES and estimator.n_traj < 2:
         return ("estimator.n_traj",
@@ -319,12 +350,12 @@ SCENARIOS = {
                  "n_thermal=0; master-equation estimator"),
         estimators=(MASTER_EQUATION,),
         fields=(("omega", _as_float), ("gamma", _as_float, 0.0),
-                ("n_thermal", _as_float, 0.0), ("n_fock", _as_int),
+                ("n_thermal", _as_float, 0.0), ("n_fock", _as_n_fock),
                 ("alpha1", _as_complex), ("alpha2", _as_complex)),
         build=lambda p: DampedOscillatorParams(
             p["omega"], p["gamma"], p["n_thermal"], p["n_fock"],
             (p["alpha1"], p["alpha2"])),
-        run=run_damped_oscillator),
+        run=run_damped_oscillator, check=_check_series),
     "unraveling-check": Scenario(
         summary=("trajectory average vs master equation: params model "
                  "(required), threshold=5/sqrt(n_traj); needs trajectories"),

@@ -47,10 +47,22 @@ gather then reads every state the pass keeps: a row's next psi from the
 column of its last step and, by one writer, the sample at each step s in
 (start, done] from column (s - start - 1) mod K + 1.  A row whose pass had
 p <= 0 on every step and left psi bitwise unchanged is absorbed: every
-later pass would repeat it exactly and no draw could fire, so done jumps
-to the last step before the writer runs, which then fills the remaining
-samples periodically from that pass.  A row whose state changes, even by
-a phase only, keeps running.
+later pass would repeat it exactly and no draw could fire, so it leaves
+and keeps that pass's columns 1 .. K, from which the same rule gives each
+of its later samples.  A row whose state changes, even by a phase only,
+keeps running.
+
+Each row writes sample s into column s mod R of its ring.  For
+``run_ensemble`` R = n_samples: the ring is the row's snapshots.  The
+streamed estimate holds _RING_LOOKAHEADS look-aheads of samples plus one
+(see ``_plan``).  A block of rows (see "Ensemble reduction") reduces the
+samples that all its rows have written, which frees their columns, when
+one of its rows would otherwise sit out a pass and when its chunk ends;
+absorbed rows write their later samples just before.  A row whose pass
+could write into a column its block has not reduced sits that pass out.
+The slowest row of a block always has room, and a row's bits do not
+depend on which rows share its pass ("Batch independence"), so R changes
+no record.
 
 Randomness contract
 -------------------
@@ -101,7 +113,10 @@ unit is one stream: its workers return batches, joined in stream order, so
 the pool moves a few arrays instead of one object per trajectory.  The
 batch is a sequence: an item is a ``TrajectoryRecord`` view of its row
 (not checked again) and a slice is a batch, so code written for a list of
-records keeps working.
+records keeps working.  The streamed estimate's engine calls return block
+moments instead of a batch; they hold each sample to the batch's
+squared-norm rule as they reduce it, and raise the batch's error naming
+the same row.
 
 Ensemble reduction
 ------------------
@@ -116,10 +131,15 @@ or chunks.  The disorder Monte Carlo (``models.disorder``) is the rule's
 other user: it folds its draws' phases the same way, _BLOCK draws a block.
 ``aggregate`` applies this reduction to the rows it is given.  The
 unraveling report runs it as the ensemble runs, one block a unit: each
-process takes a run of whole blocks, runs at most four blocks per engine
-call and returns only their moments, so the pool moves O(blocks * S * d^2)
-bytes and no process holds every snapshot.  Its estimate equals
-``aggregate(run_ensemble(...))`` bit for bit.
+process takes a run of whole blocks, builds the propagator table once and
+runs engine calls of the whole blocks that ``_plan`` fits in _CHUNK_BYTES
+(two on the unravel-wide benchmark).  A call reduces each block a column
+range at a time, as its rows pass the samples in their rings, and returns
+only the moments.  A sample's moments are reduced over its own column
+alone, so their bits are those of one reduction of the whole block.  The
+pool moves O(blocks * S * d^2) bytes, a call holds R samples a row rather
+than S, and the estimate equals ``aggregate(run_ensemble(...))`` bit for
+bit.
 
 Record text format (version 1)
 ------------------------------
@@ -186,8 +206,15 @@ _LOOKAHEAD = 64
 # row-local einsum at d = 3 (one OpenBLAS thread on an x86-64 Xeon), and
 # a 64-row tile was no faster on a 60-row telegraph batch.
 _TILE = 8
-_CHUNK_BYTES = 48_000_000
+# Bytes a chunk of rows may hold besides the samples run_ensemble returns
+# (see ``_plan``): 12 MB gives the unravel-wide benchmark's streamed
+# estimate calls of two blocks.
+_CHUNK_BYTES = 12_000_000
 _MAX_CHUNK = 4096
+# Look-aheads of samples a streamed row's ring holds (see ``_plan``).  8
+# adds no pass at 20,000 samples of the three-level model, where 2 took
+# 1.5 times the passes.
+_RING_LOOKAHEADS = 8
 # Rows per reduction block (see "Ensemble reduction").  Workers take whole
 # blocks, and 256 splits 6,000 rows over two as 3,072 + 2,928.
 _BLOCK = 256
@@ -294,7 +321,7 @@ class TrajectoryBatch(Sequence):
                 "count, one entry per row plus one")
 
         def where(row: int) -> str:
-            return f"row {row} of {n}: " if n > 1 else ""
+            return _row_label(row, n)
 
         def row_of(jump: int) -> int:
             return int(np.searchsorted(off, jump, side="right")) - 1
@@ -327,10 +354,9 @@ class TrajectoryBatch(Sequence):
             raise DimensionError(
                 f"snapshots shape {sn.shape} does not match "
                 f"({n}, {g.n_samples}, {dim})")
-        bad = ~is_normalized(_sq_norms(np.ascontiguousarray(sn))).all(axis=1)
+        bad = _off_norm_rows(sn)
         if bad.any():
-            raise StateError(f"{where(int(np.argmax(bad)))}snapshots must "
-                             "have squared norm within 1e-10 of 1")
+            raise _off_norm_error(int(np.argmax(bad)), n)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "streams", keys.astype(np.uint64))
@@ -367,6 +393,24 @@ class TrajectoryBatch(Sequence):
             dim=self.dim, grid=self.grid, snapshots=self.snapshots[rows],
             jump_times=self.jump_times[flat],
             jump_channels=self.jump_channels[flat], offsets=offsets)
+
+
+def _row_label(row: int, n: int) -> str:
+    """The prefix that names one row of a batch of more than one."""
+    return f"row {row} of {n}: " if n > 1 else ""
+
+
+def _off_norm_rows(snaps: np.ndarray) -> np.ndarray:
+    """Which rows of (n, S, d) snapshots hold a sample whose squared norm
+    is not within 1e-10 of 1, the trace rule of a density matrix."""
+    return ~is_normalized(_sq_norms(np.ascontiguousarray(snaps))).all(axis=1)
+
+
+def _off_norm_error(row: int, n: int) -> StateError:
+    """The error that names the first row of n whose samples
+    ``_off_norm_rows`` refuses."""
+    return StateError(f"{_row_label(row, n)}snapshots must have squared "
+                      "norm within 1e-10 of 1")
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -422,39 +466,69 @@ def _check_cap(p_jump: np.ndarray, taken: np.ndarray, start: np.ndarray,
             "the grid step is too coarse")
 
 
-def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
-                 seed: int, streams: Sequence[int]) -> TrajectoryBatch:
-    """Advance all requested streams over the grid, each row to its own
-    next event per pass (consumes each stream's uniforms in the documented
-    order)."""
-    dim = psi0.shape[0]
-    n_steps = grid.n_steps
-    sample_every = grid.sample_every
-    horizon = min(_LOOKAHEAD, n_steps)
+def _propagators(model: LindbladModel, grid: TimeGrid):
+    """What every engine call of a run reads: the powers E^0 .. E^K side by
+    side (column k * dim + i holds row i of E^k, so psi @ stacked lists
+    E^k psi), and each jump channel's index and operator."""
+    dim = model.dim
+    horizon = min(_LOOKAHEAD, grid.n_steps)
     e = expm(-1j * grid.dt * model._h_eff)
     powers = np.empty((horizon + 1, dim, dim), dtype=np.complex128)
     powers[0] = np.eye(dim)
     for k in range(horizon):
         powers[k + 1] = np.einsum("ij,jk->ik", e, powers[k])
-    # column k * dim + i holds row i of E^k, so psi @ stacked lists E^k psi
     stacked = np.ascontiguousarray(powers.transpose(2, 0, 1))
-    stacked = stacked.reshape(dim, (horizon + 1) * dim)
-    ahead = np.arange(horizon)  # column j: the (j+1)-th step ahead
     channel_index = np.array([c for c, _ in model._jumps], dtype=np.int64)
     ops = np.array([l for _, l in model._jumps], dtype=np.complex128)
-    ops = ops.reshape(len(channel_index), dim, dim)
-    n_ch = channel_index.size
+    return (stacked.reshape(dim, (horizon + 1) * dim), channel_index,
+            ops.reshape(len(channel_index), dim, dim))
 
-    streams = np.asarray(streams, dtype=np.uint64)
+
+def _plan(dim: int, grid: TimeGrid, block: int = 0) -> tuple[int, int, int]:
+    """The sizes of an engine call: the uniforms a row's window holds, the
+    rows a chunk runs, and R, the sample columns each row holds.
+
+    Each row's window and look-ahead temporaries count against
+    _CHUNK_BYTES.  For ``run_ensemble`` (``block`` 0) R is n_samples: the
+    batch it returns holds every sample.  A streamed call runs whole
+    blocks of ``block`` rows, at least one, and each row also counts its
+    share of its block's moments and its ring: R is _RING_LOOKAHEADS
+    look-aheads of samples plus one, at most n_samples, so the slowest row
+    of a block always has room for a pass.
+    """
+    horizon = min(_LOOKAHEAD, grid.n_steps)
     # A row draws one uniform per step plus one per jump.  A pass reads a
     # full look-ahead of jump tests plus one channel draw past the row's
     # offset, so only a row with more than horizon + 1 jumps refills; its
     # offset then falls below 4, and its window holds >= horizon + 4 draws.
-    window = -(-min(_RNG_WINDOW, n_steps + 2 * horizon + 1) // 4) * 4
-    # Chunk so the uniform windows and look-ahead temporaries stay within a
-    # modest footprint; the snapshots are held for every stream anyway.
-    per_traj = window * 8 + (horizon + 1) * (dim * 16 + 64)
-    chunk_size = max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_traj))
+    window = -(-min(_RNG_WINDOW, grid.n_steps + 2 * horizon + 1) // 4) * 4
+    per_row = window * 8 + (horizon + 1) * (dim * 16 + 64)
+    n = grid.n_samples
+    if not block:
+        return window, max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_row)), n
+    # per sample: the mean and M2 of dim populations, dim^2 projector sums
+    per_row += -(-n * dim * (dim + 1) * 16 // block)
+    ring = min(n, _RING_LOOKAHEADS * horizon // grid.sample_every + 1)
+    rows = min(_MAX_CHUNK, _CHUNK_BYTES // (per_row + ring * dim * 16))
+    return window, block * max(1, rows // block), ring
+
+
+def _run_streams(psi0: np.ndarray, table, grid: TimeGrid, seed: int,
+                 streams: Sequence[int], block: int = 0):
+    """Advance all requested streams over the grid, each row to its own
+    next event per pass (consumes each stream's uniforms in the documented
+    order); *table* is ``_propagators(model, grid)``.  Returns the batch of
+    the rows or, given a ``block``, the moments of each run of ``block``
+    rows in order, reduced as the rows pass their samples."""
+    stacked, channel_index, ops = table
+    dim = psi0.shape[0]
+    n_steps, every, n_samples = grid.n_steps, grid.sample_every, grid.n_samples
+    horizon = min(_LOOKAHEAD, n_steps)
+    ahead = np.arange(horizon)  # column j: the (j+1)-th step ahead
+    n_ch = channel_index.size
+    window, chunk_size, cols = _plan(dim, grid, block)
+
+    streams = np.asarray(streams, dtype=np.uint64)
     # One Philox serves every row: set to key (seed, s) at counter n it
     # yields stream s's uniforms from block n on.  Writing the counter word
     # is the advance by n blocks, without the cost of a call to advance().
@@ -469,8 +543,10 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         bits.state = fresh
         uniforms.random(out=out)
 
-    snapshots = np.empty((streams.size, grid.n_samples, dim),
-                         dtype=np.complex128)
+    snapshots = None if block else np.empty((streams.size, n_samples, dim),
+                                            dtype=np.complex128)
+    moments = []
+    off_norm = streams.size     # first row with a sample off the norm rule
     # one array each per pass: batch row, grid step and channel of its jumps
     none = np.empty(0, dtype=np.int64)
     jump_rows, jump_steps, jump_channels = [none], [none], [none]
@@ -479,14 +555,57 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         """Rows ``r`` of this pass's table at ``col``, normalized."""
         return phi[r, col] / np.sqrt(nrm2[r, col])[:, None]
 
+    def samples(first, count, start):
+        """Owner, ring column and look-ahead column less one of the samples
+        first .. first + count - 1 of rows whose pass began at ``start``."""
+        r, idx = _runs(first, count)
+        return r, idx % cols, (idx * every - start[r] - 1) % horizon
+
+    def reduce():
+        """Write the absorbed rows' samples as far as the slowest running
+        row of their block and the ring allow, and reduce every block's
+        samples that all its rows have written."""
+        nonlocal kept, off_norm
+        have = np.full(b, n_samples)
+        have[row] = done // every + 1
+        upto = np.minimum(np.minimum.reduceat(have, firsts), base + cols)
+        k_row, k_start, k_have, states = kept
+        target = np.maximum(k_have, upto[k_row // size])
+        r, at, col = samples(k_have, target - k_have, k_start)
+        ring[k_row[r], at] = states[r, col]
+        kept = k_row, k_start, target, states
+        for k in (upto > base).nonzero()[0] if block else ():
+            s = np.arange(base[k], upto[k])
+            part = ring[firsts[k]:firsts[k] + size, s % cols]
+            bad = _off_norm_rows(part)
+            if bad.any():
+                off_norm = min(off_norm, int(lo + firsts[k] + bad.argmax()))
+            _, mean[k, s], m2[k, s], rho[k, s] = _sample_moments(part)
+        base[:] = upto
+
     for lo in range(0, streams.size, chunk_size):
         chunk = streams[lo:lo + chunk_size]
         b = len(chunk)
-        block = np.empty((b, window), dtype=np.float64)
+        uniform = np.empty((b, window), dtype=np.float64)
         drawn = np.zeros(b, dtype=np.int64)  # blocks read per row
-        lookahead = sliding_window_view(block, horizon, axis=1)
-        snaps = snapshots[lo:lo + b]
-        snaps[:, 0, :] = psi0
+        lookahead = sliding_window_view(uniform, horizon, axis=1)
+        # Row r writes sample s into column s mod R of its ring, once its
+        # block has reduced sample s - R; R = n_samples for the batch.
+        ring = (np.empty((b, cols, dim), dtype=np.complex128) if block
+                else snapshots[lo:lo + b])
+        ring[:, 0, :] = psi0
+        size = block or b
+        firsts = np.arange(0, b, size)
+        base = np.zeros(firsts.size, dtype=np.int64)  # samples reduced
+        if block:
+            mean, m2 = (np.empty((firsts.size, n_samples, dim))
+                        for _ in range(2))
+            rho = np.empty((firsts.size, n_samples, dim, dim),
+                           dtype=np.complex128)
+        # Absorbed rows: chunk row, the step their last pass began, samples
+        # written, and that pass's states at columns 1 .. horizon.
+        kept = none, none, none, np.empty((0, horizon, dim),
+                                          dtype=np.complex128)
 
         # The unfinished rows only, compacted: chunk row, state, next
         # unread column of the row's window (none yet), and steps taken.
@@ -495,13 +614,25 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
         offset = np.full(b, window, dtype=np.int64)
         done = np.zeros(b, dtype=np.int64)
         while row.size:
+            held = None
+            if cols < n_samples:
+                # a row whose pass could write past its ring sits it out
+                last = np.minimum(done + horizon, n_steps) // every
+                go = last < base[row // size] + cols
+                if not go.all():
+                    reduce()
+                    go = last < base[row // size] + cols
+                    if not go.all():
+                        held = row[~go], psi[~go], offset[~go], done[~go]
+                        row, psi, offset, done = (row[go], psi[go],
+                                                  offset[go], done[go])
             rows = np.arange(row.size)
             # Guarantee a full look-ahead plus a channel draw for every row.
             if offset.max() > window - horizon - 1:
                 for i in (offset > window - horizon - 1).nonzero()[0]:
                     r, used = row[i], int(offset[i]) // 4 * 4
-                    block[r, :window - used] = block[r, used:]
-                    read(chunk[r], int(drawn[r]), block[r, window - used:])
+                    uniform[r, :window - used] = uniform[r, used:]
+                    read(chunk[r], int(drawn[r]), uniform[r, window - used:])
                     drawn[r] += used // 4
                     offset[i] -= used
 
@@ -541,7 +672,7 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                                              total[live])
                 r = row[hr]
                 o = offset[hr]
-                target = block[r, o] * total
+                target = uniform[r, o] * total
                 offset[hr] = o + 1
                 cum = weights.cumsum(axis=1)
                 choice = np.minimum((cum < target[:, None]).sum(axis=1),
@@ -555,21 +686,25 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
 
             # every row's state after its last step, jumped or not
             psi_next = unit(rows, taken)
+            # samples at the sample steps in (start, done]
+            first = start // every
+            count = done // every - first
+            if count.any():
+                r, at, col = samples(first + 1, count, start)
+                ring[row[r], at] = unit(r, col + 1)
             # A row whose pass had p <= 0 throughout and left psi bitwise
             # as it was would repeat that pass to the end, never jumping:
-            # it finishes now (a pass short of horizon steps is its last).
+            # it finishes now (a pass short of horizon steps is its last),
+            # and its later samples repeat this pass's columns.
             if pmax.min() <= 0.0:
                 a = (pmax <= 0.0).nonzero()[0]
                 same = psi_next[a].view(np.uint64) == psi[a].view(np.uint64)
-                done[a[same.all(axis=1)]] = n_steps
-            # snapshots at the sample steps in (start, done]; a finished
-            # row's later steps repeat this pass's columns periodically
-            first = start // sample_every
-            count = done // sample_every - first
-            if count.any():
-                r, idx = _runs(first + 1, count)
-                col = (idx * sample_every - start[r] - 1) % horizon + 1
-                snaps[row[r], idx] = unit(r, col)
+                a = a[same.all(axis=1)]
+                if a.size:
+                    kept = [np.concatenate(pair) for pair in zip(kept, (
+                        row[a], start[a], done[a] // every + 1,
+                        phi[a, 1:] / np.sqrt(nrm2[a, 1:])[:, :, None]))]
+                    done[a] = n_steps
             psi = psi_next
 
             # rows leave on the pass they finish
@@ -577,7 +712,19 @@ def _run_streams(psi0: np.ndarray, model: LindbladModel, grid: TimeGrid,
                 keep = done < n_steps
                 row, psi, offset, done = (row[keep], psi[keep], offset[keep],
                                           done[keep])
+            if held is not None:
+                row, psi, offset, done = (np.concatenate(pair) for pair in
+                                          zip((row, psi, offset, done), held))
+        while base.min() < n_samples:
+            reduce()
+        if block:
+            moments += zip(np.diff(np.append(firsts, b)).tolist(), mean, m2,
+                           rho)
 
+    if off_norm < streams.size:
+        raise _off_norm_error(off_norm, streams.size)
+    if block:
+        return moments
     owner = np.concatenate(jump_rows)
     # a row's jumps were appended in time order, one per pass
     order = np.argsort(owner, kind="stable")
@@ -594,7 +741,8 @@ def run_trajectory(state: QuantumState, model: LindbladModel, grid: TimeGrid,
     """Run the single trajectory keyed by (seed, stream)."""
     psi0, seed, _, _ = _ensemble_inputs(state, model, seed, 1, 1)
     stream = as_key(stream, "stream")
-    return _run_streams(psi0, model, grid, seed, [stream])[0]
+    return _run_streams(psi0, _propagators(model, grid), grid, seed,
+                        [stream])[0]
 
 
 def _capped_workers(workers: int) -> int:
@@ -604,7 +752,7 @@ def _capped_workers(workers: int) -> int:
 
 def _worker(args) -> TrajectoryBatch:
     psi0, model, grid, seed, streams = args
-    return _run_streams(psi0, model, grid, seed, streams)
+    return _run_streams(psi0, _propagators(model, grid), grid, seed, streams)
 
 
 def _concat(parts: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
@@ -733,14 +881,18 @@ def _chan(a, b):
             *map(operator.add, sums, sums_b))
 
 
+def _sample_moments(rows: np.ndarray):
+    """The count of (n, S, d) snapshots, the mean and M2 of their
+    populations (S, d), and the sum of their projectors per sample
+    (S, d, d); each sample's entries are reduced over its own column."""
+    return (*_moments(rows.real ** 2 + rows.imag ** 2),
+            np.einsum("nsd,nse->sde", rows, rows.conj()))
+
+
 def _block_moments(snaps: np.ndarray, block: int):
-    """The moments of each run of *block* rows of (n, S, d) snapshots: its
-    count and the mean and M2 of its populations (S, d), and the sum of
-    its projectors per sample (S, d, d)."""
+    """The moments of each run of *block* rows of (n, S, d) snapshots."""
     for a in range(0, len(snaps), block):
-        rows = snaps[a:a + block]
-        yield (*_moments(rows.real ** 2 + rows.imag ** 2),
-               np.einsum("nsd,nse->sde", rows, rows.conj()))
+        yield _sample_moments(snaps[a:a + block])
 
 
 def _fold(moments, grid: TimeGrid) -> EnsembleEstimate:
@@ -753,13 +905,14 @@ def _fold(moments, grid: TimeGrid) -> EnsembleEstimate:
 
 
 def _moments_worker(args) -> list[tuple]:
-    """The block moments of streams lo .. hi-1, run four blocks a call."""
+    """The block moments of streams lo .. hi-1, in engine calls of the rows
+    that ``_plan`` gives, all from one propagator table."""
     psi0, model, grid, seed, lo, hi, block = args
-    step = 4 * block
-    return [m for a in range(lo, hi, step) for m in _block_moments(
-        _run_streams(psi0, model, grid, seed,
-                     np.arange(a, min(a + step, hi), dtype=np.uint64)
-                     ).snapshots, block)]
+    table = _propagators(model, grid)
+    step = _plan(psi0.size, grid, block)[1]
+    return [m for a in range(lo, hi, step) for m in _run_streams(
+        psi0, table, grid, seed,
+        np.arange(a, min(a + step, hi), dtype=np.uint64), block)]
 
 
 def _streamed_estimate(state: QuantumState, model: LindbladModel,

@@ -187,6 +187,17 @@ for name, config, message in (
         ("omega", over(minimal_config("damped-oscillator"),
                        params={"omega": 1e308}, grid={"n_steps": 10}),
          "params: OverflowError: omega: "),
+        # the sample series must fit MAX_SERIES_BYTES, checked before omega
+        ("fock", over(minimal_config("damped-oscillator"),
+                      params={"n_fock": 10**17}),
+         "params.n_fock: n_fock is too large"),
+        ("fock-400", over(minimal_config("damped-oscillator"),
+                          params={"n_fock": 10**400}),
+         "params.n_fock: n_fock is too large"),
+        ("series", over(minimal_config("damped-oscillator"),
+                        grid={"n_steps": 10**7}),
+         "grid.sample_every: 10000001 samples of 40 x 40 density matrices "
+         "take 238 GiB"),
         ("infinite-grid", over(SPIN, grid={"t_end": float("inf")}),
          "grid.t_end: expected a finite"),
         ("infinite-rate",

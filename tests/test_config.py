@@ -7,9 +7,10 @@ import re
 import numpy as np
 import pytest
 
-from decosim.config import (ScenarioConfig, SCENARIOS, config_hash,
-                            config_table, disorder_spec_from_params,
-                            emit_config, parse_config, parse_config_table)
+from decosim.config import (MAX_SERIES_BYTES, ScenarioConfig, SCENARIOS,
+                            config_hash, config_table,
+                            disorder_spec_from_params, emit_config,
+                            parse_config, parse_config_table)
 from decosim.errors import ConfigurationError
 
 from cli_cases import minimal_config
@@ -208,6 +209,29 @@ def test_oscillator_truncation_checked_at_parse():
     doc["params"]["n_fock"] = 10
     with pytest.raises(ConfigurationError, match="too small"):
         parse_config_table(doc)
+
+
+def test_oscillator_sample_series_fits_the_budget_exactly():
+    """A series of exactly MAX_SERIES_BYTES parses; one sample more, or an
+    n_fock whose two samples exceed it, is refused at the field to change."""
+    per_sample = 40 * 40 * 16
+    most = MAX_SERIES_BYTES // per_sample
+    assert most * per_sample <= MAX_SERIES_BYTES
+    doc = minimal_config("damped-oscillator")
+    doc["grid"] = {"t_end": 1.0, "n_steps": most - 1}
+    assert parse_config_table(doc).grid.n_samples == most
+    doc["grid"]["n_steps"] = most
+    with pytest.raises(ConfigurationError, match=(
+            rf"^grid.sample_every: {most + 1} samples .* at most {most} "
+            "samples remain")):
+        parse_config_table(doc)
+    largest = math.isqrt(MAX_SERIES_BYTES // 32)
+    for n_fock, path in ((largest, "grid.sample_every"),
+                         (largest + 1, "params.n_fock")):
+        doc = minimal_config("damped-oscillator")
+        doc["params"]["n_fock"] = n_fock
+        with pytest.raises(ConfigurationError, match=f"^{path}: "):
+            parse_config_table(doc)
 
 
 def test_unraveling_threshold_default_and_bounds():

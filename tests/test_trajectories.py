@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1464,25 +1465,112 @@ def test_aggregate_mean_is_close_to_an_exact_sum(monkeypatch, block):
             assert abs(state.data[i, j] - exact) <= 1e-15
 
 
-def test_streamed_path_runs_at_most_four_blocks_a_call(monkeypatch):
-    monkeypatch.setattr(tj, "_BLOCK", 16)
-    sizes = []
-    run_streams = tj._run_streams
+def _decay_from_excited():
+    return (QuantumState.pure([0.0, 1.0]), two_level_decay_model(1.0))
 
-    def spy(psi0, model, grid, seed, streams):
-        sizes.append(len(streams))
-        return run_streams(psi0, model, grid, seed, streams)
+
+@pytest.mark.parametrize("case", ["decay", "decay-every-3", "three-level"])
+def test_streamed_estimate_matches_with_a_small_ring(case, monkeypatch):
+    """With the ring at one look-ahead plus one sample and one block a
+    call, rows sit out passes, absorbed rows wait for room and blocks are
+    reduced a few columns at a time: the estimate keeps its bits."""
+    if case == "three-level":
+        start = ground_state()
+        model = three_level_model(ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15))
+        grid = TimeGrid(0.0, 10.0, 1000, sample_every=1)
+    else:
+        start, model = _decay_from_excited()
+        grid = TimeGrid(0.0, 5.0, 600, sample_every=3 if "3" in case else 1)
+    monkeypatch.setattr(tj, "_BLOCK", 16)
+    args = (start, model, grid, 40, 3)
+    whole = aggregate(run_ensemble(*args))
+    assert _same_estimate(tj._streamed_estimate(*args, 1), whole)
+    monkeypatch.setattr(tj, "_RING_LOOKAHEADS", 1)
+    monkeypatch.setattr(tj, "_CHUNK_BYTES", 1)
+    assert tj._plan(model.dim, grid, 16)[1:] == (
+        16, tj._LOOKAHEAD // grid.sample_every + 1)
+    for workers in (1, 2):
+        assert _same_estimate(tj._streamed_estimate(*args, workers), whole)
+
+
+@pytest.mark.parametrize("config", ["unravel-wide", "20000-samples"])
+def test_streamed_engine_calls_stay_within_the_plan(config, monkeypatch):
+    """Every engine call of the streamed estimate runs at most the plan's
+    rows, two blocks on the unravel-wide benchmark and one at 20,000
+    samples, returns block moments and allocates no (rows, n_samples, d)
+    array."""
+    if config == "unravel-wide":
+        grid, n_traj, blocks = TimeGrid(0.0, 10.0, 1000, 20), 1100, 2
+    else:
+        grid, n_traj, blocks = TimeGrid(0.0, 100.0, 20000, 1), 8, 1
+    p = ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15)
+    plan = tj._plan(3, grid, tj._BLOCK)
+    assert plan[1] == blocks * tj._BLOCK and plan[2] < grid.n_samples
+    calls, shapes = [], []
+    run_streams, empty = tj._run_streams, np.empty
+
+    def recording_empty(shape, *args, **kwargs):
+        shapes.append(tuple(np.atleast_1d(shape)))
+        return empty(shape, *args, **kwargs)
+
+    def spy(psi0, table, grid, seed, streams, block=0):
+        shapes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np, "empty", recording_empty)
+            out = run_streams(psi0, table, grid, seed, streams, block)
+        calls.append((len(streams), block, shapes[:]))
+        return out
 
     monkeypatch.setattr(tj, "_run_streams", spy)
-    monkeypatch.setattr(tj.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(tj, "ProcessPoolExecutor", _SerialPool)
-    grid = TimeGrid(0.0, 1.0, 100, sample_every=50)
-    for workers in (1, 2):
-        sizes.clear()
-        tj._streamed_estimate(_plus_state(), _driven_decay_model(), grid,
-                              150, 2, workers)
-        assert sum(sizes) == 150
-        assert max(sizes) <= 4 * tj._BLOCK
+    tj._streamed_estimate(ground_state(), three_level_model(p), grid, n_traj,
+                          1, 1)
+    assert sum(rows for rows, _, _ in calls) == n_traj
+    for rows, block, seen in calls:
+        assert block == tj._BLOCK and rows <= plan[1]
+        assert (rows, plan[2], 3) in seen
+        assert not [s for s in seen if s[0] == rows and s[1:] == (
+            grid.n_samples, 3)]
+
+
+def test_a_corrupted_streamed_sample_raises_the_batch_error(monkeypatch):
+    """A sample off the squared-norm rule fails the streamed estimate with
+    the error that the batch of the same rows raises."""
+    real = tj._sq_norms
+
+    def corrupt(z):
+        nrm2 = real(z)
+        if nrm2.shape == (5, tj._LOOKAHEAD + 1) and not seen:
+            nrm2[1, 5] *= 1.0 + 1e-6       # row 1, fifth step: a sample
+            seen.append(nrm2)
+        return nrm2
+
+    monkeypatch.setattr(tj, "_sq_norms", corrupt)
+    message = (r"^row 1 of 5: snapshots must have squared norm within 1e-10 "
+               r"of 1$")
+    start, model = _decay_from_excited()
+    grid = TimeGrid(0.0, 2.0, 200, sample_every=1)
+    for run in (run_ensemble, tj._streamed_estimate):
+        seen = []
+        with pytest.raises(StateError, match=message):
+            run(start, model, grid, 5, 1, 1)
+        assert seen
+
+
+def test_streamed_estimate_memory_does_not_grow_with_the_samples():
+    """20,000 samples of 16 rows take 29 MiB as a snapshot table; the
+    streamed estimate keeps a ring of 513 of them a row, and its whole run
+    peaks under 16 MiB (9.0 MiB measured; 33.2 MiB with the table)."""
+    p = ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15)
+    grid = TimeGrid(0.0, 100.0, 20000, sample_every=1)
+    tracemalloc.start()
+    try:
+        est = tj._streamed_estimate(ground_state(), three_level_model(p),
+                                    grid, 16, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_traj == 16 and len(est.mean_states) == grid.n_samples
+    assert peak < 16 * 2**20
 
 
 def test_worker_returns_moments_not_snapshots():
