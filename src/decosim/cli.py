@@ -15,16 +15,18 @@ The CSV output is comma-separated UTF-8 with LF line endings: two leading
 header row, then one row per sample with every float printed to 17
 significant digits.  The manifest is written next to the CSV as
 `<output>.manifest.json` and echoes the fully resolved configuration, the
-toolkit version, wall time, the executed checks with pass/fail, the
-scenario info block, the headroom block (how close the run came to each
-numerical limit, such as the largest certified quadrature error of a
-disorder run against 1e-8), and the warnings raised while parsing and
-running (category and message; each is still shown on stderr).  It is
-strict JSON: a statistic the run could not define is null.  Both files
-are streamed to a temporary file in the output directory and then moved
-into place, so a write that fails leaves the previous file intact.  The
-CSV is streamed in blocks of at most 2**14 values, cut in whole rows, and
-each distinct value of a block is formatted once.
+toolkit version, the wall time of the run and its CSV write, the executed
+checks with pass/fail, the scenario info block, the headroom block (how
+close the run came to each numerical limit, such as the largest certified
+quadrature error of a disorder run against 1e-8), and the warnings raised
+while parsing, running and writing the CSV (category and message; each is
+still shown on stderr).  A failure of the run or of the CSV write leaves
+the same failure manifest.  It is strict JSON: a statistic the run could
+not define is null.  Both files are streamed to a temporary file in the
+output directory and then moved into place, so a write that fails leaves
+the previous file intact.  The CSV is streamed in blocks of at most 2**14
+values, cut in whole rows, and each distinct value of a block is
+formatted once.
 
 The environment variable DECOSIM_WORKERS, in ASCII decimal digits, sets the
 trajectory worker count (default 1); a run uses at most one worker per CPU,
@@ -179,14 +181,10 @@ def _cmd_run(path: str) -> int:
         start = time.perf_counter()
         try:
             result = run_scenario(config, workers=workers)
-        except Exception as e:     # any failure of the run leaves a manifest
+            _write_csv(config, result.columns, result.rows)
+        except Exception as e:  # a failed run or write leaves a manifest
             failure = e
         wall = time.perf_counter() - start
-    if failure is None:
-        try:
-            _write_csv(config, result.columns, result.rows)
-        except Exception as e:
-            failure = e
     payload = {"wall_time_s": wall, "workers": workers}
     if failure is not None:
         payload.update(

@@ -35,19 +35,22 @@ from .evolution import TimeGrid, two_level_decay_model
 from .hilbert import QuantumState
 from .models.central_spin import CentralSpinParams
 from .models.disorder import Distribution, DisorderSpec
-from .models.oscillator import DampedOscillatorParams
+from .models.oscillator import DampedOscillatorParams, position_grid
 from .models.three_level import (ThreeLevelParams, _telegraph_bins,
                                  ground_state, three_level_model)
 from .scenarios import (CLOSED_FORM, MASTER_EQUATION, TRAJECTORIES,
                         EstimatorSpec, ScenarioConfig, run_central_spin,
                         run_damped_oscillator, run_disorder, run_spin_echo,
                         run_telegraph, run_unraveling)
-from .trajectories import _sampling_threshold
+from .trajectories import (_BLOCK, _block_moment_bytes,
+                           _sampling_threshold)
 
 DEFAULT_AMPLITUDE = math.sqrt(0.5)
-# Bytes of the sample series a config may ask for: the damped-oscillator
-# run fills an (n_samples, n_fock, n_fock) complex array.  Parsing refuses
-# a config beyond it, so no run starts an allocation it cannot hold.
+# Bytes that each per-sample array of a run may take: the damped-oscillator
+# run's (n_samples, n_fock, n_fock) complex series and its (n_samples, 512,
+# 3) float table of CSV rows, and the block moments that an unraveling-check
+# run holds before it folds them.  Parsing refuses a config beyond it, so
+# no run starts an allocation it cannot hold.
 MAX_SERIES_BYTES = 2**31
 
 
@@ -253,17 +256,32 @@ def _as_n_fock(value, path: str) -> int:
     return n_fock
 
 
-def _check_series(params, model, grid, estimator):
-    size = _series_bytes(grid.n_samples, params["n_fock"])
+def _over_budget(path: str, size: int, what: str, fix: str):
+    """(path, message) refusing *what*, of *size* bytes, when it exceeds
+    MAX_SERIES_BYTES; the message ends in *fix*.  None when it fits."""
     if size > MAX_SERIES_BYTES:
-        most = MAX_SERIES_BYTES // _series_bytes(1, params["n_fock"])
-        return ("grid.sample_every",
-                f"{grid.n_samples} samples of {params['n_fock']} x "
-                f"{params['n_fock']} density matrices take "
-                f"{size / 2**30:.3g} GiB, beyond the "
-                f"{MAX_SERIES_BYTES / 2**30:g} GiB sample budget; raise "
-                f"grid.sample_every so that at most {most} samples remain, "
-                "or lower params.n_fock")
+        return path, (f"{what} take {size / 2**30:.3g} GiB, beyond the "
+                      f"{MAX_SERIES_BYTES / 2**30:g} GiB sample budget; "
+                      f"{fix}")
+
+
+def _check_series(params, model, grid, estimator):
+    # the run's (n_samples, n_fock, n_fock) complex series, then its
+    # (n_samples, points, 3) float table of (t, xi, density) rows
+    n, n_fock = grid.n_samples, params["n_fock"]
+    points = position_grid(model).size
+    per_series, per_table = _series_bytes(1, n_fock), points * 3 * 8
+    return (_over_budget(
+                "grid.sample_every", n * per_series,
+                f"{n} samples of {n_fock} x {n_fock} density matrices",
+                "raise grid.sample_every so that at most "
+                f"{MAX_SERIES_BYTES // per_series} samples remain, or lower "
+                "params.n_fock")
+            or _over_budget(
+                "grid.sample_every", n * per_table,
+                f"{n} samples of {points} (t, xi, density) rows",
+                "raise grid.sample_every so that at most "
+                f"{MAX_SERIES_BYTES // per_table} samples remain"))
 
 
 def _check_disorder(params, spec, grid, estimator):
@@ -288,9 +306,20 @@ def _check_telegraph(params, model, grid, estimator):
         return "params.bin_width", str(e)
 
 
-def _default_threshold(params, model, grid, estimator):
+def _check_unraveling(params, model, grid, estimator):
     # the sampling bound depends on the estimator section
     params.setdefault("threshold", _sampling_threshold(estimator.n_traj))
+    # the estimate holds every block's moments before it folds them; this
+    # also caps the one block that an engine call takes beyond its budget
+    n, n_traj, dim = grid.n_samples, estimator.n_traj, model[1].dim
+    per_block = _block_moment_bytes(dim, n)
+    most = MAX_SERIES_BYTES // per_block * _BLOCK
+    return _over_budget(
+        "estimator.n_traj", -(-n_traj // _BLOCK) * per_block,
+        f"the block moments of n_traj = {n_traj} ({_BLOCK} trajectories a "
+        f"block) over {n} samples of dimension {dim}",
+        (f"lower estimator.n_traj to at most {most} or " if most else "")
+        + "raise grid.sample_every")
 
 
 @dataclass(frozen=True)
@@ -364,7 +393,7 @@ SCENARIOS = {
                     kind: fields for kind, (fields, _) in _MODELS.items()})),
                 ("threshold", _POSITIVE, None)),
         build=lambda p: _MODELS[p["model"]["kind"]][1](**p["model"]),
-        run=run_unraveling, check=_default_threshold),
+        run=run_unraveling, check=_check_unraveling),
 }
 
 

@@ -506,8 +506,7 @@ def _plan(dim: int, grid: TimeGrid, block: int = 0) -> tuple[int, int, int]:
     n = grid.n_samples
     if not block:
         return window, max(1, min(_MAX_CHUNK, _CHUNK_BYTES // per_row)), n
-    # per sample: the mean and M2 of dim populations, dim^2 projector sums
-    per_row += -(-n * dim * (dim + 1) * 16 // block)
+    per_row += -(-_block_moment_bytes(dim, n) // block)
     ring = min(n, _RING_LOOKAHEADS * horizon // grid.sample_every + 1)
     rows = min(_MAX_CHUNK, _CHUNK_BYTES // (per_row + ring * dim * 16))
     return window, block * max(1, rows // block), ring
@@ -862,7 +861,8 @@ def aggregate(records: Sequence[TrajectoryRecord]) -> EnsembleEstimate:
         streams = np.array([r.stream for r in records], dtype=np.uint64)
         snaps = np.stack([r.snapshots for r in records])
     snaps = snaps[np.argsort(streams, kind="stable")]
-    return _fold(_block_moments(snaps, _BLOCK), records[0].grid)
+    return _fold((_sample_moments(snaps[a:a + _BLOCK])
+                  for a in range(0, len(snaps), _BLOCK)), records[0].grid)
 
 
 def _moments(rows: np.ndarray):
@@ -889,12 +889,6 @@ def _sample_moments(rows: np.ndarray):
             np.einsum("nsd,nse->sde", rows, rows.conj()))
 
 
-def _block_moments(snaps: np.ndarray, block: int):
-    """The moments of each run of *block* rows of (n, S, d) snapshots."""
-    for a in range(0, len(snaps), block):
-        yield _sample_moments(snaps[a:a + block])
-
-
 def _fold(moments, grid: TimeGrid) -> EnsembleEstimate:
     """The estimate of block moments folded left to right, in block order."""
     n, mean, m2, rho = functools.reduce(_chan, moments)
@@ -913,6 +907,13 @@ def _moments_worker(args) -> list[tuple]:
     return [m for a in range(lo, hi, step) for m in _run_streams(
         psi0, table, grid, seed,
         np.arange(a, min(a + step, hi), dtype=np.uint64), block)]
+
+
+def _block_moment_bytes(dim: int, n_samples: int) -> int:
+    """Bytes of one block's moments: per sample, the mean and M2 of dim
+    populations and dim^2 projector sums.  The streamed estimate holds
+    every block's before it folds them."""
+    return n_samples * dim * (dim + 1) * 16
 
 
 def _streamed_estimate(state: QuantumState, model: LindbladModel,

@@ -198,6 +198,23 @@ for name, config, message in (
                         grid={"n_steps": 10**7}),
          "grid.sample_every: 10000001 samples of 40 x 40 density matrices "
          "take 238 GiB"),
+        # and so must its CSV table, 512 rows of (t, xi, density) a sample,
+        # the larger of the two at n_fock 9
+        ("table", over(minimal_config("damped-oscillator"),
+                       params={"n_fock": 9, "alpha1": 0.3, "alpha2": -0.3},
+                       grid={"n_steps": 174_762}),
+         "grid.sample_every: 174763 samples of 512 (t, xi, density) rows"),
+        # and the block moments an unraveling-check run holds before it
+        # folds them: 7,813 blocks of 20,001 samples here, 30 GB
+        ("moments", {"scenario": "unraveling-check",
+                     "params": {"model": {
+                         "kind": "three-level", "rabi": 2.0,
+                         "gamma_strong": 1.0, "gamma_shelve": 0.05,
+                         "gamma_deshelve": 0.15}},
+                     "grid": {"t_end": 100.0, "n_steps": 20_000},
+                     "estimator": {"kind": "trajectories",
+                                   "n_traj": 2_000_000, "seed": 1}},
+         "estimator.n_traj: the block moments of n_traj = 2000000"),
         ("infinite-grid", over(SPIN, grid={"t_end": float("inf")}),
          "grid.t_end: expected a finite"),
         ("infinite-rate",

@@ -402,6 +402,31 @@ def test_warnings_reach_the_manifest(tmp_path, capsys):
     assert [w["category"] for w in manifest["warnings"]] == ["UserWarning"]
 
 
+def test_warning_of_the_csv_write_reaches_the_manifest(tmp_path):
+    # a fresh process, so that the warning meets stderr, not pytest's record
+    path = write_config(tmp_path, central_spin_table(tmp_path))
+    code = ("import sys, warnings\n"
+            "from decosim import cli\n"
+            "fmt, said = cli._fmt, []\n"
+            "def warn_once(x):\n"
+            "    if not said:\n"
+            "        said.append(x)\n"
+            "        warnings.warn('formatting the CSV')\n"
+            "    return fmt(x)\n"
+            "cli._fmt = warn_once\n"
+            f"sys.exit(cli.main(['run', {str(path)!r}]))\n")
+    src = os.path.dirname(os.path.dirname(decosim.__file__))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "UserWarning: formatting the CSV" in done.stderr
+    manifest = json.loads((tmp_path / "out.csv.manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["warnings"] == [{"category": "UserWarning",
+                                     "message": "formatting the CSV"}]
+
+
 def test_clean_run_lists_no_warnings(tmp_path, capsys):
     path = write_config(tmp_path, central_spin_table(tmp_path))
     assert main(["run", str(path)]) == 0

@@ -13,7 +13,7 @@ from decosim.config import (MAX_SERIES_BYTES, ScenarioConfig, SCENARIOS,
                             parse_config, parse_config_table)
 from decosim.errors import ConfigurationError
 
-from cli_cases import minimal_config
+from cli_cases import minimal_config, over
 
 
 def parse_minimal(scenario) -> ScenarioConfig:
@@ -232,6 +232,51 @@ def test_oscillator_sample_series_fits_the_budget_exactly():
         doc["params"]["n_fock"] = n_fock
         with pytest.raises(ConfigurationError, match=f"^{path}: "):
             parse_config_table(doc)
+
+
+def test_oscillator_csv_table_fits_the_budget_exactly():
+    """At n_fock 9 the run's CSV table, 512 rows of three float64 a
+    sample, outgrows the series: the most samples whose table fits parse,
+    one more is refused at the field to change."""
+    most = MAX_SERIES_BYTES // (512 * 3 * 8)
+    assert most == 174_762
+    doc = over(minimal_config("damped-oscillator"),
+               params={"n_fock": 9, "alpha1": 0.3, "alpha2": -0.3},
+               grid={"n_steps": most - 1})
+    assert parse_config_table(doc).grid.n_samples == most
+    doc["grid"]["n_steps"] = most
+    with pytest.raises(ConfigurationError, match=(
+            rf"^grid.sample_every: {most + 1} samples of 512 \(t, xi, "
+            rf"density\) rows take .* at most {most} samples remain$")):
+        parse_config_table(doc)
+
+
+def test_unraveling_block_moments_fit_the_budget_exactly():
+    """The moments of the streamed estimate's blocks of 256 trajectories,
+    n_samples x d(d+1) x 16 bytes each, must fit MAX_SERIES_BYTES: the
+    largest n_traj whose blocks fit parses, one block more is refused, and
+    so is a single block beyond the budget."""
+    model = {"kind": "three-level", "rabi": 2.0, "gamma_strong": 1.0,
+             "gamma_shelve": 0.05, "gamma_deshelve": 0.15}
+    per_block = 20_001 * 3 * 4 * 16
+    most = MAX_SERIES_BYTES // per_block * 256
+    doc = over(minimal_config("unraveling-check"),
+               grid={"t_end": 100.0, "n_steps": 20_000},
+               estimator={"n_traj": most})
+    doc["params"]["model"] = model
+    cfg = parse_config_table(doc)
+    assert cfg.params["threshold"] == 5.0 / math.sqrt(most)
+    doc["estimator"]["n_traj"] = most + 1
+    with pytest.raises(ConfigurationError, match=(
+            rf"^estimator.n_traj: the block moments of n_traj = {most + 1} "
+            rf".* lower estimator.n_traj to at most {most} or raise "
+            "grid.sample_every$")):
+        parse_config_table(doc)
+    doc["estimator"]["n_traj"] = 1
+    doc["grid"]["n_steps"] = MAX_SERIES_BYTES // (3 * 4 * 16)
+    with pytest.raises(ConfigurationError, match=(
+            r"^estimator.n_traj: .* sample budget; raise grid.sample_every$")):
+        parse_config_table(doc)
 
 
 def test_unraveling_threshold_default_and_bounds():

@@ -1,6 +1,7 @@
 """End-to-end scenario runs on small configurations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -541,3 +542,24 @@ def test_damped_oscillator_contracts_views_of_the_integrated_series(
     data = series[0].data
     assert [len(b) for b in blocks] == [64, 64, 64, 9]
     assert all(np.shares_memory(b, data) for b in blocks)
+
+
+def test_damped_oscillator_builds_one_table_of_rows():
+    # n_fock 9, where the (t, xi, density) table of 512 rows a sample is
+    # ten times the series: the run's peak is the table and little more
+    config = parse_config_table({
+        "scenario": "damped-oscillator",
+        "params": {"omega": 1.0, "gamma": 0.1, "n_fock": 9,
+                   "alpha1": 0.3, "alpha2": -0.3},
+        "grid": {"t_end": 10.0, "n_steps": 2000},
+        "output": {"path": "o.csv"},
+    })
+    tracemalloc.start()
+    try:
+        res = run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.all_passed
+    assert res.rows.shape == (2001 * 512, 3)
+    assert peak < 1.5 * res.rows.nbytes
