@@ -258,9 +258,14 @@ def _as_n_fock(value, path: str) -> int:
 
 def _over_budget(path: str, size: int, what: str, fix: str):
     """(path, message) refusing *what*, of *size* bytes, when it exceeds
-    MAX_SERIES_BYTES; the message ends in *fix*.  None when it fits."""
+    MAX_SERIES_BYTES; the message ends in *fix*.  None when it fits.  The
+    size takes the fewest significant digits, at least 3, that tell it
+    from the budget."""
     if size > MAX_SERIES_BYTES:
-        return path, (f"{what} take {size / 2**30:.3g} GiB, beyond the "
+        gib = next(text for text in (f"{size / 2**30:.{digits}g}"
+                                     for digits in range(3, 18))
+                   if float(text) != MAX_SERIES_BYTES / 2**30)
+        return path, (f"{what} take {gib} GiB, beyond the "
                       f"{MAX_SERIES_BYTES / 2**30:g} GiB sample budget; "
                       f"{fix}")
 

@@ -9,7 +9,10 @@ Hamiltonian
     H_eff = H - (i/2) sum_j gamma_j L_j^dag L_j,
 
 applied per step through the exact exponential E = exp(-i H_eff dt), taken
-from the folded form that the master-equation engine also reads.  Each
+from the folded form that the master-equation engine also reads.  E comes
+from ``expm``, a numpy port of the scaling-and-squaring algorithm that
+scipy.linalg.expm runs (Al-Mohy & Higham 2009), so the engine does not
+load scipy.linalg; a diagonal H_eff gives a diagonal E exactly.  Each
 step performs the norm-decay jump test: with p = 1 - ||E psi||^2 (psi the
 normalized pre-step state), a jump fires when the step's uniform draw is
 below p.  On a jump, channel j is selected with probability proportional to
@@ -175,7 +178,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import expm
 
 from .coherence import trace_distance
 from .errors import (ConfigurationError, DimensionError, DomainError,
@@ -464,6 +466,86 @@ def _check_cap(p_jump: np.ndarray, taken: np.ndarray, start: np.ndarray,
             f"per-step jump probability {p_jump[r, j]:.3e} exceeds "
             f"{JUMP_PROBABILITY_CAP} at t = {t_over:.17g}; "
             "the grid step is too coarse")
+
+
+# theta_m of Al-Mohy & Higham (2009) in double precision: the largest
+# 1-norm at which the Pade approximant r_m of degree m is accurate to unit
+# roundoff (4.25 for m = 13 as in scipy's expm, which scales to it).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
+
+
+def _norm1(a):
+    return np.abs(a).sum(axis=0).max()
+
+
+def _ell(a, m: int) -> int:
+    """Squarings to add so that the backward error of r_m at *a* stays at
+    unit roundoff 2^-53: the bound ||c_m |a|^(2m+1)||_1 / ||a||_1, with
+    c_m = (m!)^2 / ((2m)! (2m+1)!) the leading error coefficient."""
+    v, abs_t = np.ones(a.shape[0]), np.abs(a).T
+    for _ in range(2 * m + 1):
+        v = abs_t @ v
+    if not v.max():
+        return 0
+    alpha = v.max() * math.factorial(m) ** 2 / (
+        _norm1(a) * math.factorial(2 * m) * math.factorial(2 * m + 1))
+    return max(math.ceil(math.log2(alpha * 2.0 ** 53) / (2 * m)), 0)
+
+
+def expm(a):
+    """exp(a) of a square matrix by the scaling-and-squaring algorithm of
+    Al-Mohy & Higham (SIAM J. Matrix Anal. Appl. 31, 970 (2009)), as
+    ``scipy.linalg.expm`` runs it, with exact 1-norms.
+
+    A diagonal *a* gives diag(exp(diag(a))) exactly, so a state that E
+    leaves unchanged stays bitwise fixed.  Otherwise the degree m of the
+    Pade approximant r_m = (V + U) / (V - U) and the scaling 2^-s come
+    from the norms ||a^2k||^(1/2k) and ``_ell``; r_m(2^-s a) is squared s
+    times.  When a power of *a* up to a^10 overflows, the result is all
+    NaN and no warning is emitted.
+    """
+    a = np.asarray(a)
+    n = a.shape[0]
+    if not a[~np.eye(n, dtype=bool)].any():
+        return np.diag(np.exp(np.diag(a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        a8 = a4 @ a4
+        d4, d6, d8, d10 = (_norm1(p) ** (1 / k) for k, p in
+                           ((4, a4), (6, a6), (8, a8), (10, a4 @ a6)))
+    if not np.isfinite([d4, d6, d8, d10]).all():
+        return np.full_like(a, np.nan)
+    ident, s = np.eye(n, dtype=a.dtype), 0
+    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)),
+                   (9, max(d6, d8))):
+        if eta < _PADE_THETA[m] and _ell(a, m) == 0:
+            break
+    else:
+        m, eta = 13, min(max(d6, d8), max(d8, d10))
+        if eta:
+            s = max(math.ceil(math.log2(eta / _PADE_THETA[m])), 0)
+        s += _ell(a * 2.0 ** -s, m)
+        a, a2, a4, a6 = (p * 2.0 ** (-k * s) for k, p in
+                         ((1, a), (2, a2), (4, a4), (6, a6)))
+    # b_j = (2m - j)! / (j! (m - j)!), the numerator coefficients of r_m
+    b = [math.factorial(2 * m - j)
+         / (math.factorial(j) * math.factorial(m - j)) for j in range(m + 1)]
+    if m == 13:
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6
+                 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6
+             + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        evens = [ident, a2, a4, a6, a8][m // 2::-1]
+        u = a @ sum(b[j] * p for j, p in zip(range(m, 0, -2), evens))
+        v = sum(b[j] * p for j, p in zip(range(m - 1, -1, -2), evens))
+    x = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 def _propagators(model: LindbladModel, grid: TimeGrid):

@@ -150,14 +150,18 @@ row("late-envelope", over(SPIN, grid={"t_end": 1.3e154}), warnings=[])
 row("late-phase", over(minimal_config("disorder"), grid={"t_end": 1e308}),
     warnings=[])
 
-# a propagator that is not finite fails on the jump-probability cap
+# a propagator that is not finite fails on the jump-probability cap, and
+# its overflow is no warning of the run
 row("nan", over(DARK, params={"gamma_deshelve": 1e200}), 1,
-    failure=("ConfigurationError",))
+    failure=("ConfigurationError", "per-step jump probability nan exceeds "
+             "0.1 at t = 0.01; the grid step is too coarse"), warnings=[])
 row("deshelve-nan",
     over(minimal_config("three-level-telegraph"),
          params={"gamma_deshelve": 1e200}), 1, BOTH,
     stderr=("the grid step is too coarse",),
-    failure=("ConfigurationError", "jump probability nan"))
+    failure=("ConfigurationError", "per-step jump probability nan exceeds "
+             "0.1 at t = 0.0025000000000000001; the grid step is too "
+             "coarse"), warnings=[])
 # parses, but dt = 1 at gamma_strong 8 trips the cap once the run starts
 row("midrun", over(minimal_config("three-level-telegraph"),
                    params={"bin_width": 5.0},

@@ -251,6 +251,23 @@ def test_oscillator_csv_table_fits_the_budget_exactly():
         parse_config_table(doc)
 
 
+@pytest.mark.parametrize("changes, size", [
+    # the first two lie one sample past the budget, where 3 digits read 2
+    ({"params": {"n_fock": 9, "alpha1": 0.3, "alpha2": -0.3},
+      "grid": {"n_steps": 174_762}}, "2.000004"),
+    ({"grid": {"n_steps": 83_886}}, "2.00002"),
+    ({"grid": {"n_steps": 10**7}}, "238"),
+])
+def test_refused_size_reads_apart_from_the_budget(changes, size):
+    """A refused size takes the fewest significant digits, at least 3,
+    that tell it from the 2 GiB budget."""
+    doc = over(minimal_config("damped-oscillator"), **changes)
+    with pytest.raises(ConfigurationError, match=(
+            rf" take {re.escape(size)} GiB, beyond the 2 GiB sample "
+            "budget; ")):
+        parse_config_table(doc)
+
+
 def test_unraveling_block_moments_fit_the_budget_exactly():
     """The moments of the streamed estimate's blocks of 256 trajectories,
     n_samples x d(d+1) x 16 bytes each, must fit MAX_SERIES_BYTES: the

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.linalg import expm
 from scipy.stats import kstest
 
 import decosim.trajectories as tj
+from decosim.config import parse_config_table
 from decosim.errors import (ConfigurationError, DimensionError, DomainError,
                             StateError)
 from decosim.evolution import LindbladModel, TimeGrid, two_level_decay_model
@@ -30,6 +32,7 @@ from decosim.trajectories import (TrajectoryBatch, TrajectoryRecord, aggregate,
                                   run_ensemble, run_trajectory,
                                   unraveling_equivalence_report)
 
+from cli_cases import minimal_config
 from oracles import continuation_einsum, lindblad_rhs_loops, mcwf_scalar
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -293,6 +296,71 @@ def test_jump_probability_cap_rejects_a_non_finite_propagator(rate):
         run_trajectory(ground_state(), model, grid, seed=0)
     with pytest.raises(ConfigurationError, match="too coarse"):
         run_ensemble(ground_state(), model, grid, n_traj=20, seed=0)
+
+
+def _engine_generators():
+    """name -> -i dt H_eff, the argument of the engine's expm: every
+    trajectory minimal_config, the telegraph-narrow and unravel-wide-w2
+    benchmark workloads, and a lower triangular H_eff (H_01 = (i/2) K_01
+    zeroes H_eff_01) at a small and a large step."""
+    models = {}
+    for scenario in ("three-level-telegraph", "unraveling-check"):
+        cfg = parse_config_table(minimal_config(scenario))
+        models[scenario] = (cfg.model[0] if isinstance(cfg.model, tuple)
+                            else three_level_model(cfg.model), cfg.grid.dt)
+    models["telegraph-narrow"] = (three_level_model(
+        ThreeLevelParams(40.0, 0.0, 30.0, 0.1, 0.25)), 50.0 / 20000)
+    models["unravel-wide-w2"] = (three_level_model(
+        ThreeLevelParams(2.0, 0.5, 1.0, 0.05, 0.15)), 10.0 / 1000)
+    jump = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    h = np.array([[0.3, 0.5j], [-0.5j, -0.2]])      # K_01 = 1
+    for dt in (0.01, 3.0):
+        models[f"triangular-{dt}"] = (LindbladModel(h, [(jump, 1.0)]), dt)
+    return {name: -1j * dt * model._h_eff
+            for name, (model, dt) in models.items()}
+
+
+def _relative_difference(got, want):
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+@pytest.mark.parametrize("name", list(_engine_generators()))
+def test_expm_port_matches_scipy_on_the_engine_generators(name):
+    a = _engine_generators()[name]
+    if name.startswith("triangular"):
+        assert a[0, 1] == 0 and a[1, 0] != 0
+    assert _relative_difference(tj.expm(a), expm(a)) <= 1e-13
+
+
+def test_expm_port_matches_scipy_on_random_matrices():
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        n = rng.integers(2, 9)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a *= 10.0 ** rng.uniform(-4.0, math.log10(30.0)) / np.abs(a).sum(
+            axis=0).max()
+        assert _relative_difference(tj.expm(a), expm(a)) <= 1e-13
+
+
+def test_expm_port_is_exact_on_a_diagonal():
+    # absorbed rows need E |g> = |g> bit for bit on a diagonal H_eff
+    a = np.diag([0.0, -0.37j - 0.2, 1.5 + 2.0j, -1e-3j])
+    want = np.diag(np.exp(np.diag(a)))
+    assert tj.expm(a).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:gamma_shelve is not small")
+@pytest.mark.parametrize("rate", ["gamma_strong", "gamma_shelve",
+                                  "gamma_deshelve"])
+def test_expm_port_of_an_overflowing_generator_is_nan_without_warning(rate):
+    rates = {"gamma_strong": 8.0, "gamma_shelve": 0.05,
+             "gamma_deshelve": 0.1, rate: 1e200}
+    model = three_level_model(ThreeLevelParams(rabi=8.0, detuning=0.0,
+                                               **rates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = tj.expm(-1j * 0.0025 * model._h_eff)
+    assert e.shape == (3, 3) and np.isnan(e).all()
 
 
 def test_waiting_time_distribution():
