@@ -162,6 +162,17 @@ row("deshelve-nan",
     failure=("ConfigurationError", "per-step jump probability nan exceeds "
              "0.1 at t = 0.0025000000000000001; the grid step is too "
              "coarse"), warnings=[])
+# past 20 squarings (||dt H_eff||_1 above 5.63e6) the step exponential has
+# no accuracy left: refused on the cap, not run on rounding noise
+row("rabi-nan", {"scenario": "three-level-telegraph",
+                 "params": {"rabi": 1e15, "gamma_strong": 1.0,
+                            "gamma_shelve": 0.05, "gamma_deshelve": 0.15,
+                            "bin_width": 12.0},
+                 "grid": {"t_end": 48.0, "n_steps": 4800},
+                 "estimator": {"kind": "trajectories", "n_traj": 20,
+                               "seed": 1}}, 1,
+    failure=("ConfigurationError", "per-step jump probability nan exceeds "
+             "0.1 at t = 0.01; the grid step is too coarse"), warnings=[])
 # parses, but dt = 1 at gamma_strong 8 trips the cap once the run starts
 row("midrun", over(minimal_config("three-level-telegraph"),
                    params={"bin_width": 5.0},

@@ -363,6 +363,40 @@ def test_expm_port_of_an_overflowing_generator_is_nan_without_warning(rate):
     assert e.shape == (3, 3) and np.isnan(e).all()
 
 
+# expm scales its argument by 2^-s to a 1-norm of at most theta_13, and
+# takes at most 20 squarings
+THETA_13 = 5.371920351148152
+
+
+def test_expm_is_finite_up_to_its_bound_and_nan_past_it():
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    x = 2.0 ** 20 * THETA_13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at = tj.expm(-1j * x * sigma_x)
+        past = tj.expm(-1j * np.nextafter(x, np.inf) * sigma_x)
+        # finite entries whose column sum overflows
+        overflowing = tj.expm(np.full((2, 2), 1e308))
+    rotation = math.cos(x) * np.eye(2) - 1j * math.sin(x) * sigma_x
+    assert np.isfinite(at).all() and np.abs(at - rotation).max() <= 1e-8
+    assert np.isnan(past).all() and np.isnan(overflowing).all()
+
+
+def test_expm_jump_probability_matches_scipy_up_to_the_bound():
+    """The first-step jump probability from |g> of the three-level model at
+    dt 0.01, with rabi swept over every number of squarings, 0 to 20."""
+    dt, squarings = 0.01, set()
+    for rabi in np.geomspace(100.0, 1.1e9, 64):
+        a = -1j * dt * three_level_model(
+            ThreeLevelParams(rabi, 0.0, 1.0, 0.05, 0.15))._h_eff
+        norm = np.abs(a).sum(axis=0).max()
+        squarings.add(max(math.ceil(math.log2(norm / THETA_13)), 0))
+        got, want = (1.0 - np.linalg.norm(e[:, 0]) ** 2
+                     for e in (tj.expm(a), expm(a)))
+        assert abs(got - want) <= 1e-9
+    assert squarings == set(range(21))
+
+
 def test_waiting_time_distribution():
     """First-jump times of pure decay follow the exponential law."""
     gamma = 1.0
